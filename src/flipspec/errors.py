@@ -38,11 +38,7 @@ class PoleError(FlipspecError, ValueError):
 
 
 class NotSPDError(FlipspecError, ValueError):
-    """Cholesky factorization failed; matrix is not positive definite."""
-
-
-class IndefiniteError(FlipspecError, ValueError):
-    """Circulant Kronecker sum has a (numerically) nonpositive eigenvalue."""
+    """Preconditioner is not (numerically) positive definite."""
 
 
 class OperatorError(FlipspecError, RuntimeError):

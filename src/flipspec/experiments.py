@@ -40,8 +40,7 @@ from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
                        sym_eigenvalues, tent, write_discrepancy_csv,
                        write_spectral_report_csv, zero_distribution_verdict)
-from .precond import (CirculantKronSum, ToeplitzPreconditioner,
-                      build_circulant_kron_sum, build_p22, build_p2beta,
+from .precond import (build_circulant_kron_sum, build_p22, build_p2beta,
                       build_toepfr, optimal_circulant, preconditioned_spectrum)
 from .krylov import SolveConfig, flipped_solve
 
@@ -121,32 +120,6 @@ def experiment_symbol(cfg: ExperimentConfig, sizes) -> Symbol:
                   name=f"frac1d(alpha={cfg.alpha:g})")
 
 
-def _cross_level_tables(f: Symbol, sizes):
-    # split a Kronecker-sum coefficient table into one table per level; the
-    # zero index is booked on level 1
-    tables = [dict() for _ in sizes]
-    for k, t in f.coefficients.items():
-        live = [l for l, kl in enumerate(k) if kl != 0]
-        if len(live) > 1:
-            raise ParameterError(f"coefficient index {k} is not separable across levels")
-        level = live[0] if live else 0
-        tables[level][k[level]] = tables[level].get(k[level], 0.0) + complex(t).real
-    return tables
-
-
-def _abs_sum_symbol(tables, d: int) -> Symbol:
-    pieces = [Symbol(1, None, {(k,): v for k, v in tab.items()}) for tab in tables]
-
-    def evaluator(*coords):
-        total = 0.0
-        for l, piece in enumerate(pieces):
-            vals = piece.eval(np.stack([np.ravel(coords[l])], axis=1))
-            total = total + np.abs(vals).reshape(np.shape(coords[l]))
-        return total + 0j
-
-    return Symbol(d, evaluator, {}, name="sum_of_level_moduli")
-
-
 def build_preconditioner(cfg: ExperimentConfig, f: Symbol, sizes):
     """Build the configured preconditioner; returns (P, weight_symbol).
 
@@ -159,20 +132,17 @@ def build_preconditioner(cfg: ExperimentConfig, f: Symbol, sizes):
         return None, None
     if which == "toepfr":
         p = build_toepfr(f, sizes)
-        return p, p.symbol
-    if which == "p22":
+    elif which == "p22":
         p = build_p22(cfg.alpha, cfg.beta, sizes[0], sizes[1],
                       cfg.resolved_m(sizes), cfg.include_shift)
-        return p, p.symbol
-    if which == "p2beta":
+    elif which == "p2beta":
         p = build_p2beta(cfg.alpha, cfg.beta, sizes[0], sizes[1],
                          cfg.resolved_m(sizes), cfg.include_shift)
-        return p, p.symbol
-    if which == "circsum":
-        tables = _cross_level_tables(f, sizes)
-        return (build_circulant_kron_sum(tables, sizes),
-                _abs_sum_symbol(tables, len(sizes)))
-    raise ParameterError(f"unknown preconditioner {which!r}")
+    elif which == "circsum":
+        p = build_circulant_kron_sum(f, sizes)
+    else:
+        raise ParameterError(f"unknown preconditioner {which!r}")
+    return p, p.symbol
 
 
 def rhs_vector(cfg: ExperimentConfig, sizes) -> np.ndarray:
@@ -441,7 +411,7 @@ def _suite_oracles(cfg: ExperimentConfig):
     err = np.linalg.norm(p.apply(p.apply_inverse(r)) - r) / np.linalg.norm(r)
     worst = float(err)
     f3 = convection_diffusion_symbol(5, 5, 5)
-    c = build_circulant_kron_sum(_cross_level_tables(f3, (5, 5, 5)), (5, 5, 5))
+    c = build_circulant_kron_sum(f3, (5, 5, 5))
     r = rng.standard_normal(125)
     err = np.linalg.norm(c.apply(c.apply_inverse(r)) - r) / np.linalg.norm(r)
     worst = max(worst, float(err))

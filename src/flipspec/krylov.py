@@ -85,9 +85,12 @@ def _probe_symmetry(apply_a, dim: int, seed: int) -> None:
         y = rng.standard_normal(dim)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        gap = abs(np.dot(apply_a(x), y) - np.dot(x, apply_a(y)))
-        if gap > 1e-8:
-            raise OperatorError(f"operator fails the symmetry probe: |<Ax,y> - <x,Ay>| = {gap:.3e}")
+        ax, ay = apply_a(x), apply_a(y)
+        gap = abs(np.dot(ax, y) - np.dot(x, ay))
+        scale = np.linalg.norm(ax) + np.linalg.norm(ay)
+        if gap > 1e-8 * scale:
+            raise OperatorError(f"operator fails the symmetry probe: |<Ax,y> - <x,Ay>| = "
+                                f"{gap:.3e}, ||Ax|| + ||Ay|| = {scale:.3e}")
 
 
 def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> SolveResult:
@@ -95,9 +98,11 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
 
     ``apply_a`` is a callable on vectors; ``apply_pinv`` is a callable, an
     object with apply_inverse, or None for the identity.  The operator is
-    probed for symmetry on three seeded random unit pairs before the
-    iteration starts.  Breakdown of the Lanczos recurrence counts as
-    convergence only if the recomputed residual passes the rule.
+    probed for symmetry on three seeded random unit pairs x, y before the
+    iteration starts: |<Ax, y> - <x, Ay>| must stay within
+    1e-8 (||Ax|| + ||Ay||), a gap relative to the operator's scale.
+    Breakdown of the Lanczos recurrence counts as convergence only if the
+    recomputed residual passes the rule.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=float)

@@ -9,7 +9,6 @@ through the row-major flat layout (level 1 slowest).
 Contents
 --------
 ToeplitzOperator          coefficient table + sizes, dense(), matvec()
-assemble_dense, matvec    functional wrappers over ToeplitzOperator
 flip_apply                per-level index reversal (Y_n x)
 u_apply                   reverse the leading half of each level (U_n x)
 pi_apply                  even-size shuffle permutation (Pi_n x, Pi_n^T x)
@@ -34,8 +33,6 @@ from .symbols import Symbol, as_sizes, total_dim
 __all__ = [
     "DENSE_CAPACITY",
     "ToeplitzOperator",
-    "assemble_dense",
-    "matvec",
     "flip_map",
     "u_map",
     "pi_map",
@@ -231,14 +228,6 @@ class ToeplitzOperator:
         if self.is_real and not np.iscomplexobj(x):
             return y.real
         return y
-
-
-def assemble_dense(op: ToeplitzOperator) -> np.ndarray:
-    return op.dense()
-
-
-def matvec(op: ToeplitzOperator, x) -> np.ndarray:
-    return op.matvec(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,54 +1,49 @@
 """Preconditioners for the flipped multilevel Toeplitz systems.
 
-Two families.  Structured Toeplitz preconditioners assemble a real
-symmetric positive definite T_n(h) and apply its inverse by a dense
-Cholesky solve: the symmetric part T(f_R), the two-level Laplacian variant
-built from 2 - 2 cos theta on both levels, and the tetra-diagonal band
-truncation variant.  Circulant Kronecker sums take the absolute value of
-each level's Frobenius-optimal circulant and add them up; the whole sum is
-diagonalized by one d-dimensional DFT, so applying the inverse (or any
-power) costs a pair of FFTs.
+Every preconditioner here is a Kronecker sum P = sum_l I (x) A_l (x) I of
+real symmetric level matrices A_l, one per level.  Structured Toeplitz
+preconditioners take A_l = T_{n_l}(h_l) from a separable symbol h: the
+symmetric part T(f_R), the two-level Laplacian variant built from
+2 - 2 cos theta on both levels, and the tetra-diagonal band truncation
+variant.  The circulant Kronecker sum takes A_l = |C_l|, the absolute value
+of each level's Frobenius-optimal circulant; a symmetric circulant is a
+symmetric Toeplitz matrix, so both families share one class.  Each level is
+diagonalized once, and any power of P then costs one basis change per level
+each way (the fast diagonalization method of Lynch, Rice & Thomas, 1964).
 
 Contents
 --------
 optimal_circulant         first column of the Frobenius-closest circulant
 circulant_abs             |eigenvalues| via length-n DFT
-CirculantKronSum          eigen-tensor container with FFT solves
-build_circulant_kron_sum
-apply_inverse_circulant
-ToeplitzPreconditioner    symbol + lazy dense Cholesky factor
+ToeplitzPreconditioner    Kronecker sum of symmetric levels, per-level eigh
+CirculantKronSum          the same class, under the name the circulant used
+build_circulant_kron_sum  sum of the levels |C_l| of a separable symbol
 build_toepfr              T(f_R) for a given symbol
 build_p22                 Laplacian-on-both-levels variant
 build_p2beta              band-truncation variant
-apply_inverse_toeplitz
 preconditioned_spectrum   eigenvalues of P^{-1} S via symmetric surrogate
-write_circulant_spectrum_csv
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+import functools
+import math
 
-from .errors import (IndefiniteError, NotSPDError, ParameterError, ShapeError,
-                     SymmetryError)
-from .symbols import (Symbol, as_sizes, fractional_symbol, laplace1d_symbol,
-                      p_beta_truncation, real_part_symbol, total_dim)
-from .operators import ToeplitzOperator
+import numpy as np
+
+from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
+from .symbols import (Symbol, as_sizes, laplace1d_symbol, p_beta_truncation,
+                      real_part_symbol)
 
 __all__ = [
     "optimal_circulant",
     "circulant_abs",
-    "CirculantKronSum",
-    "build_circulant_kron_sum",
-    "apply_inverse_circulant",
     "ToeplitzPreconditioner",
+    "build_circulant_kron_sum",
     "build_toepfr",
     "build_p22",
     "build_p2beta",
-    "apply_inverse_toeplitz",
     "preconditioned_spectrum",
-    "write_circulant_spectrum_csv",
 ]
 
 
@@ -78,144 +73,157 @@ def circulant_abs(c) -> np.ndarray:
     """Eigenvalues of (C^T C)^{1/2} for the circulant with first column c.
 
     These are the moduli of the DFT of c, listed in DFT order (not sorted),
-    which keeps them aligned with the Fourier modes for kron-sum assembly.
+    which keeps them aligned with the Fourier modes.
     """
     return np.abs(np.fft.fft(np.asarray(c)))
 
 
-class CirculantKronSum:
-    """Sum over levels of |C_{n_l}| acting on its own level.
-
-    Diagonalized by the d-dimensional unitary DFT with eigen-tensor
-    lambda(k_1,...,k_d) = sum_l |lambda^{(l)}_{k_l}|.  Immutable; the apply
-    methods are reentrant.
-    """
-
-    def __init__(self, level_eigs, sizes):
-        self.sizes = as_sizes(sizes)
-        if len(level_eigs) != len(self.sizes):
-            raise ShapeError("one eigenvalue vector per level required")
-        self.level_eigs = [np.asarray(v, dtype=float) for v in level_eigs]
-        for v, nl in zip(self.level_eigs, self.sizes):
-            if v.shape != (nl,):
-                raise ShapeError(f"level eigenvalue vector has shape {v.shape}, expected ({nl},)")
-        tensor = np.zeros(self.sizes)
-        for axis, v in enumerate(self.level_eigs):
-            shape = [1] * len(self.sizes)
-            shape[axis] = len(v)
-            tensor = tensor + v.reshape(shape)
-        peak = float(tensor.max())
-        low = float(tensor.min())
-        if low <= 1e-14 * max(peak, 1.0):
-            raise IndefiniteError(f"combined eigenvalue {low:.3e} not positive "
-                                  f"(max {peak:.3e})")
-        self.eigen_tensor = tensor
-
-    @property
-    def dim(self) -> int:
-        return total_dim(self.sizes)
-
-    def _spectral_apply(self, x, power: float):
-        x = np.asarray(x)
-        if x.shape != (self.dim,):
-            raise ShapeError(f"expected a vector of length {self.dim}, got shape {x.shape}")
-        xhat = np.fft.fftn(x.reshape(self.sizes))
-        out = np.fft.ifftn(xhat * self.eigen_tensor**power)
-        return out.real.ravel() if not np.iscomplexobj(x) else out.ravel()
-
-    def apply(self, x):
-        return self._spectral_apply(x, 1.0)
-
-    def apply_inverse(self, r):
-        """Solve C z = r through the Fourier diagonalization."""
-        return self._spectral_apply(r, -1.0)
-
-    def apply_inverse_sqrt(self, r):
-        return self._spectral_apply(r, -0.5)
+def _cross_level_tables(f: Symbol, sizes):
+    # split a Kronecker-sum coefficient table into one table per level; the
+    # zero index is booked on level 1
+    if f.dims != len(sizes):
+        raise ShapeError(f"symbol has {f.dims} levels, sizes {sizes} have {len(sizes)}")
+    tables = [dict() for _ in sizes]
+    for k, t in f.coefficients.items():
+        live = [l for l, kl in enumerate(k) if kl != 0]
+        if len(live) > 1:
+            raise ParameterError(f"coefficient index {k} is not separable across levels")
+        level = live[0] if live else 0
+        tables[level][k[level]] = tables[level].get(k[level], 0.0) + complex(t).real
+    return tables
 
 
-def build_circulant_kron_sum(level_tables, n) -> CirculantKronSum:
-    """Kron-sum preconditioner from per-level one-level coefficient tables.
-
-    Each table generates the level's Toeplitz factor; its Frobenius-optimal
-    circulant is replaced by its absolute value and the results are summed
-    across levels.  Raises if the combined eigen-tensor is not positive.
-    """
-    sizes = as_sizes(n)
-    if len(level_tables) != len(sizes):
-        raise ShapeError(f"{len(sizes)} level tables required, got {len(level_tables)}")
-    eigs = [circulant_abs(optimal_circulant(tab, nl))
-            for tab, nl in zip(level_tables, sizes)]
-    return CirculantKronSum(eigs, sizes)
+def _symmetric_toeplitz(col) -> np.ndarray:
+    # T[i, j] = col[|i - j|]
+    col = np.asarray(col, dtype=float)
+    idx = np.arange(len(col))
+    return col[np.abs(idx[:, None] - idx)]
 
 
-def apply_inverse_circulant(p: CirculantKronSum, r):
-    return p.apply_inverse(r)
+def _abs_sum_symbol(tables, d: int) -> Symbol:
+    pieces = [Symbol(1, None, {(k,): v for k, v in tab.items()}) for tab in tables]
 
+    def evaluator(*coords):
+        total = 0.0
+        for l, piece in enumerate(pieces):
+            vals = piece.eval(np.stack([np.ravel(coords[l])], axis=1))
+            total = total + np.abs(vals).reshape(np.shape(coords[l]))
+        return total + 0j
 
-# ---------------------------------------------------------------------------
-# SPD Toeplitz preconditioners
+    return Symbol(d, evaluator, {}, name="sum_of_level_moduli")
 
 
 class ToeplitzPreconditioner:
-    """T_n(h) for a real nonnegative symbol h, solved by dense Cholesky.
+    """P = sum_l I (x) A_l (x) I for real symmetric n_l x n_l levels A_l.
 
-    The dense matrix and its factor are materialized lazily on first use and
-    cached; afterwards apply_inverse is reentrant.  Building checks that the
-    coefficient table is real and symmetric (t_{-k} = t_k), which is what
-    makes the assembled matrix real symmetric.
+    Each level is diagonalized once, A_l = Q_l diag(lambda_l) Q_l^T, so
+    P = Q diag(Lambda) Q^T with Q the Kronecker product of the Q_l and the
+    eigen-tensor Lambda(k_1, ..., k_d) = sum_l lambda_l[k_l].  Building
+    raises NotSPDError unless Lambda is positive.  ``symbol`` is the symbol
+    of the preconditioner sequence, the weight that divides |f| in the
+    sample set.  The vector methods take a vector of length d_n or a
+    (d_n, k) block; the instance is immutable and they are reentrant.
     """
 
-    def __init__(self, symbol: Symbol, n):
-        self.sizes = as_sizes(n)
+    def __init__(self, levels, symbol: Symbol = None):
+        self.levels = tuple(np.asarray(a, dtype=float) for a in levels)
+        if not self.levels:
+            raise ShapeError("a Kronecker sum needs at least one level")
+        for a in self.levels:
+            if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+                raise ShapeError(f"level matrix has shape {a.shape}, expected a square matrix")
+            if not np.array_equal(a, a.T):
+                raise SymmetryError("level matrix is not symmetric")
+        self.sizes = tuple(a.shape[0] for a in self.levels)
+        self.dim = math.prod(self.sizes)
         self.symbol = symbol
-        peak = max((abs(complex(v)) for v in symbol.coefficients.values()), default=0.0)
+        eigs, self.bases = zip(*(np.linalg.eigh(a) for a in self.levels))
+        tensor = functools.reduce(np.add.outer, eigs)
+        low, peak = float(tensor.min()), float(tensor.max())
+        if not low > 1e-14 * abs(peak):
+            name = symbol.name if symbol is not None and symbol.name else "P"
+            raise NotSPDError(f"preconditioner {name} is not positive definite: "
+                              f"smallest eigenvalue {low:.6e} (largest {peak:.6e})")
+        self.eigen_tensor = tensor
+        self._inverse = 1.0 / tensor.reshape(-1, 1)
+
+    @classmethod
+    def from_symbol(cls, h: Symbol, n) -> "ToeplitzPreconditioner":
+        """T_n(h) for a real, even symbol h that is a sum of one-level symbols.
+
+        Raises SymmetryError unless the table is real with t_{-k} = t_k,
+        and ParameterError if it is empty or couples two levels.
+        """
+        sizes = as_sizes(n)
+        peak = max((abs(complex(v)) for v in h.coefficients.values()), default=0.0)
         if peak == 0.0:
             raise ParameterError("preconditioner symbol has no coefficients")
-        for k, v in symbol.coefficients.items():
+        for k, v in h.coefficients.items():
             v = complex(v)
-            mirror = complex(symbol.coefficients.get(tuple(-x for x in k), 0.0))
+            mirror = complex(h.coefficients.get(tuple(-x for x in k), 0.0))
             if abs(v.imag) > 1e-12 * peak or abs(v - mirror.conjugate()) > 1e-12 * peak:
                 raise SymmetryError(f"symbol coefficient t_{k} breaks real symmetry")
-        self.operator = ToeplitzOperator(symbol.coefficients, self.sizes)
-        self._dense = None
-        self._factor = None
+        tables = _cross_level_tables(h, sizes)
+        levels = [_symmetric_toeplitz([tab.get(j, 0.0) for j in range(nl)])
+                  for tab, nl in zip(tables, sizes)]
+        return cls(levels, h)
 
-    @property
-    def dim(self) -> int:
-        return total_dim(self.sizes)
+    def _check(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise ShapeError(f"expected a vector of length {self.dim} or a ({self.dim}, k) "
+                             f"block, got shape {x.shape}")
+        return x
 
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            a = self.operator.dense()
-            self._dense = (a + a.T) / 2.0
-        return self._dense
+    def _split(self, x, level: int) -> np.ndarray:
+        # (prod of the sizes before `level`, n_level, the rest) view of x
+        return x.reshape(math.prod(self.sizes[:level]), self.sizes[level], -1)
 
-    def cholesky(self) -> np.ndarray:
-        """Lower factor L with L L^T = T_n(h); raises NotSPDError on failure."""
-        if self._factor is None:
-            a = self.dense()
-            try:
-                self._factor = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                smallest = float(np.linalg.eigvalsh(a)[0])
-                raise NotSPDError(f"preconditioner {self.symbol.name or 'T(h)'} is not positive "
-                                  f"definite: smallest pivot {smallest:.6e}") from None
-        return self._factor
+    def _eigen_apply(self, x, scale) -> np.ndarray:
+        x = self._check(x)
+        y = x
+        for l, q in enumerate(self.bases):
+            y = q.T @ self._split(y, l)
+        y = y.reshape(self.dim, -1) * scale
+        for l, q in enumerate(self.bases):
+            y = q @ self._split(y, l)
+        return y.reshape(x.shape)
 
     def apply(self, x):
-        return self.operator.matvec(x)
+        """P x, by the level matrices themselves rather than the eigenbasis."""
+        x = self._check(x)
+        return sum((a @ self._split(x, l)).reshape(x.shape)
+                   for l, a in enumerate(self.levels))
 
     def apply_inverse(self, r):
-        r = np.asarray(r)
-        if r.shape != (self.dim,):
-            raise ShapeError(f"expected a vector of length {self.dim}, got shape {r.shape}")
-        return cho_solve((self.cholesky(), True), r)
+        return self._eigen_apply(r, self._inverse)
+
+    def apply_inverse_sqrt(self, r):
+        return self._eigen_apply(r, np.sqrt(self._inverse))
+
+
+# The benchmark's tracer looks the circulant preconditioner up by this name.
+CirculantKronSum = ToeplitzPreconditioner
+
+
+def build_circulant_kron_sum(f: Symbol, n) -> ToeplitzPreconditioner:
+    """Sum over levels of |C_l|, for a symbol that is a sum of one-level symbols.
+
+    C_l is the Frobenius-optimal circulant of the level's Toeplitz factor,
+    and |C_l| = (C_l^T C_l)^{1/2} is a symmetric circulant.  The weight
+    symbol is the sum of the level moduli.
+    """
+    sizes = as_sizes(n)
+    tables = _cross_level_tables(f, sizes)
+    # a symmetric circulant is the symmetric Toeplitz matrix of its first column
+    levels = [_symmetric_toeplitz(np.fft.ifft(circulant_abs(optimal_circulant(tab, nl))).real)
+              for tab, nl in zip(tables, sizes)]
+    return ToeplitzPreconditioner(levels, _abs_sum_symbol(tables, len(sizes)))
 
 
 def build_toepfr(f: Symbol, n) -> ToeplitzPreconditioner:
     """T(f_R), the Toeplitz matrix of the real part of f."""
-    return ToeplitzPreconditioner(real_part_symbol(f), n)
+    return ToeplitzPreconditioner.from_symbol(real_part_symbol(f), n)
 
 
 def _two_level_laplacian_like(level2: Symbol, ratio: float, shift: float,
@@ -258,7 +266,7 @@ def build_p22(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPre
     ratio, shift = _fractional_mesh(alpha, beta, n1, n2, M, include_shift)
     sym = _two_level_laplacian_like(laplace1d_symbol(), ratio, shift,
                                     name=f"p22(alpha={alpha:g},beta={beta:g})")
-    return ToeplitzPreconditioner(sym, (n1, n2))
+    return ToeplitzPreconditioner.from_symbol(sym, (n1, n2))
 
 
 def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPreconditioner:
@@ -272,11 +280,7 @@ def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> Toeplitz
     level2 = real_part_symbol(p_beta_truncation(beta, n2))
     sym = _two_level_laplacian_like(level2, ratio, shift,
                                     name=f"p2beta(alpha={alpha:g},beta={beta:g})")
-    return ToeplitzPreconditioner(sym, (n1, n2))
-
-
-def apply_inverse_toeplitz(p: ToeplitzPreconditioner, r):
-    return p.apply_inverse(r)
+    return ToeplitzPreconditioner.from_symbol(sym, (n1, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +290,12 @@ def apply_inverse_toeplitz(p: ToeplitzPreconditioner, r):
 def preconditioned_spectrum(p, s) -> np.ndarray:
     """Eigenvalues of P^{-1} S for symmetric S and SPD P, ascending.
 
-    Works on the symmetric similarity surrogate L^{-1} S L^{-T} (Cholesky
-    factor for Toeplitz preconditioners, Fourier square root for circulant
-    kron-sums), so only a symmetric eigensolver is involved.
+    Works on the symmetric similarity surrogate P^{-1/2} S P^{-1/2}, formed
+    as P^{-1/2} (P^{-1/2} S)^T, so only a symmetric eigensolver is involved.
     """
-    s = np.asarray(s, dtype=float)
-    if isinstance(p, ToeplitzPreconditioner):
-        ell = p.cholesky()
-        z = solve_triangular(ell, s, lower=True)
-        w = solve_triangular(ell, z.T, lower=True).T
-    elif isinstance(p, CirculantKronSum):
-        cols = np.stack([p.apply_inverse_sqrt(c) for c in s.T], axis=1)
-        w = np.stack([p.apply_inverse_sqrt(c) for c in cols], axis=0)
-    else:
+    if not hasattr(p, "apply_inverse_sqrt"):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
+    s = np.asarray(s, dtype=float)
+    w = p.apply_inverse_sqrt(p.apply_inverse_sqrt(s).T)
     w = (w + w.T) / 2.0
     return np.linalg.eigvalsh(w)
-
-
-def write_circulant_spectrum_csv(p: CirculantKronSum, path, header: str = "") -> None:
-    """Eigen-tensor dump, rows k_1..k_d, lambda, row-major mode order."""
-    d = len(p.sizes)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        cols = ",".join(f"k_{l + 1}" for l in range(d))
-        fh.write(f"{cols},lambda\n")
-        flat = p.eigen_tensor.ravel()
-        for i, modes in enumerate(zip(*np.unravel_index(np.arange(flat.size), p.sizes))):
-            ks = ",".join(str(int(k)) for k in modes)
-            fh.write(f"{ks},{float(flat[i])!r}\n")

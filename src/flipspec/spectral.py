@@ -75,16 +75,13 @@ def sym_eigenvalues(a) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values, descending, as square roots of the spectrum of A^H A."""
+    """Singular values, descending."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {a.shape}")
     if max(a.shape) > DENSE_CAPACITY:
         raise CapacityError(f"matrix size {max(a.shape)} > {DENSE_CAPACITY}")
-    gram = a.conj().T @ a
-    gram = (gram + gram.conj().T) / 2.0
-    vals = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(vals, 0.0, None))[::-1]
+    return np.linalg.svd(a, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

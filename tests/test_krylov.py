@@ -86,8 +86,7 @@ class TestMinres:
             kv.minres(lambda x: x, None, np.ones((2, 2)))
 
     def test_preconditioner_object_protocol(self):
-        lap = {0: 2.0, 1: -1.0, -1: -1.0}
-        p = pc.build_circulant_kron_sum([lap], (8,))
+        p = pc.build_circulant_kron_sum(sym.laplace1d_symbol(), (8,))
         f = sym.Symbol(1, None, {(0,): 2.5, (1,): -1.0, (-1,): -1.0})
         op = ops.ToeplitzOperator.from_symbol(f, (8,))
         b = np.ones(8)
@@ -150,6 +149,12 @@ class TestFlippedSolve:
         r = kv.flipped_solve(f, (10, 10), b, preconditioner=p)
         assert r.converged and r.iterations == 12
         assert r.meta["preconditioner"] == "ToeplitzPreconditioner"
+
+    def test_symmetry_probe_is_relative_to_the_operator_scale(self):
+        # exactly symmetric, but |<Ax,y> - <x,Ay>| rounds to about 1e-8
+        f = sym.Symbol(1, None, {(0,): 4e8, (1,): -1e8, (-1,): -1e8})
+        r = kv.flipped_solve(f, (400,), np.ones(400))
+        assert r.converged
 
     def test_complex_coefficients_are_rejected(self):
         f = sym.Symbol(1, None, {(0,): 1.0, (1,): 1.0j})

@@ -1,4 +1,9 @@
-"""Circulant kron-sum and SPD Toeplitz preconditioners."""
+"""Kronecker-sum preconditioners with Toeplitz and circulant levels.
+
+Every reference matrix below is assembled densely from the conftest oracles
+(direct Kronecker assembly, C[i, j] = c[(i - j) mod n]) and never read back
+from the preconditioner under test.
+"""
 
 import numpy as np
 import pytest
@@ -7,8 +12,49 @@ from conftest import brute_frobenius_circulant, dense_circulant, kron_toeplitz_d
 from flipspec import precond as pc
 from flipspec import operators as ops
 from flipspec import symbols as sym
-from flipspec.errors import (IndefiniteError, NotSPDError, ParameterError,
-                             ShapeError, SymmetryError)
+from flipspec.errors import NotSPDError, ParameterError, ShapeError, SymmetryError
+
+LAP = {0: 2.0, 1: -1.0, -1: -1.0}
+
+
+def level_table(f, level):
+    """One level's table of a separable symbol; the zero index sits on level 0."""
+    return {k[level]: v for k, v in f.coefficients.items()
+            if all(kl == 0 for l, kl in enumerate(k) if l != level)
+            and (k[level] != 0 or level == 0)}
+
+
+def abs_circulant_dense(table, n):
+    """(C^T C)^{1/2} for the Frobenius-optimal circulant C of a one-level table."""
+    c = dense_circulant(brute_frobenius_circulant(table, n))
+    w, v = np.linalg.eigh(c.T @ c)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def kron_sum_dense(levels):
+    """sum_l I (x) A_l (x) I, assembled with np.kron."""
+    sizes = [len(a) for a in levels]
+    out = 0.0
+    for l, a in enumerate(levels):
+        term = np.eye(1)
+        for m, nm in enumerate(sizes):
+            term = np.kron(term, a if m == l else np.eye(nm))
+        out = out + term
+    return out
+
+
+def circsum_dense(f, sizes):
+    return kron_sum_dense([abs_circulant_dense(level_table(f, l), n)
+                           for l, n in enumerate(sizes)])
+
+
+def fractional_variant_dense(level2, alpha, beta, n1, n2, M):
+    # 2 - 2 cos t1 on level 1, (hx^alpha / hy^beta) level2 on level 2, plus the shift
+    hx, hy = 1.0 / (n1 + 1), 1.0 / (n2 + 1)
+    t1 = kron_toeplitz_dense({(k,): v for k, v in LAP.items()}, (n1,))
+    t2 = kron_toeplitz_dense(level2.coefficients, (n2,))
+    return (kron_sum_dense([t1, (hx**alpha / hy**beta) * t2])
+            + 2.0 * hx**alpha * M * np.eye(n1 * n2))
 
 
 class TestOptimalCirculant:
@@ -61,122 +107,166 @@ class TestCirculantAbs:
                                    atol=1e-14)
 
 
-class TestCirculantKronSum:
-    def laplace_eigs(self, n):
-        return pc.circulant_abs(pc.optimal_circulant({0: 2.0, 1: -1.0, -1: -1.0}, n))
 
+def laplace_sum_symbol(d):
+    coeffs = {(0,) * d: 2.0 * d}
+    for l in range(d):
+        for s in (-1, 1):
+            k = [0] * d
+            k[l] = s
+            coeffs[tuple(k)] = -1.0
+    return sym.Symbol(d, None, coeffs)
+
+
+class TestCirculantKronSum:
     def test_single_level_is_the_modulus_circulant(self):
-        lam = self.laplace_eigs(6)
-        p = pc.CirculantKronSum([lam], (6,))
-        dense = dense_circulant(np.fft.ifft(lam)).real
-        rng = np.random.default_rng(41)
-        x = rng.standard_normal(6)
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(1), (6,))
+        dense = abs_circulant_dense(LAP, 6)
+        x = np.random.default_rng(41).standard_normal(6)
         np.testing.assert_allclose(p.apply(x), dense @ x, atol=1e-12)
+        np.testing.assert_allclose(p.apply_inverse(x), np.linalg.solve(dense, x), atol=1e-10)
 
     def test_three_level_positive(self):
-        eigs = [self.laplace_eigs(5)] * 3
-        p = pc.CirculantKronSum(eigs, (5, 5, 5))
+        f = sym.convection_diffusion_symbol(5, 5, 5)
+        p = pc.build_circulant_kron_sum(f, (5, 5, 5))
         assert p.eigen_tensor.shape == (5, 5, 5)
         assert p.eigen_tensor.min() > 0.0
+        np.testing.assert_allclose(np.sort(p.eigen_tensor.ravel()),
+                                   np.linalg.eigvalsh(circsum_dense(f, (5, 5, 5))),
+                                   atol=1e-12)
 
     def test_constant_vector_is_an_eigenvector(self):
-        eigs = [self.laplace_eigs(4), self.laplace_eigs(6)]
-        p = pc.CirculantKronSum(eigs, (4, 6))
-        lam0 = eigs[0][0] + eigs[1][0]
-        np.testing.assert_allclose(p.apply(np.ones(24)), lam0 * np.ones(24),
+        # t_0 = 4 is booked on level 1, so the optimal circulants' column
+        # sums are 4 - 2 (3/4) on level 1 and -2 (5/6) on level 2
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 6))
+        lam0 = (4.0 - 1.5) + 10.0 / 6
+        np.testing.assert_allclose(p.apply(np.ones(24)), lam0 * np.ones(24), atol=1e-12)
+        np.testing.assert_allclose(p.apply_inverse(np.ones(24)), np.ones(24) / lam0,
                                    atol=1e-12)
 
     def test_matches_dense_kronecker_sum(self):
-        eigs = [self.laplace_eigs(4), self.laplace_eigs(3)]
-        p = pc.CirculantKronSum(eigs, (4, 3))
-        d1 = dense_circulant(np.fft.ifft(eigs[0])).real
-        d2 = dense_circulant(np.fft.ifft(eigs[1])).real
-        dense = np.kron(d1, np.eye(3)) + np.kron(np.eye(4), d2)
+        f = sym.convection_diffusion_symbol(4, 3, 5)
+        p = pc.build_circulant_kron_sum(f, (4, 3, 5))
+        dense = circsum_dense(f, (4, 3, 5))
         rng = np.random.default_rng(42)
-        x = rng.standard_normal(12)
-        np.testing.assert_allclose(p.apply(x), dense @ x, atol=1e-12)
-        np.testing.assert_allclose(p.apply_inverse(x), np.linalg.solve(dense, x),
-                                   atol=1e-10)
+        for x in (rng.standard_normal(60), rng.standard_normal((60, 3))):
+            np.testing.assert_allclose(p.apply(x), dense @ x, atol=1e-12)
+            np.testing.assert_allclose(p.apply_inverse(x), np.linalg.solve(dense, x),
+                                       atol=1e-10)
 
     def test_inverse_round_trip(self):
-        p = pc.CirculantKronSum([self.laplace_eigs(8)], (8,))
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (8, 5))
         rng = np.random.default_rng(43)
-        x = rng.standard_normal(8)
-        np.testing.assert_allclose(p.apply(p.apply_inverse(x)), x, atol=1e-10)
-        z = p.apply_inverse_sqrt(p.apply_inverse_sqrt(x))
-        np.testing.assert_allclose(z, p.apply_inverse(x), atol=1e-10)
+        for x in (rng.standard_normal(40), rng.standard_normal((40, 2))):
+            np.testing.assert_allclose(p.apply(p.apply_inverse(x)), x, atol=1e-10)
+            z = p.apply_inverse_sqrt(p.apply_inverse_sqrt(x))
+            np.testing.assert_allclose(z, p.apply_inverse(x), atol=1e-10)
 
     def test_zero_spectrum_is_rejected(self):
-        with pytest.raises(IndefiniteError):
-            pc.CirculantKronSum([np.zeros(4)], (4,))
+        with pytest.raises(NotSPDError, match="smallest eigenvalue"):
+            pc.ToeplitzPreconditioner([np.zeros((4, 4))])
+        # t_1 = -t_{-1}: every optimal-circulant column sums to zero
+        odd = sym.Symbol(1, None, {(1,): 1.0, (-1,): -1.0})
+        with pytest.raises(NotSPDError):
+            pc.build_circulant_kron_sum(odd, (5,))
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            pc.CirculantKronSum([np.ones(4)], (4, 4))
+            pc.ToeplitzPreconditioner([np.ones((4, 5))])
         with pytest.raises(ShapeError):
-            pc.CirculantKronSum([np.ones(5)], (4,))
-        p = pc.CirculantKronSum([np.ones(4)], (4,))
+            pc.ToeplitzPreconditioner([])
+        with pytest.raises(ShapeError):
+            pc.build_circulant_kron_sum(laplace_sum_symbol(1), (4, 6))
+        p = pc.ToeplitzPreconditioner([np.eye(4)])
         with pytest.raises(ShapeError):
             p.apply(np.ones(5))
+        with pytest.raises(ShapeError):
+            p.apply_inverse(np.ones((5, 2)))
+        with pytest.raises(ShapeError):
+            p.apply_inverse_sqrt(np.ones((4, 2, 2)))
 
     def test_build_from_level_tables(self):
-        lap = {0: 2.0, 1: -1.0, -1: -1.0}
-        p = pc.build_circulant_kron_sum([lap, lap], (4, 6))
-        assert p.dim == 24
-        with pytest.raises(ShapeError):
-            pc.build_circulant_kron_sum([lap], (4, 6))
-        r = np.arange(24.0)
-        np.testing.assert_allclose(pc.apply_inverse_circulant(p, r),
-                                   p.apply_inverse(r), atol=1e-14)
+        # the builder splits the symbol into its level tables and sums the
+        # level moduli into the weight symbol
+        f = sym.convection_diffusion_symbol(4, 6, 3)
+        p = pc.build_circulant_kron_sum(f, (4, 6, 3))
+        assert p.dim == 72 and p.sizes == (4, 6, 3)
+        pts = np.random.default_rng(49).uniform(-np.pi, np.pi, size=(50, 3))
+        want = sum(np.abs(sym.Symbol(1, None, {(k,): v for k, v in
+                                               level_table(f, l).items()})
+                          .eval(pts[:, [l]]))
+                   for l in range(3))
+        np.testing.assert_allclose(np.real(p.symbol.eval(pts)), want, atol=1e-12)
+        coupled = sym.Symbol(2, None, {(0, 0): 4.0, (1, 1): -1.0, (-1, -1): -1.0})
+        with pytest.raises(ParameterError, match="not separable"):
+            pc.build_circulant_kron_sum(coupled, (4, 4))
+
+    def test_is_the_toeplitz_class(self):
+        assert pc.CirculantKronSum is pc.ToeplitzPreconditioner
 
 
 class TestToeplitzPreconditioner:
     def test_identity_symbol(self):
-        p = pc.ToeplitzPreconditioner(sym.constant_symbol(1.0, 1), (6,))
+        p = pc.ToeplitzPreconditioner.from_symbol(sym.constant_symbol(1.0, 1), (6,))
         r = np.arange(6.0)
         np.testing.assert_allclose(p.apply_inverse(r), r, atol=1e-13)
+        np.testing.assert_allclose(p.apply(r), r, atol=1e-13)
 
     def test_apply_inverse_matches_dense_solve(self):
         rng = np.random.default_rng(44)
-        coeffs = {(0,): 8.0}
-        for k in range(1, 5):
-            v = float(rng.standard_normal())
-            coeffs[(k,)] = v
-            coeffs[(-k,)] = v
-        p = pc.ToeplitzPreconditioner(sym.Symbol(1, None, coeffs), (16,))
-        r = rng.standard_normal(16)
-        np.testing.assert_allclose(p.apply_inverse(r),
-                                   np.linalg.solve(p.dense(), r), atol=1e-12)
+        coeffs = {(0, 0): 16.0}
+        for level, band in ((0, 4), (1, 3)):
+            for k in range(1, band + 1):
+                v = float(rng.standard_normal())
+                for s in (-k, k):
+                    key = [0, 0]
+                    key[level] = s
+                    coeffs[tuple(key)] = v
+        p = pc.ToeplitzPreconditioner.from_symbol(sym.Symbol(2, None, coeffs), (16, 9))
+        dense = kron_toeplitz_dense(coeffs, (16, 9))
+        for r in (rng.standard_normal(144), rng.standard_normal((144, 4))):
+            np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
+            np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r),
+                                       atol=1e-12)
 
     def test_toepfr_of_fractional_symbol(self):
-        f = sym.fractional_symbol(1.8, 1.6, 10, 10, 10)
-        p = pc.build_toepfr(f, (10, 10))
-        rng = np.random.default_rng(45)
-        r = rng.standard_normal(100)
-        np.testing.assert_allclose(p.apply_inverse(r),
-                                   np.linalg.solve(p.dense(), r), atol=1e-10)
-        # applying the operator undoes the solve
+        f = sym.fractional_symbol(1.8, 1.6, 10, 12, 10)
+        p = pc.build_toepfr(f, (10, 12))
+        dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, (10, 12))
+        r = np.random.default_rng(45).standard_normal(120)
+        np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
+        np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-10)
         np.testing.assert_allclose(p.apply(p.apply_inverse(r)), r, atol=1e-10)
+
+    def test_toepfr_of_convection_diffusion_symbol(self):
+        f = sym.convection_diffusion_symbol(4, 5, 3)
+        p = pc.build_toepfr(f, (4, 5, 3))
+        dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, (4, 5, 3))
+        r = np.random.default_rng(50).standard_normal(60)
+        np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
+        np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-10)
 
     def test_rejects_asymmetric_table(self):
         f = sym.fractional_symbol(1.8, 1.6, 8, 8, 8)
         with pytest.raises(SymmetryError):
-            pc.ToeplitzPreconditioner(f, (8, 8))
+            pc.ToeplitzPreconditioner.from_symbol(f, (8, 8))
+        with pytest.raises(SymmetryError):
+            pc.ToeplitzPreconditioner([np.triu(np.ones((3, 3)))])
 
     def test_rejects_empty_table(self):
         with pytest.raises(ParameterError):
-            pc.ToeplitzPreconditioner(sym.Symbol(1, None, {}), (4,))
+            pc.ToeplitzPreconditioner.from_symbol(sym.Symbol(1, None, {}), (4,))
+
+    def test_rejects_non_separable_table(self):
+        h = sym.Symbol(2, None, {(0, 0): 4.0, (1, 1): -1.0, (-1, -1): -1.0})
+        with pytest.raises(ParameterError, match="not separable"):
+            pc.ToeplitzPreconditioner.from_symbol(h, (4, 4))
 
     def test_indefinite_symbol_names_the_pivot(self):
+        # 2 cos theta changes sign, so T_5 has eigenvalues of both signs
         two_cos = sym.Symbol(1, None, {(1,): 1.0, (-1,): 1.0})
-        p = pc.ToeplitzPreconditioner(two_cos, (5,))
-        with pytest.raises(NotSPDError, match="smallest pivot"):
-            p.cholesky()
-
-    def test_cholesky_factor_reconstructs(self):
-        p = pc.build_toepfr(sym.ex1_symbol(), (5, 5))
-        ell = p.cholesky()
-        np.testing.assert_allclose(ell @ ell.T, p.dense(), atol=1e-12)
+        with pytest.raises(NotSPDError, match=r"smallest eigenvalue -1\.73"):
+            pc.ToeplitzPreconditioner.from_symbol(two_cos, (5,))
 
 
 class TestFractionalPreconditioners:
@@ -206,8 +296,14 @@ class TestFractionalPreconditioners:
         assert p.symbol.eval((0.0, 0.0)) == pytest.approx(shift, rel=1e-12)
 
     def test_p22_is_spd(self):
-        p = pc.build_p22(1.8, 1.6, 10, 10, 10)
-        p.cholesky()
+        p = pc.build_p22(1.8, 1.6, 10, 12, 10)
+        dense = fractional_variant_dense(sym.laplace1d_symbol(), 1.8, 1.6, 10, 12, 10)
+        np.testing.assert_allclose(np.sort(p.eigen_tensor.ravel()),
+                                   np.linalg.eigvalsh(dense), atol=1e-12)
+        assert p.eigen_tensor.min() > 0.0
+        r = np.random.default_rng(51).standard_normal((120, 2))
+        np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
+        np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-10)
 
     def test_p2beta_band(self):
         p = pc.build_p2beta(1.8, 1.6, 10, 12, 10)
@@ -220,7 +316,14 @@ class TestFractionalPreconditioners:
         # the preconditioner stays SPD even with no identity shift
         p = pc.build_p2beta(1.8, 1.6, 30, 36, 30, include_shift=False)
         assert abs(p.symbol.eval((0.0, 0.0))) > 0.0
-        p.cholesky()
+        level2 = sym.real_part_symbol(sym.p_beta_truncation(1.6, 36))
+        dense = fractional_variant_dense(level2, 1.8, 1.6, 30, 36, 0)
+        np.testing.assert_allclose(np.sort(p.eigen_tensor.ravel()),
+                                   np.linalg.eigvalsh(dense), atol=1e-12)
+        assert p.eigen_tensor.min() > 0.0
+        r = np.random.default_rng(52).standard_normal(1080)
+        np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
+        np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-9)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -247,24 +350,53 @@ class TestFractionalPreconditioners:
 
 
 class TestPreconditionedSpectrum:
+    @staticmethod
+    def flipped(f, sizes):
+        return kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes), :]
+
     def test_toeplitz_branch_matches_general_solver(self):
-        f = sym.fractional_symbol(1.8, 1.6, 6, 6, 6)
-        p = pc.build_p22(1.8, 1.6, 6, 6, 6)
-        s = ops.ToeplitzOperator.from_symbol(f, (6, 6)).dense()
-        s = s[ops.flip_map((6, 6)), :]
+        f = sym.fractional_symbol(1.8, 1.6, 6, 7, 6)
+        p = pc.build_p22(1.8, 1.6, 6, 7, 6)
+        dense = fractional_variant_dense(sym.laplace1d_symbol(), 1.8, 1.6, 6, 7, 6)
+        s = self.flipped(f, (6, 7))
         got = pc.preconditioned_spectrum(p, s)
-        want = np.sort(np.linalg.eigvals(np.linalg.solve(p.dense(), s)).real)
+        want = np.sort(np.linalg.eigvals(np.linalg.solve(dense, s)).real)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_circulant_branch_matches_general_solver(self):
-        lap = {0: 2.0, 1: -1.0, -1: -1.0}
-        p = pc.build_circulant_kron_sum([lap, lap], (4, 4))
+        f = laplace_sum_symbol(2)
+        p = pc.build_circulant_kron_sum(f, (4, 5))
         rng = np.random.default_rng(48)
-        s = rng.standard_normal((16, 16))
+        s = rng.standard_normal((20, 20))
         s = s + s.T
-        d1 = dense_circulant(np.fft.ifft(p.level_eigs[0])).real
-        d2 = dense_circulant(np.fft.ifft(p.level_eigs[1])).real
-        dense = np.kron(d1, np.eye(4)) + np.kron(np.eye(4), d2)
+        got = pc.preconditioned_spectrum(p, s)
+        want = np.sort(np.linalg.eigvals(np.linalg.solve(circsum_dense(f, (4, 5)), s)).real)
+        np.testing.assert_allclose(got, want, atol=1e-8)
+
+    @pytest.mark.parametrize("case", ["toepfr-ex2", "toepfr-ex3", "p2beta", "circsum"])
+    def test_matches_general_solver_on_the_experiments(self, case):
+        if case == "toepfr-ex2":
+            sizes = (5, 6)
+            f = sym.fractional_symbol(1.8, 1.6, 5, 6, 5)
+            p = pc.build_toepfr(f, sizes)
+            dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, sizes)
+        elif case == "toepfr-ex3":
+            sizes = (3, 4, 3)
+            f = sym.convection_diffusion_symbol(*sizes)
+            p = pc.build_toepfr(f, sizes)
+            dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, sizes)
+        elif case == "p2beta":
+            sizes = (5, 6)
+            f = sym.fractional_symbol(1.8, 1.6, 5, 6, 5)
+            p = pc.build_p2beta(1.8, 1.6, 5, 6, 5)
+            level2 = sym.real_part_symbol(sym.p_beta_truncation(1.6, 6))
+            dense = fractional_variant_dense(level2, 1.8, 1.6, 5, 6, 5)
+        else:
+            sizes = (3, 4, 3)
+            f = sym.convection_diffusion_symbol(*sizes)
+            p = pc.build_circulant_kron_sum(f, sizes)
+            dense = circsum_dense(f, sizes)
+        s = self.flipped(f, sizes)
         got = pc.preconditioned_spectrum(p, s)
         want = np.sort(np.linalg.eigvals(np.linalg.solve(dense, s)).real)
         np.testing.assert_allclose(got, want, atol=1e-8)
@@ -272,17 +404,3 @@ class TestPreconditionedSpectrum:
     def test_unknown_preconditioner_type(self):
         with pytest.raises(ParameterError):
             pc.preconditioned_spectrum(object(), np.eye(2))
-
-
-def test_circulant_spectrum_csv(tmp_path):
-    lap = {0: 2.0, 1: -1.0, -1: -1.0}
-    p = pc.build_circulant_kron_sum([lap, lap], (3, 4))
-    path = tmp_path / "spec.csv"
-    pc.write_circulant_spectrum_csv(p, path, header="hdr")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# hdr"
-    assert lines[1] == "k_1,k_2,lambda"
-    assert len(lines) == 2 + 12
-    k1, k2, lam = lines[2].split(",")
-    assert (int(k1), int(k2)) == (0, 0)
-    assert float(lam) == pytest.approx(p.eigen_tensor[0, 0])

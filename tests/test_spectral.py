@@ -65,6 +65,16 @@ class TestSingularValues:
         np.testing.assert_allclose(got, np.linalg.svd(h, compute_uv=False), atol=1e-12)
 
 
+    def test_ill_conditioned_matrix(self):
+        # condition number 1e10: a Gram-matrix route squares it past 1/eps
+        rng = np.random.default_rng(53)
+        u, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        want = np.logspace(0, -10, 20)
+        got = sp.singular_values(u @ np.diag(want) @ v.T)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+
+
 class TestGrids:
     def test_gamma_small_case(self):
         g = sp.build_gamma((4, 3))

@@ -24,19 +24,17 @@ from .errors import (FlipspecError, DomainError, ParameterError, AliasingError,
                      PoleError, NotSPDError, OperatorError)
 from .symbols import (Symbol, fourier_coefficients, constant_symbol,
                       laplace1d_symbol, ex1_symbol, grunwald_symbol,
-                      grunwald_coefficients, fractional_symbol,
+                      grunwald_coefficients, fractional_mesh, fractional_symbol,
                       convection_diffusion_symbol, real_part_symbol,
-                      p_beta_truncation, named_symbol, coefficients_to_csv)
+                      p_beta_truncation)
 from .operators import (ToeplitzOperator, flip_apply, u_apply, pi_apply,
                         flip_map, u_map, pi_map, assemble_block_g,
                         interleaved_block_g, assemble_hankel,
-                        structure_residual, write_matrix_csv,
-                        write_matrix_binary, read_matrix_binary)
+                        structure_residual)
 from .spectral import (sym_eigenvalues, singular_values, build_gamma,
                        build_delta, build_lambda, match_eigenvalues, tent,
                        distribution_discrepancy, zero_distribution_verdict,
-                       odd_embedding_check, write_spectral_report_csv,
-                       write_discrepancy_csv)
+                       odd_embedding_check, write_spectral_report_csv)
 from .precond import (optimal_circulant, circulant_abs, ToeplitzPreconditioner,
                       build_circulant_kron_sum, build_toepfr, build_p22,
                       build_p2beta, preconditioned_spectrum)

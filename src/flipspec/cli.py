@@ -9,8 +9,7 @@ Four subcommands over the experiment drivers:
 
 Everything lands as CSV in --out (default ./flipspec_out).  Exit code 0 on
 success, 1 on usage or runtime errors, 2 when a verify suite reports
-failures.  FLIPSPEC_THREADS caps the worker count for table rows and
-verify suites (default 1).
+failures.
 """
 
 from __future__ import annotations

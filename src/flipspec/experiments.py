@@ -22,7 +22,6 @@ run_spectrum, run_match, run_table, run_verify
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,8 +37,8 @@ from .operators import (ToeplitzOperator, assemble_block_g, assemble_hankel,
                         pi_map, structure_residual, u_apply, u_map)
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
-                       sym_eigenvalues, tent, write_discrepancy_csv,
-                       write_spectral_report_csv, zero_distribution_verdict)
+                       sym_eigenvalues, tent, write_spectral_report_csv,
+                       zero_distribution_verdict)
 from .precond import (build_circulant_kron_sum, build_p22, build_p2beta,
                       build_toepfr, optimal_circulant, preconditioned_spectrum)
 from .krylov import SolveConfig, flipped_solve
@@ -98,13 +97,6 @@ class ExperimentConfig:
                 f"shift={'on' if self.include_shift else 'off'}")
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FLIPSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def experiment_symbol(cfg: ExperimentConfig, sizes) -> Symbol:
     sizes = as_sizes(sizes)
     if cfg.exp == "ex1":
@@ -115,7 +107,7 @@ def experiment_symbol(cfg: ExperimentConfig, sizes) -> Symbol:
     if cfg.exp == "ex3":
         return convection_diffusion_symbol(*sizes)
     # custom: one-level fractional
-    table = {(k,): v for k, v in grunwald_coefficients(cfg.alpha, max(sizes[0] - 1, 1)).items()}
+    table = {(k,): v for k, v in grunwald_coefficients(cfg.alpha, sizes[0] - 1).items()}
     return Symbol(1, grunwald_symbol(cfg.alpha).evaluator, table,
                   name=f"frac1d(alpha={cfg.alpha:g})")
 
@@ -262,14 +254,7 @@ def run_table(cfg: ExperimentConfig) -> list:
         columns = (cfg.precond,)
     else:
         columns = tuple(p for p in VALID_PRECONDITIONERS[cfg.exp] if p != "none")
-    jobs = [(which, sizes) for sizes in ladder for which in columns]
-
-    workers = _workers()
-    if workers == 1:
-        rows = [_table_job(cfg, which, sizes) for which, sizes in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda j: _table_job(cfg, *j), jobs))
+    rows = [_table_job(cfg, which, sizes) for sizes in ladder for which in columns]
 
     with open(os.path.join(out, "table.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# {cfg.header('table', sizes=None)}\n")
@@ -449,13 +434,7 @@ def run_verify(cfg: ExperimentConfig, suites=None, sizes=None) -> dict:
         "distribution": lambda: _suite_distribution(cfg),
         "oracles": lambda: _suite_oracles(cfg),
     }
-    workers = _workers()
-    if workers == 1:
-        results = [runners[s]() for s in chosen]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: runners[s](), chosen))
-    rows = [r for chunk in results for r in chunk]
+    rows = [r for s in chosen for r in runners[s]()]
 
     out = _ensure_out(cfg)
     with open(os.path.join(out, "verify.csv"), "w", encoding="utf-8") as fh:

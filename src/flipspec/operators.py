@@ -17,13 +17,9 @@ assemble_block_g          2x2-block Toeplitz of g = [[0, f], [f*, 0]]
 interleaved_block_g       per-level interleaved form of the same symbol
 assemble_hankel           dense multilevel Hankel, plus/minus orientation
 structure_residual        D = Pi U Y T(f) U Pi^T - T(g) with rank/norm split
-write_matrix_csv, write_matrix_binary, read_matrix_binary
 """
 
 from __future__ import annotations
-
-import math
-import struct
 
 import numpy as np
 
@@ -44,15 +40,9 @@ __all__ = [
     "interleaved_block_g",
     "assemble_hankel",
     "structure_residual",
-    "write_matrix_csv",
-    "write_matrix_binary",
-    "read_matrix_binary",
 ]
 
 DENSE_CAPACITY = 20000
-
-_BINARY_MAGIC = b"FLSP"
-_FLAG_COMPLEX = 1
 
 
 def _guard_capacity(dim: int, what: str) -> None:
@@ -143,6 +133,23 @@ def _next_pow2(v: int) -> int:
     return 1 << max(0, int(v - 1)).bit_length()
 
 
+def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
+    # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
+    # (sign +1, Hankel), level by level, for a table of shape (2 n_l - 1)_l;
+    # the mixed-radix code of per-level sums and differences is separable
+    # (digits never carry), so one outer sum of two length-d_n key vectors
+    # indexes the whole matrix at once
+    strides = np.cumprod((1,) + table.shape[::-1][:-1])[::-1]
+    levels = np.unravel_index(np.arange(total_dim(sizes)), sizes)
+    key = sum(s * il for s, il in zip(strides, levels))
+    rowkey = key if sign > 0 else key + sum(s * (nl - 1) for s, nl in zip(strides, sizes))
+    colkey = sign * key
+    if table.size < 2**31:  # halve the index-matrix footprint at large d_n
+        rowkey = rowkey.astype(np.int32)
+        colkey = colkey.astype(np.int32)
+    return table.ravel()[rowkey[:, None] + colkey[None, :]]
+
+
 class ToeplitzOperator:
     """Multilevel Toeplitz matrix T_n(f), entry (i, j) = t_{i-j}.
 
@@ -184,28 +191,15 @@ class ToeplitzOperator:
                      for l in range(len(self.sizes)))
 
     def dense(self) -> np.ndarray:
-        """Materialize the d_n x d_n matrix.  Guarded at d_n <= 20000.
-
-        Entry lookup runs through a flattened coefficient array indexed by
-        the per-level differences i_l - j_l; the mixed-radix difference code
-        is separable (digits never carry), so one outer subtraction of two
-        length-d_n key vectors indexes the whole matrix at once.
-        """
+        """Materialize the d_n x d_n matrix.  Guarded at d_n <= 20000."""
         _guard_capacity(self.dim, "dense Toeplitz assembly")
         sizes = self.sizes
-        radii = tuple(2 * nl - 1 for nl in sizes)
-        table = np.zeros(radii, dtype=float if self.is_real else complex)
+        table = np.zeros(tuple(2 * nl - 1 for nl in sizes),
+                         dtype=float if self.is_real else complex)
         for k, t in self.coefficients.items():
             pos = tuple(kl + nl - 1 for kl, nl in zip(k, sizes))
             table[pos] = t.real if self.is_real else t
-        strides = np.cumprod((1,) + radii[::-1][:-1])[::-1]
-        levels = np.unravel_index(np.arange(self.dim), sizes)
-        rowkey = sum(s * (il + nl - 1) for s, il, nl in zip(strides, levels, sizes))
-        colkey = sum(s * il for s, il in zip(strides, levels))
-        if table.size < 2**31:  # halve the index-matrix footprint at large d_n
-            rowkey = rowkey.astype(np.int32)
-            colkey = colkey.astype(np.int32)
-        return table.ravel()[rowkey[:, None] - colkey[None, :]]
+        return _dense_lookup(table, sizes, -1)
 
     def _embedding(self):
         if self._kernel_hat is None:
@@ -300,16 +294,12 @@ def assemble_hankel(f: Symbol, n, orientation: str = "plus") -> np.ndarray:
         raise ShapeError(f"orientation must be 'plus' or 'minus', got {orientation!r}")
     sign = 1 if orientation == "plus" else -1
     real = f.has_real_coefficients
-    radii = tuple(2 * nl - 1 for nl in sizes)
-    table = np.zeros(radii, dtype=float if real else complex)
+    table = np.zeros(tuple(2 * nl - 1 for nl in sizes), dtype=float if real else complex)
     for k, t in f.coefficients.items():
         pos = tuple(sign * kl for kl in k)
         if all(0 <= p <= 2 * (nl - 1) for p, nl in zip(pos, sizes)):
             table[pos] = complex(t).real if real else t
-    strides = np.cumprod((1,) + radii[::-1][:-1])[::-1]
-    levels = np.unravel_index(np.arange(d_n), sizes)
-    key = sum(s * il for s, il in zip(strides, levels))
-    return table.ravel()[key[:, None] + key[None, :]]
+    return _dense_lookup(table, sizes, 1)
 
 
 def structure_residual(f: Symbol, n):
@@ -342,59 +332,3 @@ def structure_residual(f: Symbol, n):
     count = int(np.count_nonzero(svals > cut))
     tail = float(svals[count]) if count < svals.size else 0.0
     return d, count / (2.0 * d_n), tail
-
-
-# ---------------------------------------------------------------------------
-# matrix export
-
-
-def write_matrix_csv(a, path) -> None:
-    """Row-major CSV dump; complex entries as re+imj strings."""
-    a = np.asarray(a)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            if np.iscomplexobj(a):
-                fh.write(",".join(f"{float(v.real)!r}{float(v.imag):+}j" for v in row) + "\n")
-            else:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def write_matrix_binary(a, path, sizes) -> None:
-    """Binary dump: magic, d, n_1..n_d, flags header, then little-endian f64.
-
-    Header fields are unsigned little-endian 32-bit.  Flag bit 0 marks a
-    complex matrix, stored as interleaved re, im pairs; the payload is the
-    row-major d_n x d_n matrix.
-    """
-    a = np.asarray(a)
-    sizes = as_sizes(sizes)
-    d_n = total_dim(sizes)
-    if a.shape != (d_n, d_n):
-        raise ShapeError(f"matrix shape {a.shape} does not match sizes {sizes}")
-    flags = _FLAG_COMPLEX if np.iscomplexobj(a) else 0
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack(f"<{1 + len(sizes) + 1}I", len(sizes), *sizes, flags))
-        if flags & _FLAG_COMPLEX:
-            payload = np.empty(a.shape + (2,))
-            payload[..., 0], payload[..., 1] = a.real, a.imag
-            fh.write(payload.astype("<f8").tobytes())
-        else:
-            fh.write(a.astype("<f8").tobytes())
-
-
-def read_matrix_binary(path):
-    """Round-trip reader for ``write_matrix_binary``; returns (matrix, sizes)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ShapeError(f"bad magic {magic!r}")
-        (d,) = struct.unpack("<I", fh.read(4))
-        sizes = struct.unpack(f"<{d}I", fh.read(4 * d))
-        (flags,) = struct.unpack("<I", fh.read(4))
-        d_n = math.prod(sizes)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if flags & _FLAG_COMPLEX:
-        raw = raw.reshape(d_n, d_n, 2)
-        return raw[..., 0] + 1j * raw[..., 1], sizes
-    return raw.reshape(d_n, d_n).copy(), sizes

@@ -32,8 +32,8 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .symbols import (Symbol, as_sizes, laplace1d_symbol, p_beta_truncation,
-                      real_part_symbol)
+from .symbols import (Symbol, as_sizes, fractional_mesh, laplace1d_symbol,
+                      p_beta_truncation, real_part_symbol)
 
 __all__ = [
     "optimal_circulant",
@@ -244,17 +244,6 @@ def _two_level_laplacian_like(level2: Symbol, ratio: float, shift: float,
     return Symbol(2, evaluator, coeffs, name=name)
 
 
-def _fractional_mesh(alpha, beta, n1, n2, M, include_shift):
-    for nm, v in (("alpha", alpha), ("beta", beta)):
-        if not (1.0 < float(v) < 2.0):
-            raise ParameterError(f"{nm} must lie in (1, 2), got {v}")
-    if min(int(n1), int(n2), int(M)) < 1:
-        raise ParameterError("n1, n2, M must be positive")
-    hx, hy = 1.0 / (n1 + 1), 1.0 / (n2 + 1)
-    shift = 2.0 * hx**alpha * M if include_shift else 0.0
-    return hx**alpha / hy**beta, shift
-
-
 def build_p22(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPreconditioner:
     """Both fractional levels replaced by the discrete Laplacian symbol.
 
@@ -263,7 +252,7 @@ def build_p22(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPre
     describe the same time-stepped problem.  The shift toggle must match the
     one used for the system symbol.
     """
-    ratio, shift = _fractional_mesh(alpha, beta, n1, n2, M, include_shift)
+    ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
     sym = _two_level_laplacian_like(laplace1d_symbol(), ratio, shift,
                                     name=f"p22(alpha={alpha:g},beta={beta:g})")
     return ToeplitzPreconditioner.from_symbol(sym, (n1, n2))
@@ -276,7 +265,7 @@ def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> Toeplitz
     unlike the full symbol the truncation does not vanish at t2 = 0, which
     keeps the factor well conditioned as the shift goes to zero.
     """
-    ratio, shift = _fractional_mesh(alpha, beta, n1, n2, M, include_shift)
+    ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
     level2 = real_part_symbol(p_beta_truncation(beta, n2))
     sym = _two_level_laplacian_like(level2, ratio, shift,
                                     name=f"p2beta(alpha={alpha:g},beta={beta:g})")

@@ -19,7 +19,7 @@ tent                          compactly supported hat test function
 distribution_discrepancy      sample mean vs. quadrature of the limit integral
 zero_distribution_verdict     rank/norm trend over growing sizes
 odd_embedding_check           odd-size embedding identity, one level
-write_spectral_report_csv, write_discrepancy_csv
+write_spectral_report_csv
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (CapacityError, ParameterError, PoleError, ShapeError,
                      SymmetryError)
-from .symbols import Symbol, as_sizes, total_dim
+from .symbols import Symbol, as_sizes
 from .operators import (DENSE_CAPACITY, ToeplitzOperator, assemble_hankel,
                         flip_map, u_map)
 
@@ -52,7 +52,6 @@ __all__ = [
     "OddEmbeddingReport",
     "odd_embedding_check",
     "write_spectral_report_csv",
-    "write_discrepancy_csv",
 ]
 
 
@@ -417,20 +416,3 @@ def write_spectral_report_csv(report: MatchReport, path, header: str = "") -> No
             fh.write(f"{i},{float(report.eigenvalues[i])!r},"
                      f"{float(report.matched_value[i])!r},"
                      f"{int(report.branch[i])},{ts},{float(report.distance[i])!r}\n")
-
-
-def write_discrepancy_csv(rows, path, header: str = "") -> None:
-    """Rows: testfn_id, sample_mean, integral, discrepancy.
-
-    Labels are quoted when needed (tent labels contain commas).
-    """
-    import csv as _csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("testfn_id,sample_mean,integral,discrepancy\n")
-        w = _csv.writer(fh, lineterminator="\n")
-        for r in rows:
-            w.writerow([r.label, repr(r.sample_mean), repr(r.integral),
-                        repr(r.discrepancy)])

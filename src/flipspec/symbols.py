@@ -15,17 +15,16 @@ Symbol                    evaluator + coefficients + band
 fourier_coefficients      coefficient extraction by tensor FFT
 constant_symbol, laplace1d_symbol, ex1_symbol
 grunwald_symbol           one-level fractional symbol f_gamma
+grunwald_coefficients     exact shifted Grunwald weights by recurrence
+fractional_mesh           mesh ratio and time-step shift of the fractional problem
 fractional_symbol         two-level fractional diffusion symbol (with shift)
 convection_diffusion_symbol
 real_part_symbol          (f + conj f)/2, conjugate-symmetric coefficients
 p_beta_truncation         four-coefficient band truncation of f_beta
-named_symbol              string registry used by the CLI
-coefficients_to_csv       export table rows k_1..k_d, re, im
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -35,10 +34,6 @@ from .errors import AliasingError, DomainError, ParameterError
 
 _DOMAIN_SLACK = 1e-12
 _PRUNE_REL = 1e-14
-
-# Default one-level quadrature size for symbols with slowly decaying
-# coefficients (the fractional family); aliasing ~ m^-(1+gamma).
-_QUAD_1D = 4096
 
 
 def as_sizes(n) -> tuple[int, ...]:
@@ -160,9 +155,8 @@ def fourier_coefficients(symbol: Symbol, band, m=None) -> dict:
     band : int or tuple
         Per-level half-bandwidth q of the requested table.
     m : int or tuple, optional
-        Samples per level.  Must satisfy m_l >= 2 q_l + 1.  Default: 4096
-        for one-level symbols, else the next power of two >= 2 q_l + 2
-        (at least 64) per level.
+        Samples per level.  Must satisfy m_l >= 2 q_l + 1.  Default: the
+        next power of two >= 2 q_l + 2, at least 64, on every level.
 
     Returns
     -------
@@ -174,10 +168,7 @@ def fourier_coefficients(symbol: Symbol, band, m=None) -> dict:
     if len(q) != d or any(v < 0 for v in q):
         raise ParameterError(f"invalid band {band} for a {d}-level symbol")
     if m is None:
-        if d == 1:
-            mm = (max(_QUAD_1D, _next_pow2(2 * q[0] + 2)),)
-        else:
-            mm = tuple(_next_pow2(max(2 * ql + 2, 64)) for ql in q)
+        mm = tuple(_next_pow2(max(2 * ql + 2, 64)) for ql in q)
     else:
         mm = (m,) * d if np.isscalar(m) else tuple(int(v) for v in m)
     for ql, ml in zip(q, mm):
@@ -204,18 +195,6 @@ def fourier_coefficients(symbol: Symbol, band, m=None) -> dict:
     return out
 
 
-def _realified(coeffs: dict, scale=None) -> dict:
-    # cast coefficient tables that are real by construction; tiny imaginary
-    # parts are quadrature round-off
-    if not coeffs:
-        return {}
-    peak = scale or max(abs(v) for v in coeffs.values())
-    worst = max(abs(complex(v).imag) for v in coeffs.values())
-    if worst > 1e-10 * max(peak, 1.0):
-        raise ParameterError(f"expected real coefficients, largest imaginary part {worst:.3e}")
-    return {k: float(complex(v).real) for k, v in coeffs.items()}
-
-
 # ---------------------------------------------------------------------------
 # built-in symbols
 
@@ -240,6 +219,13 @@ def ex1_symbol() -> Symbol:
                   {(0, 0): 4.0, (1, 0): 1.0, (0, 1): 1.0}, name="ex1")
 
 
+def _check_order(name: str, value) -> float:
+    value = float(value)
+    if not (1.0 < value < 2.0):
+        raise ParameterError(f"{name} must lie in (1, 2), got {value}")
+    return value
+
+
 def grunwald_symbol(gamma: float) -> Symbol:
     """One-level fractional symbol of order gamma in (1, 2).
 
@@ -248,9 +234,7 @@ def grunwald_symbol(gamma: float) -> Symbol:
     is set to 0 directly.  Minus its Fourier coefficients are the shifted
     Grunwald weights, t_k = -w_{k+1}, supported on k >= -1.
     """
-    g = float(gamma)
-    if not (1.0 < g < 2.0):
-        raise ParameterError(f"gamma must lie in (1, 2), got {g}")
+    g = _check_order("gamma", gamma)
 
     def evaluator(theta):
         theta = np.asarray(theta, dtype=float)
@@ -264,15 +248,37 @@ def grunwald_symbol(gamma: float) -> Symbol:
     return Symbol(1, evaluator, {}, name=f"grunwald({g:g})")
 
 
-def grunwald_coefficients(gamma: float, band: int, m: int = _QUAD_1D) -> dict:
+def grunwald_coefficients(gamma: float, band: int) -> dict:
     """Real coefficient table {k: t_k} of f_gamma for -1 <= k <= band.
 
-    The exact symbol has no support below k = -1 (it is e^{-i theta} times a
-    power series in e^{i theta}), so quadrature residue there is dropped
-    rather than kept as noise.
+    Exact shifted Grunwald weights: with c_0 = 1, c_j = c_{j-1} (j-1-gamma)/j
+    (so c_j = (-1)^j binom(gamma, j)) and c_{-1} = 0,
+    t_k = -[(2 - gamma)/2 c_k + gamma/2 c_{k+1}].  The band is at least 1.
     """
-    table = fourier_coefficients(grunwald_symbol(gamma), band=max(int(band), 1), m=m)
-    return {k[0]: v for k, v in _realified(table).items() if k[0] >= -1}
+    g = _check_order("gamma", gamma)
+    band = max(int(band), 1)
+    c = [0.0, 1.0]  # c[j + 1] holds c_j, from c_{-1} = 0
+    for j in range(1, band + 2):
+        c.append(c[-1] * (j - 1 - g) / j)
+    return {k: -((2.0 - g) / 2.0 * c[k + 1] + g / 2.0 * c[k + 2])
+            for k in range(-1, band + 1)}
+
+
+def fractional_mesh(alpha: float, beta: float, n1: int, n2: int, M: int,
+                    include_shift: bool = True) -> tuple[float, float]:
+    """Level-2 weight h_x^alpha / h_y^beta and identity shift 2 h_x^alpha / dt.
+
+    h_x = 1/(n1+1), h_y = 1/(n2+1), dt = 1/M; the shift is 0 when
+    ``include_shift`` is False.  Raises ParameterError unless alpha and beta
+    lie in (1, 2) and n1, n2, M are positive.
+    """
+    _check_order("alpha", alpha)
+    _check_order("beta", beta)
+    if min(n1, n2, M) < 1:
+        raise ParameterError("n1, n2, M must be positive")
+    hx, hy, dt = 1.0 / (n1 + 1), 1.0 / (n2 + 1), 1.0 / M
+    shift = 2.0 * hx**alpha / dt if include_shift else 0.0
+    return hx**alpha / hy**beta, shift
 
 
 def fractional_symbol(alpha: float, beta: float, n1: int, n2: int, M: int,
@@ -286,18 +292,10 @@ def fractional_symbol(alpha: float, beta: float, n1: int, n2: int, M: int,
     Coefficients are supported on the cross {(k,0)} union {(0,k)} with
     k >= -1 up to the level size minus one.
     """
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not (1.0 < float(v) < 2.0):
-            raise ParameterError(f"{name} must lie in (1, 2), got {v}")
-    if min(n1, n2, M) < 1:
-        raise ParameterError("n1, n2, M must be positive")
-    hx, hy, dt = 1.0 / (n1 + 1), 1.0 / (n2 + 1), 1.0 / M
-    ratio = hx**alpha / hy**beta
-    shift = 2.0 * hx**alpha / dt if include_shift else 0.0
-
+    ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
     fa, fb = grunwald_symbol(alpha), grunwald_symbol(beta)
-    ca = grunwald_coefficients(alpha, max(n1 - 1, 1))
-    cb = grunwald_coefficients(beta, max(n2 - 1, 1))
+    ca = grunwald_coefficients(alpha, n1 - 1)
+    cb = grunwald_coefficients(beta, n2 - 1)
 
     coeffs = {(k, 0): v for k, v in ca.items()}
     for k, v in cb.items():
@@ -383,49 +381,6 @@ def p_beta_truncation(beta: float, n2: int) -> Symbol:
     """
     if int(n2) < 1:
         raise ParameterError("n2 must be positive")
-    table = grunwald_coefficients(beta, band=8)
+    table = grunwald_coefficients(beta, band=2)
     kept = {(k,): table[k] for k in (-1, 0, 1, 2)}
     return Symbol(1, None, kept, name=f"p_beta({beta:g})")
-
-
-def named_symbol(ident: str, *, n=None, alpha=1.8, beta=1.6, M=None,
-                 value=1.0, include_shift=True) -> Symbol:
-    """Look up a built-in symbol by CLI identifier.
-
-    Identifiers: ``ex1``, ``frac``, ``convdiff``, ``constant``, ``laplace1d``.
-    ``frac`` needs n=(n1, n2) and optionally M (default n1); ``convdiff``
-    needs n=(n1, n2, n3).
-    """
-    ident = ident.lower()
-    if ident == "ex1":
-        return ex1_symbol()
-    if ident == "laplace1d":
-        return laplace1d_symbol()
-    if ident == "constant":
-        dims = len(as_sizes(n)) if n is not None else 1
-        return constant_symbol(value, dims)
-    if ident == "frac":
-        sizes = as_sizes(n)
-        if len(sizes) != 2:
-            raise ParameterError("frac symbol needs a two-level size n1,n2")
-        return fractional_symbol(alpha, beta, sizes[0], sizes[1],
-                                 M if M is not None else sizes[0], include_shift)
-    if ident == "convdiff":
-        sizes = as_sizes(n)
-        if len(sizes) != 3:
-            raise ParameterError("convdiff symbol needs a three-level size n1,n2,n3")
-        return convection_diffusion_symbol(*sizes)
-    raise ParameterError(f"unknown symbol identifier {ident!r}")
-
-
-def coefficients_to_csv(symbol: Symbol, path, header: str = "") -> None:
-    """Write the coefficient table as CSV rows k_1,...,k_d,re,im."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        cols = ",".join(f"k_{l + 1}" for l in range(symbol.dims))
-        fh.write(f"{cols},re,im\n")
-        for k in sorted(symbol.coefficients):
-            v = complex(symbol.coefficients[k])
-            ks = ",".join(str(int(x)) for x in k)
-            fh.write(f"{ks},{v.real!r},{v.imag!r}\n")

@@ -93,6 +93,14 @@ class TestTable:
         assert rows[0]["preconditioner"] == "p2beta"
         assert int(rows[0]["iterations"]) == 22
 
+    def test_level_beyond_the_old_quadrature_band(self, tmp_path):
+        # 2100 > 2048 used to raise AliasingError in the Grunwald weights
+        rc = main(["table", "--exp", "ex2", "--n", "2100,8", "--precond", "toepfr",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_rows(tmp_path / "table.csv")
+        assert [(r["d_n"], r["converged"]) for r in rows] == [("16800", "true")]
+
     def test_experiment_without_a_table(self, tmp_path, capsys):
         rc = main(["table", "--exp", "ex1", "--n", "8,8", "--out", str(tmp_path)])
         assert rc == 1
@@ -103,16 +111,6 @@ class TestTable:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "p22" in capsys.readouterr().err
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        main(["table", "--exp", "ex2", "--n", "10,10", "--out", str(tmp_path / "s")])
-        monkeypatch.setenv("FLIPSPEC_THREADS", "2")
-        main(["table", "--exp", "ex2", "--n", "10,10", "--out", str(tmp_path / "t")])
-        serial = [(r["preconditioner"], r["iterations"], r["converged"])
-                  for r in read_rows(tmp_path / "s" / "table.csv")]
-        threaded = [(r["preconditioner"], r["iterations"], r["converged"])
-                    for r in read_rows(tmp_path / "t" / "table.csv")]
-        assert serial == threaded
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""Toeplitz assembly, index-map operators, block forms, Hankel, exports."""
+"""Toeplitz assembly, index-map operators, block forms, Hankel."""
 
 import numpy as np
 import pytest
@@ -276,40 +276,3 @@ def test_flipped_toeplitz_is_exactly_symmetric():
     a = ops.ToeplitzOperator(coeffs, sizes).dense()
     ya = a[ops.flip_map(sizes), :]
     np.testing.assert_array_equal(ya, ya.T)
-
-
-class TestExports:
-    def test_binary_round_trip_real(self, tmp_path):
-        rng = np.random.default_rng(24)
-        coeffs, sizes = random_banded_table(rng, 2, max_size=5)
-        a = ops.ToeplitzOperator(coeffs, sizes).dense()
-        path = tmp_path / "m.bin"
-        ops.write_matrix_binary(a, path, sizes)
-        b, got_sizes = ops.read_matrix_binary(path)
-        assert tuple(got_sizes) == sizes
-        np.testing.assert_array_equal(a, b)
-
-    def test_binary_round_trip_complex(self, tmp_path):
-        a = ops.ToeplitzOperator({(0,): 1.0 + 2.0j, (1,): -1.0j}, (4,)).dense()
-        path = tmp_path / "m.bin"
-        ops.write_matrix_binary(a, path, (4,))
-        b, got_sizes = ops.read_matrix_binary(path)
-        assert got_sizes == (4,)
-        np.testing.assert_array_equal(a, b)
-
-    def test_binary_rejects_shape_mismatch(self, tmp_path):
-        with pytest.raises(ShapeError):
-            ops.write_matrix_binary(np.eye(3), tmp_path / "m.bin", (4,))
-
-    def test_binary_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "m.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ShapeError):
-            ops.read_matrix_binary(path)
-
-    def test_csv_writer_real(self, tmp_path):
-        a = np.array([[1.5, -2.0], [0.0, 3.25]])
-        path = tmp_path / "m.csv"
-        ops.write_matrix_csv(a, path)
-        got = np.loadtxt(path, delimiter=",")
-        np.testing.assert_array_equal(a, got)

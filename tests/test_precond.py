@@ -295,6 +295,15 @@ class TestFractionalPreconditioners:
         p = pc.build_p22(1.8, 1.6, n1, 10, n1)
         assert p.symbol.eval((0.0, 0.0)) == pytest.approx(shift, rel=1e-12)
 
+    @pytest.mark.parametrize("n1", [10, 40, 160])
+    def test_shift_is_the_system_shift(self, n1):
+        # the preconditioners take the system's 2 h_x^alpha / dt bit for bit
+        ratio, shift = sym.fractional_mesh(1.8, 1.6, n1, n1, n1)
+        assert shift == 2.0 * (1.0 / (n1 + 1)) ** 1.8 / (1.0 / n1)
+        p = pc.build_p22(1.8, 1.6, n1, n1, n1)
+        assert p.symbol.eval((0.0, 0.0)) == shift
+        assert p.symbol.coefficients[(0, 0)] == 2.0 + ratio * 2.0 + shift
+
     def test_p22_is_spd(self):
         p = pc.build_p22(1.8, 1.6, 10, 12, 10)
         dense = fractional_variant_dense(sym.laplace1d_symbol(), 1.8, 1.6, 10, 12, 10)

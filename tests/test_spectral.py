@@ -286,17 +286,3 @@ class TestCsvWriters:
         rows = list(csv.reader(lines[2:]))
         assert len(rows) == 16
         np.testing.assert_allclose([float(r[1]) for r in rows], rep.eigenvalues)
-
-    def test_discrepancy_rows(self, tmp_path):
-        eigs = np.array([0.0, 0.5])
-        rows = sp.distribution_discrepancy(eigs, sym.constant_symbol(1.0, 1), None,
-                                           [sp.tent(0, 1)])
-        path = tmp_path / "disc.csv"
-        sp.write_discrepancy_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "testfn_id,sample_mean,integral,discrepancy"
-        # the label contains a comma, so the writer must quote it
-        got = next(csv.reader([lines[1]]))
-        assert got[0] == "tent(0,1)"
-        assert len(got) == 4
-        assert float(got[-1]) == pytest.approx(rows[0].discrepancy)

@@ -1,7 +1,5 @@
 """Symbol construction, evaluation, and coefficient extraction."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -91,6 +89,8 @@ class TestGrunwald:
         for bad in (1.0, 2.0, 0.5, 2.5, -1.8):
             with pytest.raises(ParameterError):
                 sym.grunwald_symbol(bad)
+            with pytest.raises(ParameterError):
+                sym.grunwald_coefficients(bad, band=4)
 
     def test_value_at_pi(self):
         # f_gamma(pi) = (gamma - 1) 2^gamma
@@ -104,7 +104,6 @@ class TestGrunwald:
 
     @pytest.mark.parametrize("gamma", [1.8, 1.6, 1.2])
     def test_coefficients_match_binomial_expansion(self, gamma):
-        # quadrature at m=4096 is accurate to ~m^-(1+gamma)
         table = sym.grunwald_coefficients(gamma, band=12)
         for k in range(-1, 13):
             assert table[k] == pytest.approx(grunwald_closed_form(gamma, k), abs=1e-8)
@@ -112,13 +111,23 @@ class TestGrunwald:
     def test_no_support_below_minus_one(self):
         assert all(k >= -1 for k in sym.grunwald_coefficients(1.2, band=12))
 
+    @pytest.mark.parametrize("gamma", [1.2, 1.6, 1.8])
+    def test_long_band_matches_binomial_expansion(self, gamma):
+        # the weights decay like k^-(1+gamma); the last ones keep full relative accuracy
+        table = sym.grunwald_coefficients(gamma, band=4095)
+        assert set(table) == set(range(-1, 4096))
+        assert all(type(v) is float for v in table.values())
+        for k in (-1, 0, 1, 100, 2047, 4000, 4095):
+            want = grunwald_closed_form(gamma, k)
+            assert table[k] == pytest.approx(want, rel=1e-10)
+
     def test_quadrature_matches_plain_riemann_sum(self):
         # same lattice, FFT-free summation; checks the index bookkeeping
         f = sym.grunwald_symbol(1.7)
-        table = sym.grunwald_coefficients(1.7, band=6)
+        table = sym.fourier_coefficients(f, band=6, m=4096)
         for k in (-1, 0, 3, 6):
             want = direct_fourier_coefficient(f.evaluator, k, m=4096)
-            assert table[k] == pytest.approx(want.real, abs=1e-12)
+            assert table[(k,)].real == pytest.approx(want.real, abs=1e-12)
             assert abs(want.imag) < 1e-12
 
 
@@ -222,31 +231,3 @@ def test_p_beta_truncation_keeps_four_coefficients():
         assert t.coefficient((k,)) == pytest.approx(full[k], rel=1e-14)
     # truncation does not vanish at 0 even though f_beta does
     assert abs(t.eval((0.0,))) > 0.05
-
-
-def test_named_symbol_registry():
-    assert sym.named_symbol("ex1").name == "ex1"
-    assert sym.named_symbol("laplace1d").band == (1,)
-    assert sym.named_symbol("constant", n=(4, 4), value=3.0).coefficient((0, 0)) == 3.0
-    f = sym.named_symbol("frac", n=(10, 12), alpha=1.8, beta=1.6)
-    assert f.dims == 2
-    g = sym.named_symbol("convdiff", n=(5, 5, 5))
-    assert g.dims == 3
-    with pytest.raises(ParameterError):
-        sym.named_symbol("nope")
-    with pytest.raises(ParameterError):
-        sym.named_symbol("frac", n=(10,))
-    with pytest.raises(ParameterError):
-        sym.named_symbol("convdiff", n=(5, 5))
-
-
-def test_coefficients_to_csv_round_trip(tmp_path):
-    f = sym.ex1_symbol()
-    path = tmp_path / "coeffs.csv"
-    sym.coefficients_to_csv(f, path, header="unit test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# unit test"
-    assert lines[1] == "k_1,k_2,re,im"
-    rows = list(csv.reader(lines[2:]))
-    got = {(int(r[0]), int(r[1])): complex(float(r[2]), float(r[3])) for r in rows}
-    assert got == {k: complex(v) for k, v in f.coefficients.items()}

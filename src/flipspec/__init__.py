@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 from .errors import (FlipspecError, DomainError, ParameterError, AliasingError,
                      ShapeError, CapacityError, EvenSizeError, SymmetryError,
                      PoleError, NotSPDError, OperatorError)
-from .symbols import (Symbol, fourier_coefficients, constant_symbol,
+from .symbols import (Symbol, fourier_coefficients, kron_sum_symbol, constant_symbol,
                       laplace1d_symbol, ex1_symbol, grunwald_symbol,
                       grunwald_coefficients, fractional_mesh, fractional_symbol,
                       convection_diffusion_symbol, real_part_symbol,

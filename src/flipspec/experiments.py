@@ -30,8 +30,8 @@ from . import __version__
 from .errors import ParameterError
 from .symbols import (Symbol, as_sizes, constant_symbol,
                       convection_diffusion_symbol, ex1_symbol,
-                      fractional_symbol, grunwald_coefficients,
-                      grunwald_symbol, real_part_symbol, total_dim)
+                      fractional_symbol, grunwald_symbol,
+                      real_part_symbol, total_dim)
 from .operators import (ToeplitzOperator, assemble_block_g, assemble_hankel,
                         flip_apply, flip_map, interleaved_block_g, pi_apply,
                         pi_map, structure_residual, u_apply, u_map)
@@ -107,9 +107,7 @@ def experiment_symbol(cfg: ExperimentConfig, sizes) -> Symbol:
     if cfg.exp == "ex3":
         return convection_diffusion_symbol(*sizes)
     # custom: one-level fractional
-    table = {(k,): v for k, v in grunwald_coefficients(cfg.alpha, sizes[0] - 1).items()}
-    return Symbol(1, grunwald_symbol(cfg.alpha).evaluator, table,
-                  name=f"frac1d(alpha={cfg.alpha:g})")
+    return grunwald_symbol(cfg.alpha, sizes[0] - 1)
 
 
 def build_preconditioner(cfg: ExperimentConfig, f: Symbol, sizes):

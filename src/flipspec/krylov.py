@@ -182,10 +182,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
             converged = True
             break
         if beta < _BREAKDOWN * bnorm:
-            # lucky breakdown: the Krylov space is exhausted
-            if relres < cfg.rel_tolerance:
-                converged = True
-                break
+            # the Krylov space is exhausted short of the tolerance
             raise OperatorError(f"Lanczos breakdown at iteration {itn} with relative "
                                 f"residual {relres:.3e} still above tolerance")
 

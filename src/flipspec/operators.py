@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, EvenSizeError, ShapeError
-from .symbols import Symbol, as_sizes, total_dim
+from .symbols import Symbol, _next_pow2, as_sizes, total_dim
 
 __all__ = [
     "DENSE_CAPACITY",
@@ -129,10 +129,6 @@ def pi_apply(n, x, transposed: bool = False):
 # multilevel Toeplitz
 
 
-def _next_pow2(v: int) -> int:
-    return 1 << max(0, int(v - 1)).bit_length()
-
-
 def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
     # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
     # (sign +1, Hankel), level by level, for a table of shape (2 n_l - 1)_l;
@@ -174,10 +170,7 @@ class ToeplitzOperator:
 
     @classmethod
     def from_symbol(cls, symbol: Symbol, n) -> "ToeplitzOperator":
-        sizes = as_sizes(n)
-        if symbol.dims != len(sizes):
-            raise ShapeError(f"symbol has {symbol.dims} levels, sizes {sizes} have {len(sizes)}")
-        return cls(symbol.coefficients, sizes)
+        return cls(symbol.coefficients, symbol.check_sizes(n))
 
     @property
     def dim(self) -> int:
@@ -302,6 +295,15 @@ def assemble_hankel(f: Symbol, n, orientation: str = "plus") -> np.ndarray:
     return _dense_lookup(table, sizes, 1)
 
 
+def _singular_split(svals, rel: float):
+    # (largest, how many lie above rel * largest, largest at or under that
+    # cut) for singular values in descending order
+    top = float(svals[0]) if svals.size else 0.0
+    count = int(np.count_nonzero(svals > rel * top))
+    tail = float(svals[count]) if count < svals.size else 0.0
+    return top, count, tail
+
+
 def structure_residual(f: Symbol, n):
     """Residual D = Pi_n U_n Y_n T_n(f) U_n Pi_n^T - T_n(g) and its split.
 
@@ -326,9 +328,5 @@ def structure_residual(f: Symbol, n):
     conj = conj[fp][:, fp]
     d = conj - interleaved_block_g(f, sizes)
 
-    svals = np.linalg.svd(d, compute_uv=False)
-    top = float(svals[0]) if svals.size else 0.0
-    cut = 1e-8 * top
-    count = int(np.count_nonzero(svals > cut))
-    tail = float(svals[count]) if count < svals.size else 0.0
+    _, count, tail = _singular_split(np.linalg.svd(d, compute_uv=False), 1e-8)
     return d, count / (2.0 * d_n), tail

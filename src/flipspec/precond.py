@@ -1,15 +1,16 @@
 """Preconditioners for the flipped multilevel Toeplitz systems.
 
 Every preconditioner here is a Kronecker sum P = sum_l I (x) A_l (x) I of
-real symmetric level matrices A_l, one per level.  Structured Toeplitz
-preconditioners take A_l = T_{n_l}(h_l) from a separable symbol h: the
-symmetric part T(f_R), the two-level Laplacian variant built from
-2 - 2 cos theta on both levels, and the tetra-diagonal band truncation
-variant.  The circulant Kronecker sum takes A_l = |C_l|, the absolute value
-of each level's Frobenius-optimal circulant; a symmetric circulant is a
-symmetric Toeplitz matrix, so both families share one class.  Each level is
-diagonalized once, and any power of P then costs one basis change per level
-each way (the fast diagonalization method of Lynch, Rice & Thomas, 1964).
+real symmetric matrices A_l, one per level table of a separable symbol
+(``Symbol.levels``).  Structured Toeplitz preconditioners take
+A_l = T_{n_l}(h_l): the symmetric part T(f_R), the two-level Laplacian
+variant built from 2 - 2 cos theta on both levels, and the tetra-diagonal
+band truncation variant.  The circulant Kronecker sum takes A_l = |C_l|, the
+absolute value of each level's Frobenius-optimal circulant; a symmetric
+circulant is a symmetric Toeplitz matrix, so both families share one class.
+Each level is diagonalized once, and any power of P then costs one basis
+change per level each way (the fast diagonalization method of Lynch, Rice &
+Thomas, 1964).
 
 Contents
 --------
@@ -17,10 +18,11 @@ optimal_circulant         first column of the Frobenius-closest circulant
 circulant_abs             |eigenvalues| via length-n DFT
 ToeplitzPreconditioner    Kronecker sum of symmetric levels, per-level eigh
 CirculantKronSum          the same class, under the name the circulant used
-build_circulant_kron_sum  sum of the levels |C_l| of a separable symbol
+build_circulant_kron_sum  sum of the levels |C_l| of a separable symbol,
+                          weight symbol sum_l |f_l|
 build_toepfr              T(f_R) for a given symbol
-build_p22                 Laplacian-on-both-levels variant
-build_p2beta              band-truncation variant
+build_p22                 Laplacian on both levels (kron_sum_symbol)
+build_p2beta              Laplacian on level 1, band truncation on level 2
 preconditioned_spectrum   eigenvalues of P^{-1} S via symmetric surrogate
 """
 
@@ -32,8 +34,8 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .symbols import (Symbol, as_sizes, fractional_mesh, laplace1d_symbol,
-                      p_beta_truncation, real_part_symbol)
+from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
+                      laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
 __all__ = [
     "optimal_circulant",
@@ -78,39 +80,17 @@ def circulant_abs(c) -> np.ndarray:
     return np.abs(np.fft.fft(np.asarray(c)))
 
 
-def _cross_level_tables(f: Symbol, sizes):
-    # split a Kronecker-sum coefficient table into one table per level; the
-    # zero index is booked on level 1
-    if f.dims != len(sizes):
-        raise ShapeError(f"symbol has {f.dims} levels, sizes {sizes} have {len(sizes)}")
-    tables = [dict() for _ in sizes]
-    for k, t in f.coefficients.items():
-        live = [l for l, kl in enumerate(k) if kl != 0]
-        if len(live) > 1:
-            raise ParameterError(f"coefficient index {k} is not separable across levels")
-        level = live[0] if live else 0
-        tables[level][k[level]] = tables[level].get(k[level], 0.0) + complex(t).real
-    return tables
-
-
 def _symmetric_toeplitz(col) -> np.ndarray:
     # T[i, j] = col[|i - j|]
-    col = np.asarray(col, dtype=float)
+    col = np.asarray(np.real(col), dtype=float)
     idx = np.arange(len(col))
     return col[np.abs(idx[:, None] - idx)]
 
 
-def _abs_sum_symbol(tables, d: int) -> Symbol:
-    pieces = [Symbol(1, None, {(k,): v for k, v in tab.items()}) for tab in tables]
-
-    def evaluator(*coords):
-        total = 0.0
-        for l, piece in enumerate(pieces):
-            vals = piece.eval(np.stack([np.ravel(coords[l])], axis=1))
-            total = total + np.abs(vals).reshape(np.shape(coords[l]))
-        return total + 0j
-
-    return Symbol(d, evaluator, {}, name="sum_of_level_moduli")
+def _level_modulus(table: dict) -> Symbol:
+    # |f_l| for one level's table {k: t_k}, summed from the table
+    level = Symbol(1, None, {(k,): t for k, t in table.items()})
+    return Symbol(1, lambda t: np.abs(level.eval(np.reshape(t, (-1, 1)))))
 
 
 class ToeplitzPreconditioner:
@@ -154,7 +134,7 @@ class ToeplitzPreconditioner:
         Raises SymmetryError unless the table is real with t_{-k} = t_k,
         and ParameterError if it is empty or couples two levels.
         """
-        sizes = as_sizes(n)
+        sizes = h.check_sizes(n)
         peak = max((abs(complex(v)) for v in h.coefficients.values()), default=0.0)
         if peak == 0.0:
             raise ParameterError("preconditioner symbol has no coefficients")
@@ -163,9 +143,8 @@ class ToeplitzPreconditioner:
             mirror = complex(h.coefficients.get(tuple(-x for x in k), 0.0))
             if abs(v.imag) > 1e-12 * peak or abs(v - mirror.conjugate()) > 1e-12 * peak:
                 raise SymmetryError(f"symbol coefficient t_{k} breaks real symmetry")
-        tables = _cross_level_tables(h, sizes)
         levels = [_symmetric_toeplitz([tab.get(j, 0.0) for j in range(nl)])
-                  for tab, nl in zip(tables, sizes)]
+                  for tab, nl in zip(h.levels(), sizes)]
         return cls(levels, h)
 
     def _check(self, x) -> np.ndarray:
@@ -213,35 +192,18 @@ def build_circulant_kron_sum(f: Symbol, n) -> ToeplitzPreconditioner:
     and |C_l| = (C_l^T C_l)^{1/2} is a symmetric circulant.  The weight
     symbol is the sum of the level moduli.
     """
-    sizes = as_sizes(n)
-    tables = _cross_level_tables(f, sizes)
+    sizes = f.check_sizes(n)
+    tables = f.levels()
     # a symmetric circulant is the symmetric Toeplitz matrix of its first column
     levels = [_symmetric_toeplitz(np.fft.ifft(circulant_abs(optimal_circulant(tab, nl))).real)
               for tab, nl in zip(tables, sizes)]
-    return ToeplitzPreconditioner(levels, _abs_sum_symbol(tables, len(sizes)))
+    weight = kron_sum_symbol([_level_modulus(tab) for tab in tables], name="sum_of_level_moduli")
+    return ToeplitzPreconditioner(levels, weight)
 
 
 def build_toepfr(f: Symbol, n) -> ToeplitzPreconditioner:
     """T(f_R), the Toeplitz matrix of the real part of f."""
     return ToeplitzPreconditioner.from_symbol(real_part_symbol(f), n)
-
-
-def _two_level_laplacian_like(level2: Symbol, ratio: float, shift: float,
-                              name: str) -> Symbol:
-    # 2 - 2 cos theta_1 on level 1, `ratio` * level2 on level 2, plus shift
-    lap = laplace1d_symbol()
-    coeffs = {(k[0], 0): v for k, v in lap.coefficients.items()}
-    for k, v in level2.coefficients.items():
-        key = (0, k[0])
-        coeffs[key] = coeffs.get(key, 0.0) + ratio * complex(v).real
-    coeffs[(0, 0)] = coeffs.get((0, 0), 0.0) + shift
-
-    def evaluator(t1, t2):
-        v2 = Symbol(1, None, level2.coefficients).eval(np.stack([np.ravel(t2)], axis=1))
-        v2 = v2.reshape(np.shape(t2)) if np.ndim(t2) else v2[0]
-        return 2.0 - 2.0 * np.cos(t1) + ratio * np.real(v2) + shift
-
-    return Symbol(2, evaluator, coeffs, name=name)
 
 
 def build_p22(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPreconditioner:
@@ -253,8 +215,8 @@ def build_p22(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPre
     one used for the system symbol.
     """
     ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
-    sym = _two_level_laplacian_like(laplace1d_symbol(), ratio, shift,
-                                    name=f"p22(alpha={alpha:g},beta={beta:g})")
+    sym = kron_sum_symbol((laplace1d_symbol(), laplace1d_symbol()), (1.0, ratio), shift,
+                          name=f"p22(alpha={alpha:g},beta={beta:g})")
     return ToeplitzPreconditioner.from_symbol(sym, (n1, n2))
 
 
@@ -266,9 +228,9 @@ def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> Toeplitz
     keeps the factor well conditioned as the shift goes to zero.
     """
     ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
-    level2 = real_part_symbol(p_beta_truncation(beta, n2))
-    sym = _two_level_laplacian_like(level2, ratio, shift,
-                                    name=f"p2beta(alpha={alpha:g},beta={beta:g})")
+    level2 = real_part_symbol(p_beta_truncation(beta))
+    sym = kron_sum_symbol((laplace1d_symbol(), level2), (1.0, ratio), shift,
+                          name=f"p2beta(alpha={alpha:g},beta={beta:g})")
     return ToeplitzPreconditioner.from_symbol(sym, (n1, n2))
 
 

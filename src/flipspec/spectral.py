@@ -31,8 +31,8 @@ import numpy as np
 from .errors import (CapacityError, ParameterError, PoleError, ShapeError,
                      SymmetryError)
 from .symbols import Symbol, as_sizes
-from .operators import (DENSE_CAPACITY, ToeplitzOperator, assemble_hankel,
-                        flip_map, u_map)
+from .operators import (DENSE_CAPACITY, ToeplitzOperator, _singular_split,
+                        assemble_hankel, flip_map, u_map)
 
 __all__ = [
     "sym_eigenvalues",
@@ -151,6 +151,23 @@ class LambdaSet:
         return len(self.values)
 
 
+def _modulus_ratio(f: Symbol, h, pts) -> np.ndarray:
+    # |f|/h at the points (|f| when h is None); a complex h or a point where
+    # h vanishes raises a pole error naming the point
+    fv = np.abs(np.asarray(f.eval(pts), dtype=complex))
+    if h is None:
+        return fv
+    hv = np.asarray(h.eval(pts), dtype=complex)
+    if np.max(np.abs(hv.imag)) > 1e-10 * max(1.0, np.max(np.abs(hv))):
+        raise PoleError("weight symbol h must be real on the grid")
+    hv = hv.real
+    bad = np.abs(hv) < 1e-13 * max(1.0, float(np.max(np.abs(hv))))
+    if np.any(bad):
+        theta = pts[int(np.argmax(bad))]
+        raise PoleError(f"weight symbol vanishes at theta = {tuple(float(t) for t in theta)}")
+    return fv / hv
+
+
 def build_lambda(f: Symbol, h, grid) -> LambdaSet:
     """Branch samples {-|f|/h, +|f|/h} over a grid, sorted with provenance.
 
@@ -158,19 +175,7 @@ def build_lambda(f: Symbol, h, grid) -> LambdaSet:
     finite sample and raises a pole error naming the point.
     """
     pts = grid.points
-    fv = np.abs(np.asarray(f.eval(pts), dtype=complex))
-    if h is None:
-        hv = np.ones(len(pts))
-    else:
-        hv = np.asarray(h.eval(pts), dtype=complex)
-        if np.max(np.abs(hv.imag)) > 1e-10 * max(1.0, np.max(np.abs(hv))):
-            raise PoleError("weight symbol h must be real on the grid")
-        hv = hv.real
-        bad = np.abs(hv) < 1e-13 * max(1.0, float(np.max(np.abs(hv))))
-        if np.any(bad):
-            theta = pts[int(np.argmax(bad))]
-            raise PoleError(f"weight symbol vanishes at theta = {tuple(float(t) for t in theta)}")
-    ratio = fv / hv
+    ratio = _modulus_ratio(f, h, pts)
     values = np.r_[-ratio, ratio]
     branch = np.r_[np.ones(len(pts), dtype=int), np.full(len(pts), 2, dtype=int)]
     pidx = np.r_[np.arange(len(pts)), np.arange(len(pts))]
@@ -278,12 +283,7 @@ def distribution_discrepancy(eigs, f: Symbol, h, testfns) -> list:
     if eigs.size == 0:
         raise ParameterError("empty spectrum")
     pts, weights, p = _quad_lattice(f.dims)
-    ratio = np.abs(np.asarray(f.eval(pts), dtype=complex))
-    if h is not None:
-        hv = np.asarray(h.eval(pts), dtype=complex).real
-        if np.any(np.abs(hv) < 1e-13 * max(1.0, float(np.max(np.abs(hv))))):
-            raise PoleError("weight symbol vanishes inside the quadrature lattice")
-        ratio = ratio / hv
+    ratio = _modulus_ratio(f, h, pts)
     norm = (2.0 * np.pi) ** (-f.dims)
 
     rows = []
@@ -312,11 +312,7 @@ def zero_distribution_verdict(matrices, tau: float = 1e-6):
     rows = []
     for a in mats:
         a = np.asarray(a)
-        svals = singular_values(a)
-        top = float(svals[0]) if svals.size else 0.0
-        cut = tau * top
-        count = int(np.count_nonzero(svals > cut))
-        at_cut = float(svals[count]) if count < svals.size else 0.0
+        _, count, at_cut = _singular_split(singular_values(a), tau)
         rows.append((count / a.shape[0], at_cut))
     fracs = [r[0] for r in rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(fracs, fracs[1:]))
@@ -390,11 +386,7 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
         hp, _, _, hm = _monomial_blocks(kk[0], m)
         hank[: m + 1, : m + 1] += complex(t).real * hp
         hank[m + 1 :, m + 1 :] += complex(t).real * hm
-    svals = singular_values(hank)
-    top = float(svals[0]) if svals.size else 0.0
-    cut = 1e-8 * top
-    count = int(np.count_nonzero(svals > cut))
-    tail = float(svals[count]) if count < svals.size else 0.0
+    top, count, tail = _singular_split(singular_values(hank), 1e-8)
     return OddEmbeddingReport(n, deviations, top, count / (2.0 * m + 2.0), tail)
 
 

@@ -11,10 +11,12 @@ stencil.
 Contents
 --------
 as_sizes / total_dim      multi-index helpers (validated size tuples)
-Symbol                    evaluator + coefficients + band
+Symbol                    evaluator + coefficients + band, check_sizes(n),
+                          levels() (one table per level of a Kronecker sum)
 fourier_coefficients      coefficient extraction by tensor FFT
+kron_sum_symbol           sum_l w_l f_l(theta_l) + shift from one-level symbols
 constant_symbol, laplace1d_symbol, ex1_symbol
-grunwald_symbol           one-level fractional symbol f_gamma
+grunwald_symbol           one-level fractional symbol f_gamma, exact weights to a band
 grunwald_coefficients     exact shifted Grunwald weights by recurrence
 fractional_mesh           mesh ratio and time-step shift of the fractional problem
 fractional_symbol         two-level fractional diffusion symbol (with shift)
@@ -25,12 +27,13 @@ p_beta_truncation         four-coefficient band truncation of f_beta
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, DomainError, ParameterError
+from .errors import AliasingError, DomainError, ParameterError, ShapeError
 
 _DOMAIN_SLACK = 1e-12
 _PRUNE_REL = 1e-14
@@ -135,6 +138,28 @@ class Symbol:
         """
         return Symbol(self.dims, None, self.coefficients, self.name).eval(points)
 
+    def check_sizes(self, n) -> tuple[int, ...]:
+        """Validated level sizes; ShapeError unless there is one per level."""
+        sizes = as_sizes(n)
+        if self.dims != len(sizes):
+            raise ShapeError(f"symbol has {self.dims} levels, sizes {sizes} have {len(sizes)}")
+        return sizes
+
+    def levels(self) -> list:
+        """One table {k: t_k} per level of a Kronecker-sum coefficient table.
+
+        The entry at k e_l goes to level l; t_0 is booked on level 1.
+        Raises ParameterError if an index has two nonzero components.
+        """
+        tables = [{} for _ in range(self.dims)]
+        for k, t in self.coefficients.items():
+            live = [l for l, kl in enumerate(k) if kl]
+            if len(live) > 1:
+                raise ParameterError(f"coefficient index {k} is not separable across levels")
+            level = live[0] if live else 0
+            tables[level][k[level]] = t
+        return tables
+
 
 def _next_pow2(v: int) -> int:
     return 1 << max(0, int(v - 1)).bit_length()
@@ -195,6 +220,36 @@ def fourier_coefficients(symbol: Symbol, band, m=None) -> dict:
     return out
 
 
+def kron_sum_symbol(levels, weights=None, shift=0.0, name="") -> Symbol:
+    """f(theta) = sum_l w_l f_l(theta_l) + shift for one-level symbols f_l.
+
+    The table holds w_l t_k of level l at the index k e_l, with the shift
+    added at the origin; the evaluator sums the weighted level values, each
+    level evaluated as its own ``eval`` does (closed form or table).
+    Weights default to 1.
+    """
+    levels = tuple(levels)
+    weights = (1.0,) * len(levels) if weights is None else tuple(weights)
+    if not levels or len(weights) != len(levels) or any(f.dims != 1 for f in levels):
+        raise ParameterError("a Kronecker sum needs one weight per one-level symbol")
+    d = len(levels)
+    coeffs = {}
+    for l, (f, w) in enumerate(zip(levels, weights)):
+        for (k,), t in f.coefficients.items():
+            key = (0,) * l + (k,) + (0,) * (d - 1 - l)
+            coeffs[key] = coeffs.get(key, 0.0) + w * t
+    if shift:
+        origin = (0,) * d
+        coeffs[origin] = coeffs.get(origin, 0.0) + shift
+
+    def evaluator(*theta):
+        vals = (w * f.eval(np.reshape(th, (-1, 1))).reshape(np.shape(th))
+                for f, w, th in zip(levels, weights, theta))
+        return functools.reduce(np.add, vals) + shift
+
+    return Symbol(d, evaluator, coeffs, name=name)
+
+
 # ---------------------------------------------------------------------------
 # built-in symbols
 
@@ -226,13 +281,14 @@ def _check_order(name: str, value) -> float:
     return value
 
 
-def grunwald_symbol(gamma: float) -> Symbol:
+def grunwald_symbol(gamma: float, band=None) -> Symbol:
     """One-level fractional symbol of order gamma in (1, 2).
 
     f_gamma(theta) = -[(2 - gamma (1 - e^{-i theta}))/2] * (1 + e^{i (theta + pi)})^gamma
     with the principal branch of the power; the removable zero at theta = 0
     is set to 0 directly.  Minus its Fourier coefficients are the shifted
-    Grunwald weights, t_k = -w_{k+1}, supported on k >= -1.
+    Grunwald weights, t_k = -w_{k+1}, supported on k >= -1; given a band,
+    the symbol carries them for -1 <= k <= band (``grunwald_coefficients``).
     """
     g = _check_order("gamma", gamma)
 
@@ -245,7 +301,8 @@ def grunwald_symbol(gamma: float) -> Symbol:
         bracket = (2.0 - g * (1.0 - np.exp(-1j * theta))) / 2.0
         return -bracket * power
 
-    return Symbol(1, evaluator, {}, name=f"grunwald({g:g})")
+    table = {} if band is None else {(k,): t for k, t in grunwald_coefficients(g, band).items()}
+    return Symbol(1, evaluator, table, name=f"grunwald({g:g})")
 
 
 def grunwald_coefficients(gamma: float, band: int) -> dict:
@@ -293,22 +350,10 @@ def fractional_symbol(alpha: float, beta: float, n1: int, n2: int, M: int,
     k >= -1 up to the level size minus one.
     """
     ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
-    fa, fb = grunwald_symbol(alpha), grunwald_symbol(beta)
-    ca = grunwald_coefficients(alpha, n1 - 1)
-    cb = grunwald_coefficients(beta, n2 - 1)
-
-    coeffs = {(k, 0): v for k, v in ca.items()}
-    for k, v in cb.items():
-        key = (0, k)
-        coeffs[key] = coeffs.get(key, 0.0) + ratio * v
-    coeffs[(0, 0)] = coeffs.get((0, 0), 0.0) + shift
-
-    def evaluator(t1, t2):
-        return fa.evaluator(t1) + ratio * fb.evaluator(t2) + shift
-
     tag = "on" if include_shift else "off"
-    return Symbol(2, evaluator, coeffs,
-                  name=f"frac(alpha={alpha:g},beta={beta:g},n1={n1},n2={n2},M={M},shift={tag})")
+    name = f"frac(alpha={alpha:g},beta={beta:g},n1={n1},n2={n2},M={M},shift={tag})"
+    return kron_sum_symbol((grunwald_symbol(alpha, n1 - 1), grunwald_symbol(beta, n2 - 1)),
+                           (1.0, ratio), shift, name)
 
 
 def convection_diffusion_symbol(n1: int, n2: int, n3: int) -> Symbol:
@@ -316,30 +361,17 @@ def convection_diffusion_symbol(n1: int, n2: int, n3: int) -> Symbol:
 
     Separable, f(t1, t2, t3) = f1(t1) + f2(t2) + f3(t3), with the seven
     stencil coefficients depending on the mesh widths h = 1/(n_l + 1):
-    the diagonal carries a = 6 + 2 h_x + h_y + 1.5 h_z, each level carries
-    one weighted lower neighbor and one unit upper neighbor.
+    the diagonal a = 6 + 2 h_x + h_y + 1.5 h_z sits on level 1, and each
+    level carries one weighted lower neighbor and one unit upper neighbor.
     """
     if min(n1, n2, n3) < 1:
         raise ParameterError("level sizes must be positive")
     hx, hy, hz = 1.0 / (n1 + 1), 1.0 / (n2 + 1), 1.0 / (n3 + 1)
     a = 6.0 + 2.0 * hx + hy + 1.5 * hz
-    b, c = -1.0 - 2.0 * hx, -1.0
-    d, e = -1.0 - hy, -1.0
-    f, g = -1.0 - 1.5 * hz, -1.0
-    coeffs = {
-        (0, 0, 0): a,
-        (1, 0, 0): b, (-1, 0, 0): c,
-        (0, 1, 0): d, (0, -1, 0): e,
-        (0, 0, 1): f, (0, 0, -1): g,
-    }
-
-    def evaluator(t1, t2, t3):
-        return (a
-                + b * np.exp(1j * t1) + c * np.exp(-1j * t1)
-                + d * np.exp(1j * t2) + e * np.exp(-1j * t2)
-                + f * np.exp(1j * t3) + g * np.exp(-1j * t3))
-
-    return Symbol(3, evaluator, coeffs, name=f"convdiff(n1={n1},n2={n2},n3={n3})")
+    levels = (Symbol(1, None, {(0,): a, (1,): -1.0 - 2.0 * hx, (-1,): -1.0}),
+              Symbol(1, None, {(1,): -1.0 - hy, (-1,): -1.0}),
+              Symbol(1, None, {(1,): -1.0 - 1.5 * hz, (-1,): -1.0}))
+    return kron_sum_symbol(levels, name=f"convdiff(n1={n1},n2={n2},n3={n3})")
 
 
 def real_part_symbol(f: Symbol) -> Symbol:
@@ -371,16 +403,11 @@ def real_part_symbol(f: Symbol) -> Symbol:
     return Symbol(f.dims, evaluator, out, name=f"Re[{f.name or 'f'}]")
 
 
-def p_beta_truncation(beta: float, n2: int) -> Symbol:
+def p_beta_truncation(beta: float) -> Symbol:
     """Band truncation of f_beta to the four coefficients k = -1, 0, 1, 2.
 
     The truncated symbol does not vanish at theta = 0 (the full f_beta
     does), which is what makes its real part usable as a preconditioner
-    factor.  ``n2`` is the level size the truncation will be assembled at;
-    it does not change the coefficients.
+    factor.
     """
-    if int(n2) < 1:
-        raise ParameterError("n2 must be positive")
-    table = grunwald_coefficients(beta, band=2)
-    kept = {(k,): table[k] for k in (-1, 0, 1, 2)}
-    return Symbol(1, None, kept, name=f"p_beta({beta:g})")
+    return Symbol(1, None, grunwald_symbol(beta, band=2).coefficients, name=f"p_beta({beta:g})")

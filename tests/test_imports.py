@@ -1,7 +1,10 @@
-"""Every name a flipspec module imports is used in that module.
+"""Static checks over the flipspec sources.
 
-No linter ships with the package, so this scans the source with ``ast``.
-``__init__.py`` is skipped: its imports are the package's re-exports.
+Every name a module imports is used in that module, no top-level function
+is defined in two modules, and every private top-level function is
+referenced somewhere in the package.  No linter ships with the package, so
+this scans the source with ``ast``.  ``__init__.py`` is skipped: its
+imports are the package's re-exports.
 """
 
 import ast
@@ -35,3 +38,48 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def top_level_functions(sources: dict) -> dict:
+    """Function name -> sorted list of the modules that define it at top level."""
+    found = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                found.setdefault(node.name, []).append(module)
+    return {name: sorted(mods) for name, mods in found.items()}
+
+
+def duplicated_functions(sources: dict) -> dict:
+    return {name: mods for name, mods in top_level_functions(sources).items() if len(mods) > 1}
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    referenced = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(name for name in top_level_functions(sources)
+                  if name.startswith("_") and name not in referenced)
+
+
+def test_scanners_flag_duplicates_and_dead_helpers():
+    sources = {"a": "def _used():\n    pass\n\ndef _dead():\n    pass\n\ndef f():\n    _used()\n",
+               "b": "def f():\n    return a._used\n"}
+    assert duplicated_functions(sources) == {"f": ["a", "b"]}
+    assert unreferenced_private_functions(sources) == ["_dead"]
+
+
+def package_sources() -> dict:
+    return {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+
+
+def test_no_function_defined_twice():
+    assert duplicated_functions(package_sources()) == {}
+
+
+def test_every_private_function_is_referenced():
+    assert unreferenced_private_functions(package_sources()) == []

@@ -320,12 +320,23 @@ class TestFractionalPreconditioners:
         ks = {k[1] for k in p.symbol.coefficients if k[0] == 0}
         assert ks == {-2, -1, 0, 1, 2}
 
+    @pytest.mark.parametrize("include_shift", [True, False])
+    def test_p2beta_weight_is_the_level_sum(self, include_shift):
+        # bit for bit: 2 - 2 cos t1 + ratio Re(trunc)(t2) + shift
+        ratio, shift = sym.fractional_mesh(1.8, 1.6, 10, 12, 10, include_shift)
+        level2 = sym.real_part_symbol(sym.p_beta_truncation(1.6))
+        p = pc.build_p2beta(1.8, 1.6, 10, 12, 10, include_shift)
+        pts = np.random.default_rng(53).uniform(-np.pi, np.pi, size=(200, 2))
+        want = (2.0 - 2.0 * np.cos(pts[:, 0]) + ratio * np.real(level2.eval(pts[:, [1]]))
+                + shift)
+        np.testing.assert_array_equal(np.real(p.symbol.eval(pts)), want)
+
     def test_p2beta_spd_without_shift(self):
         # the band truncation keeps the level-2 factor away from zero, so
         # the preconditioner stays SPD even with no identity shift
         p = pc.build_p2beta(1.8, 1.6, 30, 36, 30, include_shift=False)
         assert abs(p.symbol.eval((0.0, 0.0))) > 0.0
-        level2 = sym.real_part_symbol(sym.p_beta_truncation(1.6, 36))
+        level2 = sym.real_part_symbol(sym.p_beta_truncation(1.6))
         dense = fractional_variant_dense(level2, 1.8, 1.6, 30, 36, 0)
         np.testing.assert_allclose(np.sort(p.eigen_tensor.ravel()),
                                    np.linalg.eigvalsh(dense), atol=1e-12)
@@ -398,7 +409,7 @@ class TestPreconditionedSpectrum:
             sizes = (5, 6)
             f = sym.fractional_symbol(1.8, 1.6, 5, 6, 5)
             p = pc.build_p2beta(1.8, 1.6, 5, 6, 5)
-            level2 = sym.real_part_symbol(sym.p_beta_truncation(1.6, 6))
+            level2 = sym.real_part_symbol(sym.p_beta_truncation(1.6))
             dense = fractional_variant_dense(level2, 1.8, 1.6, 5, 6, 5)
         else:
             sizes = (3, 4, 3)

@@ -223,6 +223,19 @@ class TestDistribution:
             sp.distribution_discrepancy(np.array([]), sym.ex1_symbol(), None,
                                         [sp.tent(0, 1)])
 
+    def test_weight_pole_is_reported_with_its_point(self):
+        # the lattice holds theta = -pi, where 1 + cos theta vanishes
+        one_plus_cos = sym.Symbol(1, None, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
+        with pytest.raises(PoleError, match=r"theta = \("):
+            sp.distribution_discrepancy(np.array([0.5]), sym.constant_symbol(1.0, 1),
+                                        one_plus_cos, [sp.tent(0, 1)])
+
+    def test_complex_weight_is_rejected(self):
+        twist = sym.Symbol(1, None, {(0,): 2.0, (1,): 1.0})
+        with pytest.raises(PoleError, match="real"):
+            sp.distribution_discrepancy(np.array([0.5]), sym.constant_symbol(1.0, 1),
+                                        twist, [sp.tent(0, 1)])
+
 
 class TestZeroDistributionVerdict:
     def test_hankel_family_passes(self):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import direct_fourier_coefficient, grunwald_closed_form
+from conftest import direct_fourier_coefficient, grunwald_closed_form, kron_toeplitz_dense
+from flipspec import operators as ops
 from flipspec import symbols as sym
-from flipspec.errors import AliasingError, DomainError, ParameterError
+from flipspec.errors import AliasingError, DomainError, ParameterError, ShapeError
 
 
 class TestSymbolBasics:
@@ -84,6 +85,68 @@ class TestFourierCoefficients:
             sym.fourier_coefficients(sym.laplace1d_symbol(), band=(1, 1))
 
 
+class TestKronSumSymbol:
+    @staticmethod
+    def random_case(d):
+        rng = np.random.default_rng(60 + d)
+        sizes = tuple(int(v) for v in rng.integers(2, 7, size=d))
+        tables = [{k: float(rng.standard_normal())
+                   for k in range(-int(rng.integers(0, n)), int(rng.integers(0, n)) + 1)}
+                  for n in sizes]
+        weights = [float(w) for w in rng.uniform(0.5, 2.0, size=d)]
+        return sizes, tables, weights, float(rng.standard_normal())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matrix_is_the_kronecker_sum(self, d):
+        sizes, tables, weights, shift = self.random_case(d)
+        levels = [sym.Symbol(1, None, {(k,): t for k, t in tab.items()}) for tab in tables]
+        f = sym.kron_sum_symbol(levels, weights, shift)
+        want = shift * np.eye(int(np.prod(sizes)))
+        for l, (tab, w) in enumerate(zip(tables, weights)):
+            term = np.eye(1)
+            for m, n in enumerate(sizes):
+                one = kron_toeplitz_dense({(k,): t for k, t in tab.items()}, (n,))
+                term = np.kron(term, w * one if m == l else np.eye(n))
+            want = want + term
+        np.testing.assert_allclose(ops.ToeplitzOperator.from_symbol(f, sizes).dense(), want,
+                                   atol=1e-13)
+        pts = np.random.default_rng(70 + d).uniform(-np.pi, np.pi, size=(30, d))
+        direct = shift + sum(w * lev.eval(pts[:, [l]])
+                             for l, (lev, w) in enumerate(zip(levels, weights)))
+        np.testing.assert_allclose(f.eval(pts), direct, atol=1e-13)
+        np.testing.assert_allclose(f.eval(pts), f.trig_sum(pts), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_levels_round_trip(self, d):
+        sizes, tables, weights, shift = self.random_case(d)
+        f = sym.kron_sum_symbol([sym.Symbol(1, None, {(k,): t for k, t in tab.items()})
+                                 for tab in tables], weights, shift)
+        back = f.levels()
+        origin = shift + sum(w * tab.get(0, 0.0) for tab, w in zip(tables, weights))
+        assert back[0].pop(0) == pytest.approx(origin, rel=1e-14)
+        for tab, w, got in zip(tables, weights, back):
+            assert got == {k: w * t for k, t in tab.items() if k}
+
+    def test_evaluator_uses_each_level_closed_form(self):
+        f = sym.kron_sum_symbol((sym.grunwald_symbol(1.8), sym.laplace1d_symbol()), (1.0, 0.5))
+        assert f.coefficients == {(0, 1): -0.5, (0, -1): -0.5, (0, 0): 1.0}
+        assert f.eval((np.pi, 0.0)) == pytest.approx(2.785761802547597, abs=1e-13)
+
+    def test_validation(self):
+        with pytest.raises(ParameterError):
+            sym.kron_sum_symbol([sym.ex1_symbol()])
+        with pytest.raises(ParameterError):
+            sym.kron_sum_symbol([sym.laplace1d_symbol()] * 2, (1.0,))
+        with pytest.raises(ParameterError):
+            sym.kron_sum_symbol([])
+        coupled = sym.Symbol(2, None, {(0, 0): 4.0, (1, 1): -1.0})
+        with pytest.raises(ParameterError, match="not separable"):
+            coupled.levels()
+        with pytest.raises(ShapeError):
+            coupled.check_sizes((4, 4, 4))
+        assert coupled.check_sizes([4, 5]) == (4, 5)
+
+
 class TestGrunwald:
     def test_gamma_domain(self):
         for bad in (1.0, 2.0, 0.5, 2.5, -1.8):
@@ -98,6 +161,12 @@ class TestGrunwald:
             2.785761802547597, abs=1e-13)
         assert sym.grunwald_symbol(1.6).eval((np.pi,)) == pytest.approx(
             1.8188598798124778, abs=1e-13)
+
+    def test_band_carries_the_exact_weights(self):
+        f = sym.grunwald_symbol(1.7, band=9)
+        assert f.coefficients == {(k,): t for k, t in sym.grunwald_coefficients(1.7, 9).items()}
+        assert sym.grunwald_symbol(1.7).coefficients == {}
+        assert f.eval((0.4,)) == sym.grunwald_symbol(1.7).eval((0.4,))
 
     def test_removable_zero_at_origin(self):
         assert abs(sym.grunwald_symbol(1.5).eval((0.0,))) < 1e-15
@@ -150,6 +219,20 @@ class TestFractionalSymbol:
         assert f.coefficient((3, 0)) == pytest.approx(ca[3], rel=1e-14)
         assert f.coefficient((0, -1)) == pytest.approx(ratio * cb[-1], rel=1e-14)
 
+    @pytest.mark.parametrize("include_shift", [True, False])
+    def test_table_is_the_per_formula_values(self, include_shift):
+        n1, n2, M = 8, 10, 16
+        ratio, shift = sym.fractional_mesh(1.8, 1.6, n1, n2, M, include_shift)
+        ca = sym.grunwald_coefficients(1.8, n1 - 1)
+        cb = sym.grunwald_coefficients(1.6, n2 - 1)
+        want = {(k, 0): v for k, v in ca.items()}
+        want.update({(0, k): ratio * v for k, v in cb.items() if k})
+        want[(0, 0)] = ca[0] + ratio * cb[0] + shift
+        f = sym.fractional_symbol(1.8, 1.6, n1, n2, M, include_shift)
+        assert f.coefficients == want
+        assert f.levels() == [{k[0]: v for k, v in want.items() if k[1] == 0},
+                              {k[1]: v for k, v in want.items() if k[0] == 0 and k[1]}]
+
     def test_evaluator_combines_levels(self):
         n1, n2, M = 8, 10, 16
         hx, hy = 1.0 / (n1 + 1), 1.0 / (n2 + 1)
@@ -184,6 +267,24 @@ class TestConvectionDiffusion:
         assert c[(0, 0, 1)] == pytest.approx(-1.15)
         assert c[(-1, 0, 0)] == c[(0, -1, 0)] == c[(0, 0, -1)] == -1.0
         assert len(c) == 7
+
+    def test_table_is_the_literal_stencil(self):
+        f = sym.convection_diffusion_symbol(5, 10, 20)
+        hx, hy, hz = 1.0 / 6.0, 1.0 / 11.0, 1.0 / 21.0
+        assert f.coefficients == {
+            (0, 0, 0): 6.0 + 2.0 * hx + hy + 1.5 * hz,
+            (1, 0, 0): -1.0 - 2.0 * hx, (-1, 0, 0): -1.0,
+            (0, 1, 0): -1.0 - hy, (0, -1, 0): -1.0,
+            (0, 0, 1): -1.0 - 1.5 * hz, (0, 0, -1): -1.0,
+        }
+
+    def test_evaluator_matches_closed_form(self):
+        f = sym.convection_diffusion_symbol(5, 10, 20)
+        c = f.coefficients
+        t = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(20, 3))
+        want = c[(0, 0, 0)] + sum(c[k] * np.exp(1j * s * t[:, l])
+                                  for k in c for l, s in enumerate(k) if s)
+        np.testing.assert_allclose(f.eval(t), want, atol=1e-13)
 
     def test_vanishes_at_origin(self):
         f = sym.convection_diffusion_symbol(5, 10, 20)
@@ -224,7 +325,7 @@ class TestRealPart:
 
 
 def test_p_beta_truncation_keeps_four_coefficients():
-    t = sym.p_beta_truncation(1.6, 30)
+    t = sym.p_beta_truncation(1.6)
     assert set(t.coefficients) == {(-1,), (0,), (1,), (2,)}
     full = sym.grunwald_coefficients(1.6, band=8)
     for k in (-1, 0, 1, 2):

@@ -13,7 +13,7 @@ Contents
 SolveConfig      tolerance, iteration cap, history switch
 SolveResult      solution, counts, histories, wall time, provenance
 minres           operator-level solver
-flipped_solve    Y T(f) x = Y b from a symbol, FFT matvec
+flipped_solve    Y T(f) x = Y b from a symbol, real-FFT matvec
 write_residuals_csv
 """
 
@@ -196,9 +196,9 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     """Solve Y_n T_n(f) x = Y_n b with MINRES, matrix-free.
 
     The symbol must have real coefficients: that is what makes Y T real
-    symmetric.  The matvec goes through the FFT embedding, the flip is an
-    index map, and the right-hand side is flipped to keep the solution of
-    the original system T_n(f) x = b.
+    symmetric.  The matvec goes through the operator's real FFT embedding,
+    the flip reverses the vector, and the right-hand side is flipped to keep
+    the solution of the original system T_n(f) x = b.
     """
     sizes = as_sizes(n)
     if not f.coefficients:

@@ -2,14 +2,15 @@
 
 Multilevel Toeplitz matrices are represented by their sparse coefficient
 table and assembled densely only behind an explicit size guard; products
-use circulant FFT embedding.  The flip, shuffle and half-flip operators
-are never materialized: they act as per-level index permutations composed
-through the row-major flat layout (level 1 slowest).
+use a circulant embedding of each level at the least 5-smooth length
+>= n_l + q_l, through a real FFT for real tables.  The flip, shuffle and
+half-flip operators are never materialized: they act as per-level index
+permutations composed through the row-major flat layout (level 1 slowest).
 
 Contents
 --------
 ToeplitzOperator          coefficient table + sizes, dense(), matvec()
-flip_apply                per-level index reversal (Y_n x)
+flip_apply                reversed copy of the vector (Y_n x)
 u_apply                   reverse the leading half of each level (U_n x)
 pi_apply                  even-size shuffle permutation (Pi_n x, Pi_n^T x)
 flip_map / u_map / pi_map flat index maps behind the appliers
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, EvenSizeError, ShapeError
-from .symbols import Symbol, _next_pow2, as_sizes, total_dim
+from .symbols import Symbol, as_sizes, total_dim
 
 __all__ = [
     "DENSE_CAPACITY",
@@ -108,9 +109,13 @@ def pi_map(n, transposed: bool = False) -> np.ndarray:
 
 
 def flip_apply(n, x):
-    """y = Y_n x by index reversal per level."""
+    """y = Y_n x as a reversed copy of x.
+
+    Reversing every level index maps flat index i to d_n - 1 - i on the
+    row-major layout, so Y_n reverses the whole vector; no index map is built.
+    """
     sizes = as_sizes(n)
-    return _check_length(x, total_dim(sizes))[flip_map(sizes)]
+    return _check_length(x, total_dim(sizes))[::-1].copy()
 
 
 def u_apply(n, x):
@@ -127,6 +132,22 @@ def pi_apply(n, x, transposed: bool = False):
 
 # ---------------------------------------------------------------------------
 # multilevel Toeplitz
+
+
+def _smooth_len(v: int) -> int:
+    # least 2^a 3^b 5^c >= v, the lengths numpy.fft transforms fastest
+    best = 1 << max(v - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < v:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
@@ -195,26 +216,38 @@ class ToeplitzOperator:
         return _dense_lookup(table, sizes, -1)
 
     def _embedding(self):
+        # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
+        # of every |k_l| <= q_l off the leading n_l x n_l block
         if self._kernel_hat is None:
-            mm = tuple(_next_pow2(nl + ql + 1)
-                       for nl, ql in zip(self.sizes, self.band))
-            kernel = np.zeros(mm, dtype=complex)
+            mm = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.band))
+            kernel = np.zeros(mm, dtype=float if self.is_real else complex)
             for k, t in self.coefficients.items():
-                kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t
-            self._kernel_hat = (mm, np.fft.fftn(kernel))
+                kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t.real if self.is_real else t
+            axes = tuple(range(len(mm)))
+            fft = np.fft.rfftn if self.is_real else np.fft.fftn
+            self._kernel_hat = (mm, axes, fft(kernel, mm, axes))
         return self._kernel_hat
 
     def matvec(self, x) -> np.ndarray:
-        """y = T_n(f) x through per-level circulant embedding, O(d_n log d_n)."""
-        x = _check_length(x, self.dim)
-        mm, khat = self._embedding()
-        pad = np.zeros(mm, dtype=complex)
-        pad[tuple(slice(0, nl) for nl in self.sizes)] = x.reshape(self.sizes)
-        full = np.fft.ifftn(np.fft.fftn(pad) * khat)
-        y = full[tuple(slice(0, nl) for nl in self.sizes)].ravel()
-        if self.is_real and not np.iscomplexobj(x):
-            return y.real
-        return y
+        """y = T_n(f) x through per-level circulant embedding, O(d_n log d_n).
+
+        Real tables take a real-to-complex FFT pair (twice, on the real and
+        imaginary parts, for a complex x), complex tables a complex pair;
+        real x and a real table give a real y.
+        """
+        x = _check_length(x, self.dim).reshape(self.sizes)
+        if self.is_real and np.iscomplexobj(x):
+            return self._product(x.real) + 1j * self._product(x.imag)
+        return self._product(x)
+
+    def _product(self, x) -> np.ndarray:
+        mm, axes, khat = self._embedding()
+        keep = tuple(slice(0, nl) for nl in self.sizes)
+        if self.is_real:
+            full = np.fft.irfftn(np.fft.rfftn(x, mm, axes) * khat, mm, axes)
+        else:
+            full = np.fft.ifftn(np.fft.fftn(x, mm, axes) * khat, mm, axes)
+        return full[keep].ravel()
 
 
 # ---------------------------------------------------------------------------

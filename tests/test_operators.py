@@ -101,6 +101,62 @@ class TestMatvec:
             op.matvec(np.ones(5))
 
 
+def five_smooth_at_least(v):
+    # brute force: scan upward for the first 2^a 3^b 5^c
+    m = v
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def full_band_table(rng, sizes, complex_table):
+    coeffs = {}
+    for k in np.ndindex(*(2 * nl - 1 for nl in sizes)):
+        key = tuple(int(ki - nl + 1) for ki, nl in zip(k, sizes))
+        t = rng.standard_normal()
+        coeffs[key] = t + 1j * rng.standard_normal() if complex_table else t
+    return coeffs
+
+
+class TestEmbeddingBoundary:
+    """Full band q_l = n_l - 1, so the product needs every circulant slot.
+
+    For n = 5, 13, 41 the length 2 n_l - 1 is already 5-smooth and the
+    embedding has no slack at all; for n = 11, 17 it is not.
+    """
+
+    def test_length_helper_against_brute_force(self):
+        assert [ops._smooth_len(v) for v in range(1, 4097)] == [
+            five_smooth_at_least(v) for v in range(1, 4097)]
+
+    def test_zero_slack_lengths(self):
+        op = ops.ToeplitzOperator(full_band_table(np.random.default_rng(0), (5, 13, 41), False),
+                                  (5, 13, 41))
+        assert op._embedding()[0] == (9, 25, 81)
+
+    @pytest.mark.parametrize("sizes", [(5,), (13,), (41,), (11,), (17,),
+                                       (5, 13), (41, 11), (17, 5),
+                                       (5, 13, 11), (17, 5, 5)])
+    @pytest.mark.parametrize("complex_table", [False, True])
+    @pytest.mark.parametrize("complex_x", [False, True])
+    def test_full_band_matches_dense(self, sizes, complex_table, complex_x):
+        rng = np.random.default_rng(sum(sizes))
+        op = ops.ToeplitzOperator(full_band_table(rng, sizes, complex_table), sizes)
+        assert op.band == tuple(nl - 1 for nl in sizes)
+        x = rng.standard_normal(op.dim)
+        if complex_x:
+            x = x + 1j * rng.standard_normal(op.dim)
+        y = op.matvec(x)
+        ref = op.dense() @ x
+        assert np.iscomplexobj(y) == (complex_table or complex_x)
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestIndexMaps:
     def test_flip_is_full_reversal(self):
         np.testing.assert_array_equal(ops.flip_map((4,)), [3, 2, 1, 0])

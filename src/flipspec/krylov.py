@@ -6,14 +6,16 @@ gated on the true unpreconditioned relative residual ||b - A x_k|| / ||b||,
 recomputed from the iterate every step; the recurred quantity phibar (the
 preconditioned residual norm estimate) is recorded alongside for
 monotonicity diagnostics but never decides termination.  That rule is what
-makes iteration counts comparable across preconditioners.
+makes iteration counts comparable across preconditioners.  Every solve
+counts its operator products and preconditioner applies and times both
+into SolveResult.meta.
 
 Contents
 --------
 SolveConfig      tolerance, iteration cap, history switch
 SolveResult      solution, counts, histories, wall time, provenance
 minres           operator-level solver
-flipped_solve    Y T(f) x = Y b from a symbol, real-FFT matvec
+flipped_solve    Y T(f) x = Y b from a symbol, matrix-free matvec
 write_residuals_csv
 """
 
@@ -78,6 +80,19 @@ def _as_applier(p):
     raise ParameterError(f"cannot use {type(p).__name__} as a preconditioner")
 
 
+class _Counted:
+    # wraps a one-vector callable, counting its calls and summing their wall time
+    def __init__(self, fn):
+        self.fn, self.calls, self.seconds = fn, 0, 0.0
+
+    def __call__(self, v):
+        tick = time.perf_counter()
+        out = self.fn(v)
+        self.seconds += time.perf_counter() - tick
+        self.calls += 1
+        return out
+
+
 def _probe_symmetry(apply_a, dim: int, seed: int) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(3):
@@ -103,13 +118,18 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     1e-8 (||Ax|| + ||Ay||), a gap relative to the operator's scale.
     Breakdown of the Lanczos recurrence counts as convergence only if the
     recomputed residual passes the rule.
+
+    ``meta`` records ``matvecs`` (the six symmetry-probe products included,
+    so 2 its + 6 for a nonzero b), ``preconditioner_applies`` (its + 1),
+    and ``matvec_s``/``apply_s``, the wall time spent in each callable.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ShapeError(f"right-hand side must be a vector, got shape {b.shape}")
     dim = b.size
-    pinv = _as_applier(apply_pinv)
+    apply_a = _Counted(apply_a)
+    pinv = _Counted(_as_applier(apply_pinv))
     _probe_symmetry(apply_a, dim, seed)
     maxit = cfg.max_iterations if cfg.max_iterations is not None else 10 * dim
 
@@ -118,9 +138,14 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     x = np.zeros(dim)
     history = [1.0] if cfg.record_residuals else []
     phist = []
+
+    def counters():
+        return {"matvecs": apply_a.calls, "preconditioner_applies": pinv.calls,
+                "matvec_s": apply_a.seconds, "apply_s": pinv.seconds}
+
     if bnorm == 0.0:
         return SolveResult(x, 0, history, True, time.perf_counter() - start,
-                           phist, cfg, {"note": "zero right-hand side"})
+                           phist, cfg, {"note": "zero right-hand side", **counters()})
 
     r1 = b.copy()
     y = np.asarray(pinv(r1), dtype=float)
@@ -188,7 +213,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
 
     elapsed = time.perf_counter() - start
     return SolveResult(x, itn, history, converged, elapsed, phist, cfg,
-                       {"final_relres": relres})
+                       {"final_relres": relres, **counters()})
 
 
 def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
@@ -196,8 +221,9 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     """Solve Y_n T_n(f) x = Y_n b with MINRES, matrix-free.
 
     The symbol must have real coefficients: that is what makes Y T real
-    symmetric.  The matvec goes through the operator's real FFT embedding,
-    the flip reverses the vector, and the right-hand side is flipped to keep
+    symmetric.  The matvec is the operator's own (a sum of shifted slices
+    for a sparse table, a real FFT embedding for a dense one), the flip
+    reverses the vector, and the right-hand side is flipped to keep
     the solution of the original system T_n(f) x = b.
     """
     sizes = as_sizes(n)

@@ -1,9 +1,12 @@
 """Structured matrices and index-map operators.
 
 Multilevel Toeplitz matrices are represented by their sparse coefficient
-table and assembled densely only behind an explicit size guard; products
-use a circulant embedding of each level at the least 5-smooth length
->= n_l + q_l, through a real FFT for real tables.  The flip, shuffle and
+table and assembled densely only behind an explicit size guard.  A sparse
+table is applied as a sum of shifted slices, one pass over the vector per
+stored coefficient; a dense one through a circulant embedding of each
+level at the least 5-smooth length >= n_l + q_l, with a real FFT for real
+tables.  The table picks the path: the sum whenever it stores at most
+log2 M coefficients, M the size of the embedding.  The flip, shuffle and
 half-flip operators are never materialized: they act as per-level index
 permutations composed through the row-major flat layout (level 1 slowest).
 
@@ -21,6 +24,8 @@ structure_residual        D = Pi U Y T(f) U Pi^T - T(g) with rank/norm split
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -150,6 +155,12 @@ def _smooth_len(v: int) -> int:
     return best
 
 
+def _sums_directly(nterms: int, lengths) -> bool:
+    # the shifted-slice sum makes one pass over d_n per stored coefficient,
+    # the real FFT pair about log2 M passes over the M-point embedding
+    return nterms <= math.log2(math.prod(lengths))
+
+
 def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
     # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
     # (sign +1, Hankel), level by level, for a table of shape (2 n_l - 1)_l;
@@ -171,7 +182,10 @@ class ToeplitzOperator:
     """Multilevel Toeplitz matrix T_n(f), entry (i, j) = t_{i-j}.
 
     Holds the coefficient table clipped to the representable band
-    |k_l| <= n_l - 1 (coefficients outside it cannot touch any entry).
+    |k_l| <= n_l - 1 (coefficients outside it cannot touch any entry), and
+    fixes at construction how matvec applies it: as a sum of shifted slices
+    when the table stores at most log2 M coefficients, M = prod m_l the size
+    of the circulant embedding, and through that embedding otherwise.
     Immutable after construction; matvec is reentrant.
     """
 
@@ -187,6 +201,11 @@ class ToeplitzOperator:
                 clipped[k] = complex(t)
         self.coefficients = clipped
         self.is_real = all(v.imag == 0.0 for v in clipped.values())
+        # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
+        # of every |k_l| <= q_l off the leading n_l x n_l block
+        self._lengths = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.band))
+        direct = _sums_directly(len(clipped), self._lengths)
+        self._shifts = self._shifted_slices() if direct else None
         self._kernel_hat = None
 
     @classmethod
@@ -215,11 +234,19 @@ class ToeplitzOperator:
             table[pos] = t.real if self.is_real else t
         return _dense_lookup(table, sizes, -1)
 
+    def _shifted_slices(self) -> list:
+        # y_i collects t_k x_{i-k}: on level l, rows k_l.. of y read rows 0..
+        # of x for k_l >= 0, and rows 0.. read rows -k_l.. for k_l < 0
+        shifts = []
+        for k, t in self.coefficients.items():
+            dst = tuple(slice(max(kl, 0), nl + min(kl, 0)) for kl, nl in zip(k, self.sizes))
+            src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, self.sizes))
+            shifts.append((dst, src, t.real if self.is_real else t))
+        return shifts
+
     def _embedding(self):
-        # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
-        # of every |k_l| <= q_l off the leading n_l x n_l block
         if self._kernel_hat is None:
-            mm = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.band))
+            mm = self._lengths
             kernel = np.zeros(mm, dtype=float if self.is_real else complex)
             for k, t in self.coefficients.items():
                 kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t.real if self.is_real else t
@@ -229,16 +256,29 @@ class ToeplitzOperator:
         return self._kernel_hat
 
     def matvec(self, x) -> np.ndarray:
-        """y = T_n(f) x through per-level circulant embedding, O(d_n log d_n).
+        """y = T_n(f) x; real x and a real table give a real y.
 
-        Real tables take a real-to-complex FFT pair (twice, on the real and
-        imaginary parts, for a complex x), complex tables a complex pair;
-        real x and a real table give a real y.
+        A sparse table is applied as y = sum_k t_k shift_k(x), one slice
+        update y[dst_k] += t_k x[src_k] per stored coefficient, O(nnz d_n).
+        A dense table goes through the per-level circulant embedding,
+        O(d_n log d_n): a real-to-complex FFT pair for a real table (twice,
+        on the real and imaginary parts, for a complex x), a complex pair
+        for a complex table.
         """
         x = _check_length(x, self.dim).reshape(self.sizes)
+        if self._shifts is not None:
+            return self._shifted_sum(x)
         if self.is_real and np.iscomplexobj(x):
             return self._product(x.real) + 1j * self._product(x.imag)
         return self._product(x)
+
+    def _shifted_sum(self, x) -> np.ndarray:
+        dtype = np.result_type(x.dtype, float if self.is_real else complex)
+        y = np.zeros(self.sizes, dtype=dtype)
+        for dst, src, t in self._shifts:
+            part = y[dst]
+            part += t * x[src]
+        return y.ravel()
 
     def _product(self, x) -> np.ndarray:
         mm, axes, khat = self._embedding()

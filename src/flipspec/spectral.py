@@ -140,47 +140,63 @@ class LambdaSet:
     values[i] came from branch[i] (1 for -|f|/h, 2 for +|f|/h) evaluated at
     points[point_index[i]].  Sorted ascending by value; equal values are
     ordered by branch then by grid index, which pins down tie-breaking in
-    the matcher.
+    the matcher.  ``dropped`` holds the indices of the grid points that
+    carry no sample because |f| and h both vanish there.
     """
     values: np.ndarray
     branch: np.ndarray
     point_index: np.ndarray
     points: np.ndarray
+    dropped: tuple = ()
 
     def __len__(self):
         return len(self.values)
 
 
-def _modulus_ratio(f: Symbol, h, pts) -> np.ndarray:
-    # |f|/h at the points (|f| when h is None); a complex h or a point where
-    # h vanishes raises a pole error naming the point
+def _vanishes(v) -> np.ndarray:
+    # |v| below 1e-13 of the largest |v| on the grid (floored at 1)
+    v = np.abs(v)
+    return v < 1e-13 * max(1.0, float(np.max(v)))
+
+
+def _modulus_ratio(f: Symbol, h, pts):
+    # (|f|/h at the kept points, mask of the kept points), |f| when h is
+    # None; a point where |f| and h both vanish (0/0) carries no sample and
+    # is left out, while a complex h or a point where h alone vanishes
+    # raises a pole error naming the point
     fv = np.abs(np.asarray(f.eval(pts), dtype=complex))
     if h is None:
-        return fv
+        return fv, np.ones(len(pts), dtype=bool)
     hv = np.asarray(h.eval(pts), dtype=complex)
     if np.max(np.abs(hv.imag)) > 1e-10 * max(1.0, np.max(np.abs(hv))):
         raise PoleError("weight symbol h must be real on the grid")
     hv = hv.real
-    bad = np.abs(hv) < 1e-13 * max(1.0, float(np.max(np.abs(hv))))
+    pole = _vanishes(hv)
+    keep = ~(pole & _vanishes(fv))
+    bad = pole & keep
     if np.any(bad):
         theta = pts[int(np.argmax(bad))]
         raise PoleError(f"weight symbol vanishes at theta = {tuple(float(t) for t in theta)}")
-    return fv / hv
+    return fv[keep] / hv[keep], keep
 
 
 def build_lambda(f: Symbol, h, grid) -> LambdaSet:
     """Branch samples {-|f|/h, +|f|/h} over a grid, sorted with provenance.
 
-    ``h`` may be None (taken as 1).  A grid point where h vanishes has no
-    finite sample and raises a pole error naming the point.
+    ``h`` may be None (taken as 1).  A grid point where |f| and h both
+    vanish is 0/0, carries no sample (the distribution results hold almost
+    everywhere) and is listed in ``dropped``; a point where h alone
+    vanishes has no finite sample and raises a pole error naming it.
     """
     pts = grid.points
-    ratio = _modulus_ratio(f, h, pts)
+    ratio, keep = _modulus_ratio(f, h, pts)
+    kept = np.flatnonzero(keep)
     values = np.r_[-ratio, ratio]
-    branch = np.r_[np.ones(len(pts), dtype=int), np.full(len(pts), 2, dtype=int)]
-    pidx = np.r_[np.arange(len(pts)), np.arange(len(pts))]
+    branch = np.r_[np.ones(len(kept), dtype=int), np.full(len(kept), 2, dtype=int)]
+    pidx = np.r_[kept, kept]
     order = np.lexsort((pidx, branch, values))
-    return LambdaSet(values[order], branch[order], pidx[order], pts)
+    dropped = tuple(int(i) for i in np.flatnonzero(~keep))
+    return LambdaSet(values[order], branch[order], pidx[order], pts, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +293,16 @@ def distribution_discrepancy(eigs, f: Symbol, h, testfns) -> list:
     For each F computes |mean_j F(eig_j) - (2 pi)^-d integral of
     [F(-|f|/h) + F(+|f|/h)] / 2| with a tensor trapezoidal rule on the
     periodic cube (128 points per axis up to two levels, 48 for three).
-    Accepts bare callables or (label, callable) pairs.
+    Accepts bare callables or (label, callable) pairs.  A lattice point
+    where |f| and h both vanish drops out of the rule, as it drops out of
+    the sample set.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
         raise ParameterError("empty spectrum")
     pts, weights, p = _quad_lattice(f.dims)
-    ratio = _modulus_ratio(f, h, pts)
+    ratio, keep = _modulus_ratio(f, h, pts)
+    weights = weights[keep]
     norm = (2.0 * np.pi) ** (-f.dims)
 
     rows = []

@@ -57,6 +57,36 @@ class TestSpectrum:
         assert "--exp" in capsys.readouterr().err
 
 
+class TestCommonZeros:
+    """Grids through theta = 0, where f and the weight h both vanish (0/0)."""
+
+    @pytest.mark.parametrize("args,theta", [
+        (["--exp", "ex3", "--n", "6,6,6", "--precond", "toepfr"], "(0.0, 0.0, 0.0)"),
+        (["--exp", "custom", "--n", "30", "--precond", "toepfr"], "(0.0,)"),
+        (["--exp", "ex2", "--n", "16,8", "--shift", "off", "--precond", "toepfr"], "(0.0, 0.0)"),
+        (["--exp", "ex2", "--n", "16,8", "--shift", "off", "--precond", "p22"], "(0.0, 0.0)"),
+    ])
+    def test_spectrum_drops_the_common_zero(self, tmp_path, args, theta):
+        rc = main(["spectrum", *args, "--out", str(tmp_path)])
+        assert rc == 0
+        comments = [ln for ln in (tmp_path / "overlay.csv").read_text().splitlines()
+                    if ln.startswith("#")]
+        assert comments[1] == f"# no sample where |f| and h both vanish: theta = {theta}"
+        eigs = read_rows(tmp_path / "eigs.csv")
+        assert len(read_rows(tmp_path / "lambda.csv")) == len(eigs) - 2
+        assert len(read_rows(tmp_path / "overlay.csv")) == len(eigs) - 2
+
+    def test_match_names_the_dropped_point(self, tmp_path):
+        # odd sizes put theta = 0 on the two-level lattice
+        rc = main(["match", "--exp", "ex2", "--n", "17,9", "--shift", "off",
+                   "--precond", "p22", "--out", str(tmp_path)])
+        assert rc == 0
+        first = (tmp_path / "report.csv").read_text().splitlines()[0]
+        assert first.endswith("shift=off | no sample where |f| and h both vanish: "
+                              "theta = (0.0, 0.0)")
+        assert len(read_rows(tmp_path / "report.csv")) == 17 * 9
+
+
 class TestMatch:
     def test_surface_rows_cover_the_spectrum(self, tmp_path):
         rc = main(["match", "--exp", "ex1", "--n", "20,40", "--out", str(tmp_path)])

@@ -169,6 +169,16 @@ class TestFlippedSolve:
         with pytest.raises(ParameterError):
             kv.flipped_solve(sym.Symbol(1, None, {}), (4,), np.ones(4))
 
+    def test_counters_in_meta(self):
+        f = sym.convection_diffusion_symbol(5, 5, 5)
+        p = pc.build_circulant_kron_sum(f, (5, 5, 5))
+        r = kv.flipped_solve(f, (5, 5, 5), np.ones(125), preconditioner=p)
+        assert r.converged and r.iterations == 61
+        assert r.meta["matvecs"] == 2 * r.iterations + 6
+        assert r.meta["preconditioner_applies"] == r.iterations + 1
+        assert r.meta["matvec_s"] > 0.0
+        assert 0.0 < r.meta["apply_s"] <= r.wall_time
+
     def test_meta_provenance(self):
         r = kv.flipped_solve(sym.ex1_symbol(), (4, 4), np.ones(16))
         assert r.meta["symbol"] == "ex1"

@@ -7,6 +7,7 @@ from conftest import kron_toeplitz_dense, random_banded_table
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import CapacityError, EvenSizeError, ShapeError
+from flipspec.experiments import ExperimentConfig, experiment_symbol
 
 
 def perm_matrix(index_map):
@@ -155,6 +156,114 @@ class TestEmbeddingBoundary:
         ref = op.dense() @ x
         assert np.iscomplexobj(y) == (complex_table or complex_x)
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def stencil_table(rng, d):
+    # every offset in [-1, 1]^d, diagonal couplings included
+    return {tuple(int(v) - 1 for v in k): float(rng.standard_normal())
+            for k in np.ndindex(*(3,) * d)}
+
+
+def takes_sum(op):
+    return ops._sums_directly(len(op.coefficients), op._lengths)
+
+
+def assert_matches_oracle(op, x):
+    ref = kron_toeplitz_dense(op.coefficients, op.sizes) @ x
+    assert np.linalg.norm(op.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestShiftedSum:
+    """Both matvec paths against the dense Kronecker oracle.
+
+    The sum runs when a table stores at most log2 M coefficients, M the
+    circulant embedding size; each case pins the side it lands on.
+    """
+
+    @pytest.mark.parametrize("d,sizes,direct", [
+        (2, (20, 30), True),     # 9-point, M = 24 * 32
+        (2, (6, 7), False),      # 9-point, M = 8 * 8
+        (3, (7, 6, 8), False),   # 27-point takes the sum only past M = 2^27
+    ])
+    def test_full_stencils(self, d, sizes, direct):
+        rng = np.random.default_rng(sum(sizes))
+        op = ops.ToeplitzOperator(stencil_table(rng, d), sizes)
+        assert takes_sum(op) == direct
+        assert_matches_oracle(op, rng.standard_normal(op.dim))
+
+    def test_coupled_three_level_table(self):
+        rng = np.random.default_rng(30)
+        coeffs = {(0, 0, 0): 6.0, (1, 1, 0): -1.0, (-1, 0, 1): -0.5, (0, -1, -1): -1.5,
+                  (1, -1, 1): 0.25, (-1, 1, -1): 0.75, (0, 2, 0): -0.1}
+        op = ops.ToeplitzOperator(coeffs, (6, 7, 8))
+        assert takes_sum(op)
+        assert_matches_oracle(op, rng.standard_normal(op.dim))
+
+    def test_one_sided_table(self):
+        rng = np.random.default_rng(31)
+        coeffs = {(0, 0): 3.0, (1, 0): -1.0, (0, 1): -0.5, (1, 1): 0.25, (2, 0): 0.125}
+        op = ops.ToeplitzOperator(coeffs, (9, 10))
+        assert takes_sum(op)
+        assert_matches_oracle(op, rng.standard_normal(op.dim))
+
+    def test_coefficients_at_the_band_edge(self):
+        rng = np.random.default_rng(32)
+        coeffs = {(0, 0): 2.0, (4, 0): -1.0, (-4, 5): 0.5, (0, -5): 0.25}
+        op = ops.ToeplitzOperator(coeffs, (5, 6))
+        assert op.band == (4, 5)
+        assert takes_sum(op)
+        assert_matches_oracle(op, rng.standard_normal(op.dim))
+
+    def test_level_of_size_one(self):
+        rng = np.random.default_rng(33)
+        coeffs = {(0, 0, 0): 4.0, (0, 1, 0): -1.0, (0, -1, 2): 0.5, (0, 0, -6): 0.25,
+                  (1, 0, 0): 9.0}  # k_1 = 1 cannot touch a size-1 level
+        op = ops.ToeplitzOperator(coeffs, (1, 12, 7))
+        assert len(op.coefficients) == 4
+        assert takes_sum(op)
+        assert_matches_oracle(op, rng.standard_normal(op.dim))
+
+    @pytest.mark.parametrize("complex_x", [False, True])
+    def test_complex_table(self, complex_x):
+        rng = np.random.default_rng(34)
+        op = ops.ToeplitzOperator({(0,): 2.0 + 1.0j, (1,): -0.5j, (-3,): 0.25 + 0.1j}, (12,))
+        assert takes_sum(op)
+        x = rng.standard_normal(12)
+        if complex_x:
+            x = x + 1j * rng.standard_normal(12)
+        assert np.iscomplexobj(op.matvec(x))
+        assert_matches_oracle(op, x)
+
+    def test_complex_x_on_a_real_table(self):
+        rng = np.random.default_rng(35)
+        op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))
+        assert takes_sum(op)
+        x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        assert_matches_oracle(op, x)
+        y = op.matvec(x)
+        np.testing.assert_array_equal(y.real, op.matvec(x.real))
+        np.testing.assert_array_equal(y.imag, op.matvec(x.imag))
+
+    def test_sum_builds_no_fft_kernel(self):
+        x = np.ones(8 * 9)
+        op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))
+        op.matvec(x)
+        assert op._kernel_hat is None
+        dense = ops.ToeplitzOperator(stencil_table(np.random.default_rng(36), 2), (8, 9))
+        dense.matvec(x)
+        assert dense._kernel_hat is not None
+
+
+@pytest.mark.parametrize("exp,sizes,direct", [
+    ("ex1", (50, 50), True),
+    *[("ex3", (n, n, n), True) for n in (5, 10, 20, 24, 32, 64)],
+    *[("ex2", (n, n), False) for n in (10, 20, 40, 80, 256, 512, 1024)],
+])
+def test_shipped_symbols_take_their_path(exp, sizes, direct):
+    f = experiment_symbol(ExperimentConfig(exp=exp, sizes=sizes), sizes)
+    op = ops.ToeplitzOperator.from_symbol(f, sizes)
+    assert takes_sum(op) == direct
+    assert (op._shifts is not None) == direct
 
 
 class TestIndexMaps:

@@ -131,6 +131,25 @@ class TestLambdaSet:
         with pytest.raises(PoleError, match="theta"):
             sp.build_lambda(sym.constant_symbol(1.0, 1), sym.laplace1d_symbol(), grid)
 
+    def test_common_zero_of_f_and_h_is_dropped(self):
+        grid = sp.build_gamma((8, 5))
+        # f = 2 h, both zero at theta = 0 (grid index 0) and nowhere else
+        h = sym.kron_sum_symbol([sym.laplace1d_symbol()] * 2)
+        f = sym.kron_sum_symbol([sym.laplace1d_symbol()] * 2, weights=(2.0, 2.0))
+        lam = sp.build_lambda(f, h, grid)
+        assert lam.dropped == (0,)
+        assert len(lam) == 2 * (len(grid.points) - 1)
+        assert 0 not in lam.point_index
+        np.testing.assert_allclose(np.abs(lam.values), 2.0, atol=1e-12)
+
+    def test_pole_of_h_alone_still_raises_at_a_common_grid(self):
+        # f(0) = 1 while h(0) = 0, on the same grid through theta = 0
+        grid = sp.build_gamma((8, 5))
+        lap = sym.kron_sum_symbol([sym.laplace1d_symbol()] * 2)
+        shifted = sym.kron_sum_symbol([sym.laplace1d_symbol()] * 2, shift=1.0)
+        with pytest.raises(PoleError, match=r"theta = \(0\.0, 0\.0\)"):
+            sp.build_lambda(shifted, lap, grid)
+
     def test_weight_divides_values(self):
         grid = sp.build_gamma((9, 8))
         two = sym.constant_symbol(2.0, 2)

@@ -34,10 +34,10 @@ from .operators import (ToeplitzOperator, flip_apply, u_apply, pi_apply,
 from .spectral import (sym_eigenvalues, singular_values, build_gamma,
                        build_delta, build_lambda, match_eigenvalues, tent,
                        distribution_discrepancy, zero_distribution_verdict,
-                       odd_embedding_check, write_spectral_report_csv)
+                       odd_embedding_check)
 from .precond import (optimal_circulant, circulant_abs, ToeplitzPreconditioner,
                       build_circulant_kron_sum, build_toepfr, build_p22,
                       build_p2beta, preconditioned_spectrum)
-from .krylov import SolveConfig, SolveResult, minres, flipped_solve, write_residuals_csv
+from .krylov import SolveConfig, SolveResult, minres, flipped_solve
 from .experiments import (ExperimentConfig, run_spectrum, run_match, run_table,
                           run_verify)

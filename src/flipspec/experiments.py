@@ -7,16 +7,22 @@ ex2     two-level fractional diffusion, parameters alpha, beta, M
 ex3     three-level upwind convection-diffusion
 custom  one-level fractional symbol f_alpha
 
-Each driver writes plot-ready CSV into the chosen output directory.  Every
-file starts with one header comment carrying the tool version and the full
-configuration, so identical configurations reproduce identical bytes (the
-recorded wall times being the one honest exception).
+Each driver writes plot-ready CSV into the chosen output directory through
+one writer, ``_write_csv``: a header comment carrying the tool version and
+the full configuration, any note comments, the column line, then the rows,
+floats as ``repr``.  Identical configurations therefore reproduce identical
+bytes (the recorded wall times being the one honest exception).
+``spectrum`` and ``match`` share one pipeline (``_spectrum``) and differ
+only in the sampling grid and the files they write.
 
 Contents
 --------
 ExperimentConfig, VALID_PRECONDITIONERS
 experiment_symbol, build_preconditioner, rhs_vector, size_ladder
-run_spectrum, run_match, run_table, run_verify
+run_spectrum    eigs.csv, lambda.csv, overlay.csv (branch-wise pairing)
+run_match       surface.csv, report.csv (nearest-sample assignment)
+run_table       table.csv (MINRES iteration counts over the size ladder)
+run_verify      verify.csv (invariant suites)
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ from .operators import (ToeplitzOperator, assemble_block_g, assemble_hankel,
                         pi_map, structure_residual, u_apply, u_map)
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
-                       sym_eigenvalues, tent, write_spectral_report_csv,
-                       zero_distribution_verdict)
+                       sym_eigenvalues, tent, zero_distribution_verdict)
 from .precond import (build_circulant_kron_sum, build_p22, build_p2beta,
                       build_toepfr, optimal_circulant, preconditioned_spectrum)
 from .krylov import SolveConfig, flipped_solve
@@ -168,74 +173,100 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
     return cfg.out
 
 
+def _cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_csv(path, header: str, columns, rows, notes=()) -> None:
+    """The one CSV writer: ``# header``, ``# note`` lines, columns, then rows.
+
+    Cells are written as repr(float(v)) for floats, lower case for
+    booleans and through str otherwise; the caller formats anything else
+    (the table's wall times, the verify values) into a string first.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for comment in (header, *notes):
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def run_spectrum(cfg: ExperimentConfig) -> dict:
-    """Sorted spectrum vs. sorted sample set; writes eigs/lambda/overlay CSV."""
-    if cfg.sizes is None:
-        raise ParameterError("spectrum needs explicit sizes")
-    out = _ensure_out(cfg)
+def _spectrum(cfg: ExperimentConfig, build_grid):
+    # symbol -> preconditioner -> flipped dense -> eigenvalues, and the
+    # branch samples |f|/h over build_grid(sizes), h the preconditioner's symbol
     sizes = cfg.sizes
     f = experiment_symbol(cfg, sizes)
     p, weight = build_preconditioner(cfg, f, sizes)
     s = _flipped_dense(f, sizes)
     eigs = sym_eigenvalues(s) if p is None else preconditioned_spectrum(p, s)
-    lam = build_lambda(f, weight, build_gamma(sizes))
+    return eigs, build_lambda(f, weight, build_grid(sizes))
+
+
+def run_spectrum(cfg: ExperimentConfig) -> dict:
+    """Sorted spectrum vs. sorted sample set; writes eigs/lambda/overlay CSV.
+
+    With unequal counts the lower half of the samples (the -|f|/h branch)
+    is paired with the lowest eigenvalues and the upper half with the
+    highest, so the middle of the longer list stays unpaired.
+    """
+    if cfg.sizes is None:
+        raise ParameterError("spectrum needs explicit sizes")
+    out = _ensure_out(cfg)
+    eigs, lam = _spectrum(cfg, build_gamma)
     header = cfg.header("spectrum")
+    _write_csv(os.path.join(out, "eigs.csv"), header, ("index", "eigenvalue"),
+               enumerate(eigs.tolist()))
+    _write_csv(os.path.join(out, "lambda.csv"), header, ("index", "value", "branch"),
+               zip(range(len(lam)), lam.values.tolist(), lam.branch.tolist()))
 
-    with open(os.path.join(out, "eigs.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\nindex,eigenvalue\n")
-        for i, v in enumerate(eigs):
-            fh.write(f"{i},{float(v)!r}\n")
-    with open(os.path.join(out, "lambda.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\nindex,value,branch\n")
-        for i in range(len(lam)):
-            fh.write(f"{i},{float(lam.values[i])!r},{lam.branch[i]}\n")
-
-    pairs = min(len(eigs), len(lam))
-    gaps = np.abs(eigs[:pairs] - lam.values[:pairs])
-    with open(os.path.join(out, "overlay.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        if lam.dropped:
-            fh.write(f"# {_dropped_note(lam)}\n")
-        if pairs < max(len(eigs), len(lam)):
-            fh.write(f"# unequal counts ({len(eigs)} eigenvalues, {len(lam)} samples): "
-                     f"first {pairs} of each paired\n")
-        fh.write(f"# max_gap={float(np.max(gaps))!r} mean_gap={float(np.mean(gaps))!r}\n")
-        fh.write("index,eig,lambda\n")
-        for i in range(pairs):
-            fh.write(f"{i},{float(eigs[i])!r},{float(lam.values[i])!r}\n")
-    return {"eigenvalues": eigs, "lambda": lam,
-            "max_gap": float(np.max(gaps)), "mean_gap": float(np.mean(gaps))}
+    n_eig, n_lam = len(eigs), len(lam)
+    pairs = min(n_eig, n_lam)
+    low, high = pairs // 2, pairs - pairs // 2
+    paired_eigs = np.r_[eigs[:low], eigs[n_eig - high:]]
+    paired_lam = np.r_[lam.values[:low], lam.values[n_lam - high:]]
+    gaps = np.abs(paired_eigs - paired_lam)
+    max_gap, mean_gap = float(np.max(gaps)), float(np.mean(gaps))
+    notes = [_dropped_note(lam)] if lam.dropped else []
+    if n_eig != n_lam:
+        notes.append(f"unequal counts ({n_eig} eigenvalues, {n_lam} samples): lowest {low} "
+                     f"and highest {high} of each paired, the middle ones unpaired")
+    notes.append(f"max_gap={max_gap!r} mean_gap={mean_gap!r}")
+    _write_csv(os.path.join(out, "overlay.csv"), header, ("index", "eig", "lambda"),
+               zip(range(pairs), paired_eigs.tolist(), paired_lam.tolist()), notes)
+    return {"eigenvalues": eigs, "lambda": lam, "max_gap": max_gap, "mean_gap": mean_gap}
 
 
 def run_match(cfg: ExperimentConfig) -> dict:
     """Nearest-sample assignment over the two-level lattice; writes surface CSV."""
     if cfg.sizes is None:
         raise ParameterError("match needs explicit sizes")
-    sizes = cfg.sizes
-    if len(sizes) != 2:
+    if len(cfg.sizes) != 2:
         raise ParameterError("matching runs on two-level experiments only")
     out = _ensure_out(cfg)
-    f = experiment_symbol(cfg, sizes)
-    p, weight = build_preconditioner(cfg, f, sizes)
-    s = _flipped_dense(f, sizes)
-    eigs = sym_eigenvalues(s) if p is None else preconditioned_spectrum(p, s)
-    lam = build_lambda(f, weight, build_delta(sizes))
+    eigs, lam = _spectrum(cfg, build_delta)
     report = match_eigenvalues(eigs, lam)
     header = cfg.header("match")
-
-    with open(os.path.join(out, "surface.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\ntheta_1,theta_2,branch,eigenvalue,symbol_value\n")
-        for i in range(len(report.eigenvalues)):
-            th = report.points[report.point_index[i]]
-            fh.write(f"{float(th[0])!r},{float(th[1])!r},{report.branch[i]},"
-                     f"{float(report.eigenvalues[i])!r},{float(report.matched_value[i])!r}\n")
+    theta = report.points[report.point_index].T.tolist()
+    eig, value, branch = (report.eigenvalues.tolist(), report.matched_value.tolist(),
+                          report.branch.tolist())
+    _write_csv(os.path.join(out, "surface.csv"), header,
+               ("theta_1", "theta_2", "branch", "eigenvalue", "symbol_value"),
+               zip(*theta, branch, eig, value))
     if lam.dropped:
         header = f"{header} | {_dropped_note(lam)}"
-    write_spectral_report_csv(report, os.path.join(out, "report.csv"), header)
+    _write_csv(os.path.join(out, "report.csv"), header,
+               ("index", "eigenvalue", "matched_value", "branch",
+                *(f"theta_{j + 1}" for j in range(len(theta))), "distance"),
+               zip(range(len(eig)), eig, value, branch, *theta, report.distance.tolist()))
     return {"report": report, "mean_distance": report.mean_distance,
             "max_distance": report.max_distance}
 
@@ -263,13 +294,10 @@ def run_table(cfg: ExperimentConfig) -> list:
     else:
         columns = tuple(p for p in VALID_PRECONDITIONERS[cfg.exp] if p != "none")
     rows = [_table_job(cfg, which, sizes) for sizes in ladder for which in columns]
-
-    with open(os.path.join(out, "table.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {cfg.header('table', sizes=None)}\n")
-        fh.write("d_n,preconditioner,iterations,converged,wall_time\n")
-        for r in rows:
-            fh.write(f"{r['d_n']},{r['preconditioner']},{r['iterations']},"
-                     f"{str(r['converged']).lower()},{r['wall_time']:.3f}\n")
+    _write_csv(os.path.join(out, "table.csv"), cfg.header("table"),
+               ("d_n", "preconditioner", "iterations", "converged", "wall_time"),
+               ((r["d_n"], r["preconditioner"], r["iterations"], r["converged"],
+                 f"{r['wall_time']:.3f}") for r in rows))
     return rows
 
 
@@ -387,7 +415,10 @@ def _suite_oracles(cfg: ExperimentConfig):
         op = ToeplitzOperator(coeffs, sizes)
         x = rng.standard_normal(op.dim)
         ref = op.dense() @ x
-        err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)
+        # the embedding product itself: matvec would send a sparse draw to
+        # the shifted-slice sum, which direct_matvec_vs_dense checks
+        y = op._product(x.reshape(op.sizes))
+        err = np.linalg.norm(y - ref) / max(np.linalg.norm(ref), 1e-300)
         worst = max(worst, float(err))
     rows.append(("oracles", "fft_matvec_vs_dense", worst <= 1e-12, f"{worst:.3e}"))
 
@@ -461,9 +492,6 @@ def run_verify(cfg: ExperimentConfig, suites=None, sizes=None) -> dict:
     }
     rows = [r for s in chosen for r in runners[s]()]
 
-    out = _ensure_out(cfg)
-    with open(os.path.join(out, "verify.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {cfg.header('verify', sizes=None)}\nsuite,check,pass,value\n")
-        for suite, check, ok, value in rows:
-            fh.write(f"{suite},{check},{str(ok).lower()},{value}\n")
+    _write_csv(os.path.join(_ensure_out(cfg), "verify.csv"), cfg.header("verify"),
+               ("suite", "check", "pass", "value"), rows)
     return {"rows": rows, "pass": all(ok for _, _, ok, _ in rows)}

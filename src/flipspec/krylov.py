@@ -16,7 +16,6 @@ SolveConfig      tolerance, iteration cap, history switch
 SolveResult      solution, counts, histories, wall time, provenance
 minres           operator-level solver
 flipped_solve    Y T(f) x = Y b from a symbol, matrix-free matvec
-write_residuals_csv
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "SolveResult",
     "minres",
     "flipped_solve",
-    "write_residuals_csv",
 ]
 
 _BREAKDOWN = 1e-14
@@ -243,13 +241,3 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     pname = type(preconditioner).__name__ if preconditioner is not None else "none"
     result.meta.update({"symbol": f.name, "n": sizes, "preconditioner": pname})
     return result
-
-
-def write_residuals_csv(result: SolveResult, path, header: str = "") -> None:
-    """Rows: iter, rel_resid, starting from the initial residual at iter 0."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("iter,rel_resid\n")
-        for i, r in enumerate(result.residual_history):
-            fh.write(f"{i},{float(r)!r}\n")

@@ -19,7 +19,6 @@ tent                          compactly supported hat test function
 distribution_discrepancy      sample mean vs. quadrature of the limit integral
 zero_distribution_verdict     rank/norm trend over growing sizes
 odd_embedding_check           odd-size embedding identity, one level
-write_spectral_report_csv
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "zero_distribution_verdict",
     "OddEmbeddingReport",
     "odd_embedding_check",
-    "write_spectral_report_csv",
 ]
 
 
@@ -407,23 +405,3 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
         hank[m + 1 :, m + 1 :] += complex(t).real * hm
     top, count, tail = _singular_split(singular_values(hank), 1e-8)
     return OddEmbeddingReport(n, deviations, top, count / (2.0 * m + 2.0), tail)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def write_spectral_report_csv(report: MatchReport, path, header: str = "") -> None:
-    """Rows: index, eigenvalue, matched_value, branch, theta_1..theta_d, distance."""
-    d = report.points.shape[1]
-    cols = ",".join(f"theta_{j + 1}" for j in range(d))
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write(f"index,eigenvalue,matched_value,branch,{cols},distance\n")
-        for i in range(len(report.eigenvalues)):
-            theta = report.points[report.point_index[i]]
-            ts = ",".join(repr(float(t)) for t in theta)
-            fh.write(f"{i},{float(report.eigenvalues[i])!r},"
-                     f"{float(report.matched_value[i])!r},"
-                     f"{int(report.branch[i])},{ts},{float(report.distance[i])!r}\n")

@@ -98,9 +98,6 @@ class Symbol:
     def has_real_coefficients(self) -> bool:
         return all(abs(complex(v).imag) == 0.0 for v in self.coefficients.values())
 
-    def coefficient(self, k) -> complex:
-        return self.coefficients.get(tuple(k), 0.0)
-
     def eval(self, points):
         """Evaluate at one point (length-d sequence) or a batch (N, d) array.
 
@@ -129,14 +126,6 @@ class Symbol:
                         phase = phase + kl * c
                 vals += t * np.exp(1j * phase)
         return vals[0] if single else vals
-
-    def trig_sum(self, points):
-        """Evaluate the stored coefficient table as a trigonometric sum.
-
-        Same calling convention as ``eval``; ignores the closed form.  Used
-        by consistency checks.
-        """
-        return Symbol(self.dims, None, self.coefficients, self.name).eval(points)
 
     def check_sizes(self, n) -> tuple[int, ...]:
         """Validated level sizes; ShapeError unless there is one per level."""

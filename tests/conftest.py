@@ -55,6 +55,15 @@ def direct_fourier_coefficient(fun, k, m=4096):
     return complex(np.sum(fun(theta) * np.exp(-1j * k * theta)) / m)
 
 
+def trig_sum(coefficients, points):
+    """Plain trigonometric sum sum_k t_k exp(i <k, theta>) at (N, d) points."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(len(pts), dtype=complex)
+    for k, t in coefficients.items():
+        out += complex(t) * np.exp(1j * (pts @ np.asarray(k, dtype=float)))
+    return out
+
+
 def random_banded_table(rng, d, max_size=9, max_band=None):
     """Random real coefficient table plus compatible sizes, full band."""
     sizes = tuple(int(rng.integers(2, max_size)) for _ in range(d))

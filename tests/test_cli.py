@@ -1,14 +1,18 @@
 """Command-line behavior: exit codes, file layout, headers, reproducibility."""
 
 import csv
+import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from flipspec import experiments
 from flipspec.cli import main
+from flipspec.experiments import ExperimentConfig
+from flipspec.operators import ToeplitzOperator
 
 
 def read_rows(path):
@@ -75,6 +79,29 @@ class TestCommonZeros:
         eigs = read_rows(tmp_path / "eigs.csv")
         assert len(read_rows(tmp_path / "lambda.csv")) == len(eigs) - 2
         assert len(read_rows(tmp_path / "overlay.csv")) == len(eigs) - 2
+
+    @pytest.mark.parametrize("args", [
+        ["--exp", "ex3", "--n", "6,6,6", "--precond", "toepfr"],
+        ["--exp", "custom", "--n", "31", "--precond", "toepfr"],
+        ["--exp", "ex1", "--n", "11,10"],
+    ])
+    def test_unequal_counts_pair_branch_with_branch(self, tmp_path, args):
+        # the -|f|/h samples meet the lowest eigenvalues and the +|f|/h samples
+        # the highest; pairing index by index crossed the branch boundary
+        rc = main(["spectrum", *args, "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / "overlay.csv").read_text()
+        n_eig = len(read_rows(tmp_path / "eigs.csv"))
+        n_lam = len(read_rows(tmp_path / "lambda.csv"))
+        half = n_lam // 2
+        assert (f"# unequal counts ({n_eig} eigenvalues, {n_lam} samples): lowest {half} "
+                f"and highest {half} of each paired, the middle ones unpaired") in text
+        pairs = read_rows(tmp_path / "overlay.csv")
+        assert len(pairs) == n_lam
+        assert all(float(r["lambda"]) <= 0.0 for r in pairs[:half])
+        assert all(float(r["lambda"]) >= 0.0 for r in pairs[half:])
+        gap = float(re.search(r"max_gap=(\S+)", text).group(1))
+        assert gap < (1.0 if args[1] == "ex1" else 0.1)
 
     def test_match_names_the_dropped_point(self, tmp_path):
         # odd sizes put theta = 0 on the two-level lattice
@@ -166,10 +193,87 @@ class TestVerify:
         assert rc == 2
         assert "FAIL  ops/forced_failure" in capsys.readouterr().out
 
+    def test_fft_oracle_checks_the_fft_on_every_table(self, tmp_path, monkeypatch):
+        # a broken shifted-slice sum must fail only the direct oracle
+        monkeypatch.setattr(ToeplitzOperator, "_shifted_sum",
+                            lambda self, x: np.zeros(x.size))
+        res = experiments.run_verify(ExperimentConfig(exp="ex1", out=str(tmp_path)),
+                                     suites=["oracles"])
+        verdict = {check: ok for _, check, ok, _ in res["rows"]}
+        assert verdict["fft_matvec_vs_dense"]
+        assert not verdict["direct_matvec_vs_dense"]
+
     def test_unknown_suite_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "bogus", "--out", str(tmp_path)])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestCsvFormat:
+    """Every command's CSV: one header line, today's columns, repr floats."""
+
+    @staticmethod
+    def lines(path, cmd):
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith(f"# flipspec 0.1.0 | cmd={cmd} ")
+        assert sum(ln.startswith("# flipspec") for ln in lines) == 1
+        body = [ln for ln in lines if not ln.startswith("#")]
+        return body[0], [ln.split(",") for ln in body[1:]]
+
+    def test_spectrum(self, tmp_path):
+        res = experiments.run_spectrum(ExperimentConfig(exp="ex1", sizes=(6, 8),
+                                                        out=str(tmp_path)))
+        eigs, lam = res["eigenvalues"], res["lambda"]
+        columns, rows = self.lines(tmp_path / "eigs.csv", "spectrum")
+        assert columns == "index,eigenvalue"
+        assert rows == [[str(i), repr(float(v))] for i, v in enumerate(eigs)]
+        columns, rows = self.lines(tmp_path / "lambda.csv", "spectrum")
+        assert columns == "index,value,branch"
+        assert rows == [[str(i), repr(float(v)), str(int(b))]
+                        for i, (v, b) in enumerate(zip(lam.values, lam.branch))]
+        columns, rows = self.lines(tmp_path / "overlay.csv", "spectrum")
+        assert columns == "index,eig,lambda"
+        assert rows == [[str(i), repr(float(e)), repr(float(v))]
+                        for i, (e, v) in enumerate(zip(eigs, lam.values))]
+        assert (f"# max_gap={res['max_gap']!r} mean_gap={res['mean_gap']!r}"
+                in (tmp_path / "overlay.csv").read_text().splitlines())
+
+    def test_match(self, tmp_path):
+        res = experiments.run_match(ExperimentConfig(exp="ex1", sizes=(6, 8),
+                                                     out=str(tmp_path)))
+        rep = res["report"]
+        theta = rep.points[rep.point_index]
+        columns, rows = self.lines(tmp_path / "surface.csv", "match")
+        assert columns == "theta_1,theta_2,branch,eigenvalue,symbol_value"
+        assert rows == [[repr(float(t[0])), repr(float(t[1])), str(int(b)), repr(float(e)),
+                         repr(float(v))]
+                        for t, b, e, v in zip(theta, rep.branch, rep.eigenvalues,
+                                              rep.matched_value)]
+        columns, rows = self.lines(tmp_path / "report.csv", "match")
+        assert columns == "index,eigenvalue,matched_value,branch,theta_1,theta_2,distance"
+        assert rows == [[str(i), repr(float(e)), repr(float(v)), str(int(b)),
+                         repr(float(t[0])), repr(float(t[1])), repr(float(d))]
+                        for i, (e, v, b, t, d) in enumerate(zip(
+                            rep.eigenvalues, rep.matched_value, rep.branch, theta,
+                            rep.distance))]
+
+    def test_table(self, tmp_path):
+        got = experiments.run_table(ExperimentConfig(exp="ex3", sizes=(5, 5, 5),
+                                                     out=str(tmp_path)))
+        columns, rows = self.lines(tmp_path / "table.csv", "table")
+        assert columns == "d_n,preconditioner,iterations,converged,wall_time"
+        assert [r[:4] for r in rows] == [
+            [str(r["d_n"]), r["preconditioner"], str(r["iterations"]),
+             "true" if r["converged"] else "false"] for r in got]
+        assert all(re.fullmatch(r"\d+\.\d{3}", r[4]) for r in rows)
+
+    def test_verify(self, tmp_path):
+        res = experiments.run_verify(ExperimentConfig(exp="ex1", out=str(tmp_path)),
+                                     suites=["ops", "structure"])
+        columns, rows = self.lines(tmp_path / "verify.csv", "verify")
+        assert columns == "suite,check,pass,value"
+        assert rows == [[suite, check, "true" if ok else "false", value]
+                        for suite, check, ok, value in res["rows"]]
 
 
 class TestParser:

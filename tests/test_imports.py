@@ -1,8 +1,9 @@
 """Static checks over the flipspec sources.
 
 Every name a module imports is used in that module, no top-level function
-is defined in two modules, and every private top-level function is
-referenced somewhere in the package.  No linter ships with the package, so
+is defined in two modules, every private top-level function is referenced
+somewhere in the package, and the one CSV writer is the only code that
+opens a file.  No linter ships with the package, so
 this scans the source with ``ast``.  ``__init__.py`` is skipped: its
 imports are the package's re-exports.
 """
@@ -83,3 +84,28 @@ def test_no_function_defined_twice():
 
 def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(package_sources()) == []
+
+
+def open_calls(sources: dict) -> list:
+    """(module, enclosing top-level name or None) of every call to an ``open``."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) == "open"
+                        or getattr(node.func, "attr", None) == "open"):
+                    found.append((module, owner))
+    return found
+
+
+def test_scanner_flags_open_calls():
+    sources = {"a": "def _write_csv(p):\n    with open(p) as fh:\n        pass\n\n"
+                    "class C:\n    def save(self, p):\n        p.open('w')\n",
+               "b": "import io\nio.open('x')\n"}
+    assert open_calls(sources) == [("a", "_write_csv"), ("a", "C"), ("b", None)]
+
+
+def test_only_the_csv_writer_opens_files():
+    assert open_calls(package_sources()) == [("experiments.py", "_write_csv")]

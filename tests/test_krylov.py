@@ -184,16 +184,3 @@ class TestFlippedSolve:
         assert r.meta["symbol"] == "ex1"
         assert r.meta["n"] == (4, 4)
         assert r.meta["preconditioner"] == "none"
-
-
-def test_write_residuals_csv(tmp_path):
-    y = flip_dense((6,))
-    r = kv.minres(lambda x: y @ x, None, np.arange(1.0, 7.0))
-    path = tmp_path / "resid.csv"
-    kv.write_residuals_csv(r, path, header="hdr")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# hdr"
-    assert lines[1] == "iter,rel_resid"
-    assert lines[2] == "0,1.0"
-    assert len(lines) == 2 + len(r.residual_history)
-    assert float(lines[-1].split(",")[1]) < 1e-8

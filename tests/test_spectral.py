@@ -1,7 +1,5 @@
 """Eigen/singular solvers, grids, branch samples, matching, distribution."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -302,19 +300,3 @@ class TestOddEmbedding:
     def test_one_level_only(self):
         with pytest.raises(ParameterError):
             sp.odd_embedding_check(sym.ex1_symbol(), 5)
-
-
-class TestCsvWriters:
-    def test_spectral_report(self, tmp_path):
-        f = sym.ex1_symbol()
-        eigs = sp.sym_eigenvalues(flipped_dense(f, (4, 4)))
-        lam = sp.build_lambda(f, None, sp.build_gamma((4, 4)))
-        rep = sp.match_eigenvalues(eigs, lam)
-        path = tmp_path / "report.csv"
-        sp.write_spectral_report_csv(rep, path, header="hdr")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# hdr"
-        assert lines[1] == "index,eigenvalue,matched_value,branch,theta_1,theta_2,distance"
-        rows = list(csv.reader(lines[2:]))
-        assert len(rows) == 16
-        np.testing.assert_allclose([float(r[1]) for r in rows], rep.eigenvalues)

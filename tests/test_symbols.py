@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import direct_fourier_coefficient, grunwald_closed_form, kron_toeplitz_dense
+from conftest import (direct_fourier_coefficient, grunwald_closed_form, kron_toeplitz_dense,
+                      trig_sum)
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import AliasingError, DomainError, ParameterError, ShapeError
@@ -31,8 +32,8 @@ class TestSymbolBasics:
     def test_band_and_coefficient_lookup(self):
         f = sym.ex1_symbol()
         assert f.band == (1, 1)
-        assert f.coefficient((0, 0)) == 4.0
-        assert f.coefficient((2, 0)) == 0.0
+        assert f.coefficients.get((0, 0), 0.0) == 4.0
+        assert f.coefficients.get((2, 0), 0.0) == 0.0
         assert f.has_real_coefficients
 
     def test_coefficient_index_level_mismatch(self):
@@ -45,7 +46,7 @@ class TestSymbolBasics:
         f = sym.ex1_symbol()
         rng = np.random.default_rng(3)
         pts = rng.uniform(-np.pi, np.pi, size=(40, 2))
-        np.testing.assert_allclose(f.trig_sum(pts), f.eval(pts), atol=1e-12)
+        np.testing.assert_allclose(trig_sum(f.coefficients, pts), f.eval(pts), atol=1e-12)
 
     def test_evaluator_only_symbol_falls_back_to_table(self):
         f = sym.Symbol(1, None, {(0,): 2.0, (1,): -1.0, (-1,): -1.0})
@@ -114,7 +115,7 @@ class TestKronSumSymbol:
         direct = shift + sum(w * lev.eval(pts[:, [l]])
                              for l, (lev, w) in enumerate(zip(levels, weights)))
         np.testing.assert_allclose(f.eval(pts), direct, atol=1e-13)
-        np.testing.assert_allclose(f.eval(pts), f.trig_sum(pts), atol=1e-12)
+        np.testing.assert_allclose(f.eval(pts), trig_sum(f.coefficients, pts), atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_levels_round_trip(self, d):
@@ -213,11 +214,11 @@ class TestFractionalSymbol:
         ratio = hx**1.8 / hy**1.6
         ca = sym.grunwald_coefficients(1.8, n1 - 1)
         cb = sym.grunwald_coefficients(1.6, n2 - 1)
-        f = sym.fractional_symbol(1.8, 1.6, n1, n2, M)
+        c = sym.fractional_symbol(1.8, 1.6, n1, n2, M).coefficients
         shift = 2.0 * hx**1.8 * M
-        assert f.coefficient((0, 0)) == pytest.approx(ca[0] + ratio * cb[0] + shift, rel=1e-14)
-        assert f.coefficient((3, 0)) == pytest.approx(ca[3], rel=1e-14)
-        assert f.coefficient((0, -1)) == pytest.approx(ratio * cb[-1], rel=1e-14)
+        assert c.get((0, 0), 0.0) == pytest.approx(ca[0] + ratio * cb[0] + shift, rel=1e-14)
+        assert c.get((3, 0), 0.0) == pytest.approx(ca[3], rel=1e-14)
+        assert c.get((0, -1), 0.0) == pytest.approx(ratio * cb[-1], rel=1e-14)
 
     @pytest.mark.parametrize("include_shift", [True, False])
     def test_table_is_the_per_formula_values(self, include_shift):
@@ -246,7 +247,7 @@ class TestFractionalSymbol:
         on = sym.fractional_symbol(**kwargs)
         off = sym.fractional_symbol(include_shift=False, **kwargs)
         hx = 1.0 / 9.0
-        delta = on.coefficient((0, 0)) - off.coefficient((0, 0))
+        delta = on.coefficients.get((0, 0), 0.0) - off.coefficients.get((0, 0), 0.0)
         assert delta == pytest.approx(2.0 * hx**1.8 * 8, rel=1e-14)
         assert on.eval((0.3, -0.7)) - off.eval((0.3, -0.7)) == pytest.approx(delta, rel=1e-12)
 
@@ -294,7 +295,7 @@ class TestConvectionDiffusion:
         f = sym.convection_diffusion_symbol(5, 10, 20)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-np.pi, np.pi, size=(20, 3))
-        np.testing.assert_allclose(f.eval(pts), f.trig_sum(pts), atol=1e-12)
+        np.testing.assert_allclose(f.eval(pts), trig_sum(f.coefficients, pts), atol=1e-12)
 
 
 class TestRealPart:
@@ -316,8 +317,8 @@ class TestRealPart:
     def test_real_input_table_stays_real(self):
         r = sym.real_part_symbol(sym.ex1_symbol())
         assert r.has_real_coefficients
-        assert r.coefficient((1, 0)) == pytest.approx(0.5)
-        assert r.coefficient((-1, 0)) == pytest.approx(0.5)
+        assert r.coefficients.get((1, 0), 0.0) == pytest.approx(0.5)
+        assert r.coefficients.get((-1, 0), 0.0) == pytest.approx(0.5)
 
     def test_requires_coefficients(self):
         with pytest.raises(ParameterError):
@@ -329,6 +330,6 @@ def test_p_beta_truncation_keeps_four_coefficients():
     assert set(t.coefficients) == {(-1,), (0,), (1,), (2,)}
     full = sym.grunwald_coefficients(1.6, band=8)
     for k in (-1, 0, 1, 2):
-        assert t.coefficient((k,)) == pytest.approx(full[k], rel=1e-14)
+        assert t.coefficients.get((k,), 0.0) == pytest.approx(full[k], rel=1e-14)
     # truncation does not vanish at 0 even though f_beta does
     assert abs(t.eval((0.0,))) > 0.05

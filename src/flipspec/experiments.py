@@ -416,7 +416,7 @@ def _suite_oracles(cfg: ExperimentConfig):
         x = rng.standard_normal(op.dim)
         ref = op.dense() @ x
         # the embedding product itself: matvec would send a sparse draw to
-        # the shifted-slice sum, which direct_matvec_vs_dense checks
+        # the flat diagonals, which direct_matvec_vs_dense checks
         y = op._product(x.reshape(op.sizes))
         err = np.linalg.norm(y - ref) / max(np.linalg.norm(ref), 1e-300)
         worst = max(worst, float(err))
@@ -448,7 +448,7 @@ def _suite_oracles(cfg: ExperimentConfig):
     rows.append(("oracles", "eigensolver_reconstruction", err <= 1e-10, f"{err:.3e}"))
 
     # sparse coupled tables: at most log2(prod n_l) <= log2 M coefficients,
-    # drawn anywhere in the band, so the operator takes the shifted-slice sum
+    # drawn anywhere in the band, so the operator takes the flat diagonals
     worst, summed = 0.0, True
     for _ in range(10):
         d = int(rng.integers(1, 4))
@@ -457,7 +457,7 @@ def _suite_oracles(cfg: ExperimentConfig):
         coeffs = {tuple(int(rng.integers(1 - nl, nl)) for nl in sizes): rng.standard_normal()
                   for _ in range(nnz)}
         op = ToeplitzOperator(coeffs, sizes)
-        summed = summed and op._shifts is not None
+        summed = summed and op._sparse
         x = rng.standard_normal(op.dim)
         ref = op.dense() @ x
         err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)

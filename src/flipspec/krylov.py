@@ -219,10 +219,11 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     """Solve Y_n T_n(f) x = Y_n b with MINRES, matrix-free.
 
     The symbol must have real coefficients: that is what makes Y T real
-    symmetric.  The matvec is the operator's own (a sum of shifted slices
-    for a sparse table, a real FFT embedding for a dense one), the flip
-    reverses the vector, and the right-hand side is flipped to keep
-    the solution of the original system T_n(f) x = b.
+    symmetric.  The matvec is the operator's own (flat diagonals through
+    scipy's DIA matvec for a sparse table, built on first use and kept as
+    one length-d_n vector per coefficient; a real FFT embedding for a dense
+    one), the flip reverses the vector, and the right-hand side is flipped
+    to keep the solution of the original system T_n(f) x = b.
     """
     sizes = as_sizes(n)
     if not f.coefficients:

@@ -2,11 +2,12 @@
 
 Multilevel Toeplitz matrices are represented by their sparse coefficient
 table and assembled densely only behind an explicit size guard.  A sparse
-table is applied as a sum of shifted slices, one pass over the vector per
-stored coefficient; a dense one through a circulant embedding of each
-level at the least 5-smooth length >= n_l + q_l, with a real FFT for real
-tables.  The table picks the path: the sum whenever it stores at most
-log2 M coefficients, M the size of the embedding.  The flip, shuffle and
+table is applied as flat diagonals through scipy's DIA matvec, built on
+first use and kept as one length-d_n vector per stored coefficient; a
+dense one through a circulant embedding of each level at the least
+5-smooth length >= n_l + q_l, with a real FFT for real tables.  The table
+picks the path: the diagonals whenever it stores at most log2 M
+coefficients, M the size of the embedding.  The flip, shuffle and
 half-flip operators are never materialized: they act as per-level index
 permutations composed through the row-major flat layout (level 1 slowest).
 
@@ -156,7 +157,7 @@ def _smooth_len(v: int) -> int:
 
 
 def _sums_directly(nterms: int, lengths) -> bool:
-    # the shifted-slice sum makes one pass over d_n per stored coefficient,
+    # the diagonals make one pass over d_n per stored coefficient,
     # the real FFT pair about log2 M passes over the M-point embedding
     return nterms <= math.log2(math.prod(lengths))
 
@@ -183,10 +184,12 @@ class ToeplitzOperator:
 
     Holds the coefficient table clipped to the representable band
     |k_l| <= n_l - 1 (coefficients outside it cannot touch any entry), and
-    fixes at construction how matvec applies it: as a sum of shifted slices
-    when the table stores at most log2 M coefficients, M = prod m_l the size
-    of the circulant embedding, and through that embedding otherwise.
-    Immutable after construction; matvec is reentrant.
+    fixes at construction how matvec applies it: as flat diagonals through
+    scipy's DIA matvec when the table stores at most log2 M coefficients,
+    M = prod m_l the size of the circulant embedding, and through that
+    embedding otherwise.  Either kernel is built on the first matvec; the
+    diagonals keep one length-d_n vector per stored coefficient.  Immutable
+    after construction; matvec is reentrant.
     """
 
     def __init__(self, coefficients: dict, n):
@@ -204,8 +207,8 @@ class ToeplitzOperator:
         # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
         # of every |k_l| <= q_l off the leading n_l x n_l block
         self._lengths = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.band))
-        direct = _sums_directly(len(clipped), self._lengths)
-        self._shifts = self._shifted_slices() if direct else None
+        self._sparse = _sums_directly(len(clipped), self._lengths)
+        self._diagonals = None
         self._kernel_hat = None
 
     @classmethod
@@ -234,15 +237,28 @@ class ToeplitzOperator:
             table[pos] = t.real if self.is_real else t
         return _dense_lookup(table, sizes, -1)
 
-    def _shifted_slices(self) -> list:
-        # y_i collects t_k x_{i-k}: on level l, rows k_l.. of y read rows 0..
-        # of x for k_l >= 0, and rows 0.. read rows -k_l.. for k_l < 0
-        shifts = []
-        for k, t in self.coefficients.items():
-            dst = tuple(slice(max(kl, 0), nl + min(kl, 0)) for kl, nl in zip(k, self.sizes))
-            src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, self.sizes))
-            shifts.append((dst, src, t.real if self.is_real else t))
-        return shifts
+    def _diagonal_matrix(self):
+        # y_i collects t_k x_{i-s_k}, s_k = sum_l k_l stride_l on the flat
+        # layout, so coefficient k is the diagonal at offset -s_k; scipy
+        # stores it by column j, t_k where j_l + k_l stays inside every level
+        # and 0 where a level would wrap.  Two coefficients share an offset
+        # only if they differ by n_l or more on some level; a column then
+        # reads at most one of them, so they share one diagonal.
+        if self._diagonals is None:
+            from scipy.sparse import dia_matrix
+
+            dtype = float if self.is_real else complex
+            strides = np.cumprod((1,) + self.sizes[:0:-1])[::-1]
+            rows = {}
+            for k, t in self.coefficients.items():
+                offset = -int(np.dot(k, strides))
+                row = rows.setdefault(offset, np.zeros(self.sizes, dtype=dtype))
+                src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, self.sizes))
+                row[src] = t.real if self.is_real else t
+            data = np.array([row.ravel() for row in rows.values()],
+                            dtype=dtype).reshape(len(rows), self.dim)
+            self._diagonals = dia_matrix((data, list(rows)), shape=(self.dim, self.dim))
+        return self._diagonals
 
     def _embedding(self):
         if self._kernel_hat is None:
@@ -258,27 +274,24 @@ class ToeplitzOperator:
     def matvec(self, x) -> np.ndarray:
         """y = T_n(f) x; real x and a real table give a real y.
 
-        A sparse table is applied as y = sum_k t_k shift_k(x), one slice
-        update y[dst_k] += t_k x[src_k] per stored coefficient, O(nnz d_n).
+        A sparse table is applied as flat diagonals through scipy's DIA
+        matvec, built on first use: coefficient k is the diagonal at offset
+        -sum_l k_l stride_l, zero on the rows where a level would wrap, and
+        the diagonals are added in the table's order, O(nnz d_n).
         A dense table goes through the per-level circulant embedding,
         O(d_n log d_n): a real-to-complex FFT pair for a real table (twice,
         on the real and imaginary parts, for a complex x), a complex pair
         for a complex table.
         """
         x = _check_length(x, self.dim).reshape(self.sizes)
-        if self._shifts is not None:
+        if self._sparse:
             return self._shifted_sum(x)
         if self.is_real and np.iscomplexobj(x):
             return self._product(x.real) + 1j * self._product(x.imag)
         return self._product(x)
 
     def _shifted_sum(self, x) -> np.ndarray:
-        dtype = np.result_type(x.dtype, float if self.is_real else complex)
-        y = np.zeros(self.sizes, dtype=dtype)
-        for dst, src, t in self._shifts:
-            part = y[dst]
-            part += t * x[src]
-        return y.ravel()
+        return self._diagonal_matrix() @ x.ravel()
 
     def _product(self, x) -> np.ndarray:
         mm, axes, khat = self._embedding()

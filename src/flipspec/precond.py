@@ -103,6 +103,9 @@ class ToeplitzPreconditioner:
     of the preconditioner sequence, the weight that divides |f| in the
     sample set.  The vector methods take a vector of length d_n or a
     (d_n, k) block; the instance is immutable and they are reentrant.
+    A basis change along a level followed by nothing (the last level of a
+    vector, or one followed only by size-1 levels) is one (a, n_l) @ Q^T
+    product; every other level is a batched Q @ (a, n_l, b) product.
     """
 
     def __init__(self, levels, symbol: Symbol = None):
@@ -158,14 +161,22 @@ class ToeplitzPreconditioner:
         # (prod of the sizes before `level`, n_level, the rest) view of x
         return x.reshape(math.prod(self.sizes[:level]), self.sizes[level], -1)
 
+    def _level(self, m, y, level: int) -> np.ndarray:
+        # m applied along `level` of y; with nothing trailing that level, one
+        # (a, n_level) @ m^T product instead of a batched mat-vec per row
+        y = self._split(y, level)
+        if y.shape[2] == 1:
+            return y[:, :, 0] @ m.T
+        return m @ y
+
     def _eigen_apply(self, x, scale) -> np.ndarray:
         x = self._check(x)
         y = x
         for l, q in enumerate(self.bases):
-            y = q.T @ self._split(y, l)
+            y = self._level(q.T, y, l)
         y = y.reshape(self.dim, -1) * scale
         for l, q in enumerate(self.bases):
-            y = q @ self._split(y, l)
+            y = self._level(q, y, l)
         return y.reshape(x.shape)
 
     def apply(self, x):

@@ -28,6 +28,27 @@ def kron_toeplitz_dense(coefficients, sizes):
     return out
 
 
+def shifted_sum(coefficients, sizes, x):
+    """y = T_n x by one slice update y[dst] += t_k x[src] per coefficient.
+
+    On level l, rows k_l.. of y read rows 0.. of x for k_l >= 0, and rows
+    0.. read rows -k_l.. for k_l < 0; coefficients outside the band
+    |k_l| <= n_l - 1 touch no entry and are skipped.
+    """
+    sizes = tuple(int(v) for v in sizes)
+    real = all(complex(t).imag == 0.0 for t in coefficients.values())
+    x = np.asarray(x).reshape(sizes)
+    y = np.zeros(sizes, dtype=np.result_type(x.dtype, float if real else complex))
+    for k, t in coefficients.items():
+        if any(abs(kl) > nl - 1 for kl, nl in zip(k, sizes)):
+            continue
+        dst = tuple(slice(max(kl, 0), nl + min(kl, 0)) for kl, nl in zip(k, sizes))
+        src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, sizes))
+        t = complex(t).real if real else complex(t)
+        y[dst] += t * x[src]
+    return y.ravel()
+
+
 def dense_circulant(c):
     """C[i, j] = c[(i - j) mod n]."""
     c = np.asarray(c)
@@ -53,6 +74,19 @@ def direct_fourier_coefficient(fun, k, m=4096):
     """Plain Riemann sum for t_k on m equispaced nodes, no FFT."""
     theta = 2.0 * np.pi * np.arange(m) / m
     return complex(np.sum(fun(theta) * np.exp(-1j * k * theta)) / m)
+
+
+def fft_fourier_coefficients(fun, m, d=1):
+    """t_k of fun by a plain numpy FFT of its samples on an m^d lattice.
+
+    fun takes (N, d) points in [-pi, pi]; t_k sits at index k mod m on
+    every level of the returned array.
+    """
+    theta = 2.0 * np.pi * np.arange(m) / m
+    theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
+    mesh = np.meshgrid(*(theta,) * d, indexing="ij")
+    samples = fun(np.stack([a.ravel() for a in mesh], axis=1)).reshape((m,) * d)
+    return np.fft.fftn(samples) / m**d
 
 
 def trig_sum(coefficients, points):

@@ -194,7 +194,7 @@ class TestVerify:
         assert "FAIL  ops/forced_failure" in capsys.readouterr().out
 
     def test_fft_oracle_checks_the_fft_on_every_table(self, tmp_path, monkeypatch):
-        # a broken shifted-slice sum must fail only the direct oracle
+        # a broken diagonal matvec must fail only the direct oracle
         monkeypatch.setattr(ToeplitzOperator, "_shifted_sum",
                             lambda self, x: np.zeros(x.size))
         res = experiments.run_verify(ExperimentConfig(exp="ex1", out=str(tmp_path)),

@@ -1,9 +1,14 @@
 """Toeplitz assembly, index-map operators, block forms, Hankel."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import kron_toeplitz_dense, random_banded_table
+from conftest import kron_toeplitz_dense, random_banded_table, shifted_sum
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import CapacityError, EvenSizeError, ShapeError
@@ -173,8 +178,15 @@ def assert_matches_oracle(op, x):
     assert np.linalg.norm(op.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def assert_sum_matches_oracles(op, coeffs, x):
+    # the diagonals add the terms in the table's order, as the slice loop does
+    assert_matches_oracle(op, x)
+    assert np.array_equal(op.matvec(x), shifted_sum(coeffs, op.sizes, x))
+
+
 class TestShiftedSum:
-    """Both matvec paths against the dense Kronecker oracle.
+    """Both matvec paths against the dense Kronecker oracle, and the sparse
+    one bit for bit against the plain slice loop of conftest.
 
     The sum runs when a table stores at most log2 M coefficients, M the
     circulant embedding size; each case pins the side it lands on.
@@ -187,9 +199,16 @@ class TestShiftedSum:
     ])
     def test_full_stencils(self, d, sizes, direct):
         rng = np.random.default_rng(sum(sizes))
-        op = ops.ToeplitzOperator(stencil_table(rng, d), sizes)
+        coeffs = stencil_table(rng, d)
+        op = ops.ToeplitzOperator(coeffs, sizes)
         assert takes_sum(op) == direct
-        assert_matches_oracle(op, rng.standard_normal(op.dim))
+        x = rng.standard_normal(op.dim)
+        if direct:
+            assert_sum_matches_oracles(op, coeffs, x)
+        else:
+            assert_matches_oracle(op, x)
+        # the diagonal form itself, whichever path the rule picks
+        assert np.array_equal(op._shifted_sum(x.reshape(sizes)), shifted_sum(coeffs, sizes, x))
 
     def test_coupled_three_level_table(self):
         rng = np.random.default_rng(30)
@@ -197,14 +216,16 @@ class TestShiftedSum:
                   (1, -1, 1): 0.25, (-1, 1, -1): 0.75, (0, 2, 0): -0.1}
         op = ops.ToeplitzOperator(coeffs, (6, 7, 8))
         assert takes_sum(op)
-        assert_matches_oracle(op, rng.standard_normal(op.dim))
+        x = rng.standard_normal(op.dim)
+        assert_sum_matches_oracles(op, coeffs, x)
 
     def test_one_sided_table(self):
         rng = np.random.default_rng(31)
         coeffs = {(0, 0): 3.0, (1, 0): -1.0, (0, 1): -0.5, (1, 1): 0.25, (2, 0): 0.125}
         op = ops.ToeplitzOperator(coeffs, (9, 10))
         assert takes_sum(op)
-        assert_matches_oracle(op, rng.standard_normal(op.dim))
+        x = rng.standard_normal(op.dim)
+        assert_sum_matches_oracles(op, coeffs, x)
 
     def test_coefficients_at_the_band_edge(self):
         rng = np.random.default_rng(32)
@@ -212,7 +233,8 @@ class TestShiftedSum:
         op = ops.ToeplitzOperator(coeffs, (5, 6))
         assert op.band == (4, 5)
         assert takes_sum(op)
-        assert_matches_oracle(op, rng.standard_normal(op.dim))
+        x = rng.standard_normal(op.dim)
+        assert_sum_matches_oracles(op, coeffs, x)
 
     def test_level_of_size_one(self):
         rng = np.random.default_rng(33)
@@ -221,37 +243,64 @@ class TestShiftedSum:
         op = ops.ToeplitzOperator(coeffs, (1, 12, 7))
         assert len(op.coefficients) == 4
         assert takes_sum(op)
-        assert_matches_oracle(op, rng.standard_normal(op.dim))
+        x = rng.standard_normal(op.dim)
+        assert_sum_matches_oracles(op, coeffs, x)
 
     @pytest.mark.parametrize("complex_x", [False, True])
     def test_complex_table(self, complex_x):
         rng = np.random.default_rng(34)
-        op = ops.ToeplitzOperator({(0,): 2.0 + 1.0j, (1,): -0.5j, (-3,): 0.25 + 0.1j}, (12,))
+        coeffs = {(0,): 2.0 + 1.0j, (1,): -0.5j, (-3,): 0.25 + 0.1j}
+        op = ops.ToeplitzOperator(coeffs, (12,))
         assert takes_sum(op)
         x = rng.standard_normal(12)
         if complex_x:
             x = x + 1j * rng.standard_normal(12)
         assert np.iscomplexobj(op.matvec(x))
-        assert_matches_oracle(op, x)
+        assert_sum_matches_oracles(op, coeffs, x)
 
     def test_complex_x_on_a_real_table(self):
         rng = np.random.default_rng(35)
         op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))
         assert takes_sum(op)
         x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        assert_matches_oracle(op, x)
+        assert_sum_matches_oracles(op, sym.ex1_symbol().coefficients, x)
         y = op.matvec(x)
         np.testing.assert_array_equal(y.real, op.matvec(x.real))
         np.testing.assert_array_equal(y.imag, op.matvec(x.imag))
 
+    def test_coefficients_sharing_a_flat_offset(self):
+        # k = (1, -2) and (0, 1) both sit at flat offset 1 on an (8, 3) grid,
+        # and (-1, 2), (0, -1) at -1; they share one diagonal each
+        rng = np.random.default_rng(37)
+        coeffs = {(0, 0): 2.0, (1, -2): 0.5, (0, 1): -1.0, (-1, 2): 0.25, (0, -1): 0.75}
+        op = ops.ToeplitzOperator(coeffs, (8, 3))
+        assert takes_sum(op)
+        x = rng.standard_normal(op.dim)
+        assert_sum_matches_oracles(op, coeffs, x)
+        assert len(op._diagonal_matrix().offsets) == 3
+
     def test_sum_builds_no_fft_kernel(self):
         x = np.ones(8 * 9)
         op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))
+        assert op._diagonals is None
         op.matvec(x)
-        assert op._kernel_hat is None
+        assert op._kernel_hat is None and op._diagonals is not None
         dense = ops.ToeplitzOperator(stencil_table(np.random.default_rng(36), 2), (8, 9))
         dense.matvec(x)
-        assert dense._kernel_hat is not None
+        assert dense._kernel_hat is not None and dense._diagonals is None
+
+
+def test_scipy_sparse_loads_on_the_first_sparse_matvec():
+    # importing flipspec and dense assembly stay free of scipy.sparse
+    script = ("import sys, numpy as np\n"
+              "from flipspec import operators as ops, symbols as sym\n"
+              "op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))\n"
+              "op.dense()\n"
+              "assert 'scipy.sparse' not in sys.modules\n"
+              "op.matvec(np.ones(72))\n"
+              "assert 'scipy.sparse' in sys.modules\n")
+    src = str(Path(ops.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.mark.parametrize("exp,sizes,direct", [
@@ -263,7 +312,7 @@ def test_shipped_symbols_take_their_path(exp, sizes, direct):
     f = experiment_symbol(ExperimentConfig(exp=exp, sizes=sizes), sizes)
     op = ops.ToeplitzOperator.from_symbol(f, sizes)
     assert takes_sum(op) == direct
-    assert (op._shifts is not None) == direct
+    assert op._sparse == direct
 
 
 class TestIndexMaps:

@@ -8,7 +8,8 @@ from the preconditioner under test.
 import numpy as np
 import pytest
 
-from conftest import brute_frobenius_circulant, dense_circulant, kron_toeplitz_dense
+from conftest import (brute_frobenius_circulant, dense_circulant, fft_fourier_coefficients,
+                      kron_toeplitz_dense)
 from flipspec import precond as pc
 from flipspec import operators as ops
 from flipspec import symbols as sym
@@ -229,6 +230,25 @@ class TestToeplitzPreconditioner:
             np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r),
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(7,), (5, 1), (1, 6), (4, 5), (3, 1, 4)])
+    def test_eigen_apply_matches_dense_eigen_oracle(self, sizes):
+        # size-1 levels put the trailing-extent-1 product on inner levels too
+        rng = np.random.default_rng(sum(sizes))
+        levels = []
+        for n in sizes:
+            s = rng.standard_normal((n, n))
+            s = (s + s.T) / 2.0
+            levels.append(s + (np.abs(s).sum(axis=1).max() + 1.0) * np.eye(n))
+        p = pc.ToeplitzPreconditioner(levels)
+        w, v = np.linalg.eigh(kron_sum_dense(levels))
+        inverse = (v / w) @ v.T
+        inverse_sqrt = (v / np.sqrt(w)) @ v.T
+        for r in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3))):
+            for got, want in ((p.apply_inverse(r), inverse @ r),
+                              (p.apply_inverse_sqrt(r), inverse_sqrt @ r)):
+                assert got.shape == r.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_toepfr_of_fractional_symbol(self):
         f = sym.fractional_symbol(1.8, 1.6, 10, 12, 10)
         p = pc.build_toepfr(f, (10, 12))
@@ -284,9 +304,10 @@ class TestFractionalPreconditioners:
 
     def test_p22_table_matches_evaluator(self):
         p = pc.build_p22(1.8, 1.6, 10, 10, 10)
-        table = sym.fourier_coefficients(p.symbol, band=(1, 1))
-        for k, v in table.items():
-            assert complex(v).real == pytest.approx(
+        table = fft_fourier_coefficients(p.symbol.eval, 64, d=2)
+        for k in np.ndindex(3, 3):
+            k = (k[0] - 1, k[1] - 1)
+            assert table[k[0] % 64, k[1] % 64].real == pytest.approx(
                 complex(p.symbol.coefficients.get(k, 0.0)).real, abs=1e-10)
 
     def test_p22_symbol_at_origin_is_the_shift(self):

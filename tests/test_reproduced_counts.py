@@ -1,8 +1,9 @@
 """Exact iteration counts of the cheap Table 1 and Table 2 rows.
 
 The acceptance tables allow each count to drift by 20 %; these pins do
-not.  A change in FFT rounding can move a long MINRES run by an iteration
-without touching any tolerance, and this is where it shows.
+not.  A change in FFT or preconditioner-apply rounding can move a long
+MINRES run by an iteration without touching any tolerance, and this is
+where it shows.
 """
 
 import pytest
@@ -12,8 +13,11 @@ from flipspec.experiments import ExperimentConfig, run_table
 PINNED = [
     ("ex2", (10, 10), {"toepfr": 12, "p22": 29, "p2beta": 22}),
     ("ex2", (20, 20), {"toepfr": 13, "p22": 35, "p2beta": 26}),
+    ("ex2", (40, 40), {"toepfr": 14, "p22": 41, "p2beta": 27}),
+    ("ex2", (80, 80), {"toepfr": 14, "p22": 43, "p2beta": 29}),
     ("ex3", (5, 5, 5), {"toepfr": 8, "circsum": 61}),
     ("ex3", (10, 10, 10), {"toepfr": 9, "circsum": 198}),
+    ("ex3", (20, 20, 20), {"toepfr": 9, "circsum": 722}),
 ]
 
 

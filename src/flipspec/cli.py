@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--M", type=int, default=None,
                         help="time steps (default: n1)")
     common.add_argument("--precond", default=None,
-                        choices=["none", "toepfr", "p22", "p2beta", "circsum"],
+                        choices=list(dict.fromkeys(p for ps in VALID_PRECONDITIONERS.values()
+                                                   for p in ps)),
                         help="preconditioner id")
     common.add_argument("--out", default="flipspec_out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="seed for random probes")

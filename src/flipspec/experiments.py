@@ -38,9 +38,9 @@ from .symbols import (Symbol, as_sizes, constant_symbol,
                       convection_diffusion_symbol, ex1_symbol,
                       fractional_symbol, grunwald_symbol,
                       real_part_symbol, total_dim)
-from .operators import (ToeplitzOperator, assemble_block_g, assemble_hankel,
-                        flip_apply, flip_map, interleaved_block_g, pi_apply,
-                        pi_map, structure_residual, u_apply, u_map)
+from .operators import (ToeplitzOperator, _shuffle_conjugate, assemble_block_g,
+                        assemble_hankel, flip_apply, flip_map, interleaved_block_g,
+                        pi_apply, pi_map, structure_residual, u_apply)
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
                        sym_eigenvalues, tent, zero_distribution_verdict)
@@ -319,9 +319,7 @@ def _suite_ops(cfg: ExperimentConfig):
     gap = float(np.max(np.abs(pi_apply(sizes, pi_apply(sizes, x), transposed=True) - x)))
     rows.append(("ops", "pi_orthogonal", gap == 0.0, f"{gap:g}"))
 
-    fy, fu, fp = flip_map(sizes), u_map(sizes), pi_map(sizes)
-    eye = np.eye(d_n)
-    conj = eye[fy, :][fu][:, fu][fp][:, fp]
+    conj = _shuffle_conjugate(np.eye(d_n), sizes)
     target = interleaved_block_g(constant_symbol(1.0, 2), sizes)
     gap = float(np.max(np.abs(conj - target)))
     rows.append(("ops", "shuffle_identity_f1", gap == 0.0, f"{gap:g}"))

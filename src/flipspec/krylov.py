@@ -101,7 +101,7 @@ def _probe_symmetry(apply_a, dim: int, seed: int) -> None:
         ax, ay = apply_a(x), apply_a(y)
         gap = abs(np.dot(ax, y) - np.dot(x, ay))
         scale = np.linalg.norm(ax) + np.linalg.norm(ay)
-        if gap > 1e-8 * scale:
+        if not gap <= 1e-8 * scale:
             raise OperatorError(f"operator fails the symmetry probe: |<Ax,y> - <x,Ay>| = "
                                 f"{gap:.3e}, ||Ax|| + ||Ay|| = {scale:.3e}")
 
@@ -115,7 +115,10 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     iteration starts: |<Ax, y> - <x, Ay>| must stay within
     1e-8 (||Ax|| + ||Ay||), a gap relative to the operator's scale.
     Breakdown of the Lanczos recurrence counts as convergence only if the
-    recomputed residual passes the rule.
+    recomputed residual passes the rule.  A NaN symmetry gap or a
+    non-finite residual raises OperatorError, and a NaN or negative
+    <r, P^-1 r> (or zero for r = b) raises NotSPDError, rather than
+    iterating to the cap.
 
     ``meta`` records ``matvecs`` (the six symmetry-probe products included,
     so 2 its + 6 for a nonzero b), ``preconditioner_applies`` (its + 1),
@@ -148,8 +151,8 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     r1 = b.copy()
     y = np.asarray(pinv(r1), dtype=float)
     beta1sq = float(np.dot(r1, y))
-    if beta1sq < 0.0:
-        raise NotSPDError(f"preconditioner produced <r, P^-1 r> = {beta1sq:.3e} < 0")
+    if not beta1sq > 0.0:
+        raise NotSPDError(f"preconditioner produced <b, P^-1 b> = {beta1sq:.3e} for b != 0")
     beta1 = np.sqrt(beta1sq)
 
     oldb, beta = 0.0, beta1
@@ -177,8 +180,8 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         y = np.asarray(pinv(r2), dtype=float)
         oldb = beta
         betasq = float(np.dot(r2, y))
-        if betasq < 0.0:
-            raise NotSPDError(f"preconditioner produced <r, P^-1 r> = {betasq:.3e} < 0")
+        if not betasq >= 0.0:
+            raise NotSPDError(f"preconditioner produced <r, P^-1 r> = {betasq:.3e}")
         beta = np.sqrt(betasq)
 
         oldeps = epsln
@@ -198,6 +201,8 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         x = x + phi * w
 
         relres = float(np.linalg.norm(b - np.asarray(apply_a(x), dtype=float)) / bnorm)
+        if not np.isfinite(relres):
+            raise OperatorError(f"relative residual is {relres} at iteration {itn}")
         if cfg.record_residuals:
             history.append(relres)
         phist.append(float(phibar) / beta1)

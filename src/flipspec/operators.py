@@ -390,6 +390,12 @@ def _singular_split(svals, rel: float):
     return top, count, tail
 
 
+def _shuffle_conjugate(a, sizes) -> np.ndarray:
+    # Pi U Y a U Pi^T for a dense d_n x d_n matrix a, by row and column gathers
+    fu, fp = u_map(sizes), pi_map(sizes)
+    return a[flip_map(sizes), :][fu][:, fu][fp][:, fp]
+
+
 def structure_residual(f: Symbol, n):
     """Residual D = Pi_n U_n Y_n T_n(f) U_n Pi_n^T - T_n(g) and its split.
 
@@ -406,13 +412,7 @@ def structure_residual(f: Symbol, n):
     _guard_capacity(d_n, "structure residual")
 
     a = ToeplitzOperator(f.coefficients, sizes).dense()
-    fy = flip_map(sizes)
-    fu = u_map(sizes)
-    fp = pi_map(sizes)
-    conj = a[fy, :]
-    conj = conj[fu][:, fu]
-    conj = conj[fp][:, fp]
-    d = conj - interleaved_block_g(f, sizes)
+    d = _shuffle_conjugate(a, sizes) - interleaved_block_g(f, sizes)
 
     _, count, tail = _singular_split(np.linalg.svd(d, compute_uv=False), 1e-8)
     return d, count / (2.0 * d_n), tail

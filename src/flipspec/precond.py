@@ -103,9 +103,11 @@ class ToeplitzPreconditioner:
     of the preconditioner sequence, the weight that divides |f| in the
     sample set.  The vector methods take a vector of length d_n or a
     (d_n, k) block; the instance is immutable and they are reentrant.
-    A basis change along a level followed by nothing (the last level of a
-    vector, or one followed only by size-1 levels) is one (a, n_l) @ Q^T
-    product; every other level is a batched Q @ (a, n_l, b) product.
+    The eigenbasis is applied by a rotating sweep, one GEMM per level: the
+    first pass takes the levels in order, applies Q_l^T along the leading
+    level and moves it last, so a block ends as (k, n_1, ..., n_d); after
+    the scale, the second pass takes them in reverse, applies Q_l along the
+    trailing level and moves it first, back to (d_n, k).
     """
 
     def __init__(self, levels, symbol: Symbol = None):
@@ -128,7 +130,7 @@ class ToeplitzPreconditioner:
             raise NotSPDError(f"preconditioner {name} is not positive definite: "
                               f"smallest eigenvalue {low:.6e} (largest {peak:.6e})")
         self.eigen_tensor = tensor
-        self._inverse = 1.0 / tensor.reshape(-1, 1)
+        self._inverse = 1.0 / tensor.ravel()
 
     @classmethod
     def from_symbol(cls, h: Symbol, n) -> "ToeplitzPreconditioner":
@@ -157,33 +159,21 @@ class ToeplitzPreconditioner:
                              f"block, got shape {x.shape}")
         return x
 
-    def _split(self, x, level: int) -> np.ndarray:
-        # (prod of the sizes before `level`, n_level, the rest) view of x
-        return x.reshape(math.prod(self.sizes[:level]), self.sizes[level], -1)
-
-    def _level(self, m, y, level: int) -> np.ndarray:
-        # m applied along `level` of y; with nothing trailing that level, one
-        # (a, n_level) @ m^T product instead of a batched mat-vec per row
-        y = self._split(y, level)
-        if y.shape[2] == 1:
-            return y[:, :, 0] @ m.T
-        return m @ y
-
     def _eigen_apply(self, x, scale) -> np.ndarray:
         x = self._check(x)
         y = x
-        for l, q in enumerate(self.bases):
-            y = self._level(q.T, y, l)
-        y = y.reshape(self.dim, -1) * scale
-        for l, q in enumerate(self.bases):
-            y = self._level(q, y, l)
+        for q, n in zip(self.bases, self.sizes):
+            y = y.reshape(n, -1).T @ q
+        y = y.reshape(-1, self.dim) * scale
+        for q, n in zip(reversed(self.bases), reversed(self.sizes)):
+            y = q @ y.reshape(-1, n).T
         return y.reshape(x.shape)
 
     def apply(self, x):
         """P x, by the level matrices themselves rather than the eigenbasis."""
         x = self._check(x)
-        return sum((a @ self._split(x, l)).reshape(x.shape)
-                   for l, a in enumerate(self.levels))
+        return sum((a @ x.reshape(math.prod(self.sizes[:l]), n, -1)).reshape(x.shape)
+                   for l, (a, n) in enumerate(zip(self.levels, self.sizes)))
 
     def apply_inverse(self, r):
         return self._eigen_apply(r, self._inverse)

@@ -289,6 +289,13 @@ class TestParser:
         assert exc.value.code == 1
         capsys.readouterr()
 
+    def test_precond_choices_are_the_experiments_union(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table", "--help"])
+        listed = re.search(r"--precond \{([^}]*)\}", capsys.readouterr().out).group(1)
+        union = {p for ps in experiments.VALID_PRECONDITIONERS.values() for p in ps}
+        assert sorted(listed.split(",")) == sorted(union)
+
     def test_malformed_sizes_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--exp", "ex1", "--n", "8,x"])

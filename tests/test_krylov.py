@@ -81,6 +81,34 @@ class TestMinres:
         with pytest.raises(NotSPDError):
             kv.minres(lambda x: x, lambda r: -r, np.ones(4))
 
+    @pytest.mark.parametrize("apply_a, apply_pinv, error", [
+        (lambda x: np.full_like(x, np.nan), None, OperatorError),
+        (lambda x: x, lambda r: 0 * r, NotSPDError),
+        (lambda x: x, lambda r: np.full_like(r, np.nan), NotSPDError),
+    ], ids=["nan_operator", "zero_preconditioner", "nan_preconditioner"])
+    def test_nan_or_zero_stops_before_the_first_iteration(self, apply_a, apply_pinv, error):
+        # unchecked, each would run to the 10 d_n cap and return a NaN solution
+        with pytest.raises(error):
+            kv.minres(apply_a, apply_pinv, np.ones(4))
+
+    @pytest.mark.parametrize("which", ["operator", "preconditioner"])
+    def test_nan_inside_the_loop_is_raised(self, which):
+        # finite until the first iteration's residual product (call 8, after
+        # the six probe products and the Lanczos one) or its second apply
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        calls = []
+
+        def nan_after(v, finite_calls):
+            calls.append(None)
+            return v if len(calls) <= finite_calls else np.full_like(v, np.nan)
+
+        if which == "operator":
+            with pytest.raises(OperatorError, match="relative residual"):
+                kv.minres(lambda x: nan_after(a @ x, 7), None, np.ones(4))
+        else:
+            with pytest.raises(NotSPDError):
+                kv.minres(lambda x: a @ x, lambda r: nan_after(r, 1), np.ones(4))
+
     def test_rhs_must_be_a_vector(self):
         with pytest.raises(ShapeError):
             kv.minres(lambda x: x, None, np.ones((2, 2)))

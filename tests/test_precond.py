@@ -230,9 +230,10 @@ class TestToeplitzPreconditioner:
             np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r),
                                        atol=1e-12)
 
-    @pytest.mark.parametrize("sizes", [(7,), (5, 1), (1, 6), (4, 5), (3, 1, 4)])
+    @pytest.mark.parametrize("sizes", [(7,), (5, 1), (1, 6), (4, 5), (3, 1, 4), (2, 3, 4)])
     def test_eigen_apply_matches_dense_eigen_oracle(self, sizes):
-        # size-1 levels put the trailing-extent-1 product on inner levels too
+        # size-1 and unequal levels catch a sweep that reshapes along the wrong
+        # level; r.T is the non-contiguous block preconditioned_spectrum passes
         rng = np.random.default_rng(sum(sizes))
         levels = []
         for n in sizes:
@@ -243,7 +244,8 @@ class TestToeplitzPreconditioner:
         w, v = np.linalg.eigh(kron_sum_dense(levels))
         inverse = (v / w) @ v.T
         inverse_sqrt = (v / np.sqrt(w)) @ v.T
-        for r in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3))):
+        for r in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3)),
+                  rng.standard_normal((3, p.dim)).T):
             for got, want in ((p.apply_inverse(r), inverse @ r),
                               (p.apply_inverse_sqrt(r), inverse_sqrt @ r)):
                 assert got.shape == r.shape

@@ -8,7 +8,9 @@ preconditioned residual norm estimate) is recorded alongside for
 monotonicity diagnostics but never decides termination.  That rule is what
 makes iteration counts comparable across preconditioners.  Every solve
 counts its operator products and preconditioner applies and times both
-into SolveResult.meta.
+into SolveResult.meta.  The iteration works in fixed buffers allocated once
+per solve and never writes into b or into an array the operator or the
+preconditioner returned.
 
 Contents
 --------
@@ -123,6 +125,8 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     ``meta`` records ``matvecs`` (the six symmetry-probe products included,
     so 2 its + 6 for a nonzero b), ``preconditioner_applies`` (its + 1),
     and ``matvec_s``/``apply_s``, the wall time spent in each callable.
+    The iterate, the Lanczos pair, three directions and a scratch vector
+    are fixed buffers; b and what the callables return are only read.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=float)
@@ -148,36 +152,35 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         return SolveResult(x, 0, history, True, time.perf_counter() - start,
                            phist, cfg, {"note": "zero right-hand side", **counters()})
 
-    r1 = b.copy()
-    y = np.asarray(pinv(r1), dtype=float)
-    beta1sq = float(np.dot(r1, y))
+    # fixed buffers; the pair r1/r2 and the triple w1/w2/w rotate by name.
+    # r1 starts at zero, so the first Lanczos step subtracts nothing from A v.
+    v, r1, w, w1, w2, tmp = (np.zeros(dim) for _ in range(6))
+    r2 = b.copy()
+    y = pinv(r2)
+    beta1sq = float(np.dot(r2, y))
     if not beta1sq > 0.0:
         raise NotSPDError(f"preconditioner produced <b, P^-1 b> = {beta1sq:.3e} for b != 0")
     beta1 = np.sqrt(beta1sq)
 
-    oldb, beta = 0.0, beta1
+    oldb = beta = beta1
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros(dim)
-    w2 = np.zeros(dim)
-    r2 = r1
 
     converged = False
     itn = 0
     relres = 1.0
     while itn < maxit:
         itn += 1
-        s = 1.0 / beta
-        v = s * y
-        y = np.asarray(apply_a(v), dtype=float)
-        if itn >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = float(np.dot(v, y))
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
-        y = np.asarray(pinv(r2), dtype=float)
+        np.multiply(y, 1.0 / beta, out=v)
+        y = apply_a(v)
+        np.multiply(r1, beta / oldb, out=r1)
+        np.subtract(y, r1, out=r1)
+        alfa = float(np.dot(v, r1))
+        np.multiply(r2, alfa / beta, out=tmp)
+        np.subtract(r1, tmp, out=r1)
+        r1, r2 = r2, r1
+        y = pinv(r2)
         oldb = beta
         betasq = float(np.dot(r2, y))
         if not betasq >= 0.0:
@@ -195,12 +198,18 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma, x += phi w
+        w1, w2, w = w2, w, w1
+        np.multiply(w1, oldeps, out=w)
+        np.subtract(v, w, out=w)
+        np.multiply(w2, delta, out=tmp)
+        np.subtract(w, tmp, out=w)
+        np.divide(w, gamma, out=w)
+        np.multiply(w, phi, out=tmp)
+        np.add(x, tmp, out=x)
 
-        relres = float(np.linalg.norm(b - np.asarray(apply_a(x), dtype=float)) / bnorm)
+        np.subtract(b, apply_a(x), out=tmp)
+        relres = float(np.linalg.norm(tmp) / bnorm)
         if not np.isfinite(relres):
             raise OperatorError(f"relative residual is {relres} at iteration {itn}")
         if cfg.record_residuals:
@@ -227,8 +236,8 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     symmetric.  The matvec is the operator's own (flat diagonals through
     scipy's DIA matvec for a sparse table, built on first use and kept as
     one length-d_n vector per coefficient; a real FFT embedding for a dense
-    one), the flip reverses the vector, and the right-hand side is flipped
-    to keep the solution of the original system T_n(f) x = b.
+    one), the flip is a reversed view of its output, and the right-hand
+    side is flipped to keep the solution of the original system T_n(f) x = b.
     """
     sizes = as_sizes(n)
     if not f.coefficients:
@@ -241,7 +250,7 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
         raise ShapeError(f"right-hand side must have length {d_n}, got shape {b.shape}")
 
     op = ToeplitzOperator.from_symbol(f, sizes)
-    apply_a = lambda x: flip_apply(sizes, op.matvec(x))
+    apply_a = lambda x: op.matvec(x)[::-1]
     rhs = flip_apply(sizes, b)
     result = minres(apply_a, preconditioner, rhs, cfg, seed)
     pname = type(preconditioner).__name__ if preconditioner is not None else "none"

@@ -121,19 +121,19 @@ def flip_apply(n, x):
     row-major layout, so Y_n reverses the whole vector; no index map is built.
     """
     sizes = as_sizes(n)
-    return _check_length(x, total_dim(sizes))[::-1].copy()
+    return _check_length(x, math.prod(sizes))[::-1].copy()
 
 
 def u_apply(n, x):
     """y = U_n x: reverse the leading half of each level, fix the rest."""
     sizes = as_sizes(n)
-    return _check_length(x, total_dim(sizes))[u_map(sizes)]
+    return _check_length(x, math.prod(sizes))[u_map(sizes)]
 
 
 def pi_apply(n, x, transposed: bool = False):
     """y = Pi_n x (or Pi_n^T x when transposed).  Raises on odd level sizes."""
     sizes = as_sizes(n)
-    return _check_length(x, total_dim(sizes))[pi_map(sizes, transposed)]
+    return _check_length(x, math.prod(sizes))[pi_map(sizes, transposed)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,7 @@ class ToeplitzOperator:
 
     def __init__(self, coefficients: dict, n):
         self.sizes = as_sizes(n)
+        self.dim = math.prod(self.sizes)
         d = len(self.sizes)
         clipped = {}
         for k, t in coefficients.items():
@@ -214,10 +215,6 @@ class ToeplitzOperator:
     @classmethod
     def from_symbol(cls, symbol: Symbol, n) -> "ToeplitzOperator":
         return cls(symbol.coefficients, symbol.check_sizes(n))
-
-    @property
-    def dim(self) -> int:
-        return total_dim(self.sizes)
 
     @property
     def band(self) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ build_circulant_kron_sum  sum of the levels |C_l| of a separable symbol,
 build_toepfr              T(f_R) for a given symbol
 build_p22                 Laplacian on both levels (kron_sum_symbol)
 build_p2beta              Laplacian on level 1, band truncation on level 2
-preconditioned_spectrum   eigenvalues of P^{-1} S via symmetric surrogate
+preconditioned_spectrum   eigenvalues of P^{-1} S, two sweeps into the eigenbasis
 """
 
 from __future__ import annotations
@@ -159,15 +159,19 @@ class ToeplitzPreconditioner:
                              f"block, got shape {x.shape}")
         return x
 
-    def _eigen_apply(self, x, scale) -> np.ndarray:
-        x = self._check(x)
-        y = x
+    def _into(self, x) -> np.ndarray:
+        # (Q^T x)^T, one GEMM per level: a (d_n, k) block comes out as (k, d_n)
+        y = self._check(x)
         for q, n in zip(self.bases, self.sizes):
             y = y.reshape(n, -1).T @ q
-        y = y.reshape(-1, self.dim) * scale
+        return y.reshape(-1, self.dim)
+
+    def _out_of(self, y, scale, shape) -> np.ndarray:
+        # Q diag(scale) y for the fresh (k, d_n) output of _into, scaled in place
+        y *= scale
         for q, n in zip(reversed(self.bases), reversed(self.sizes)):
             y = q @ y.reshape(-1, n).T
-        return y.reshape(x.shape)
+        return y.reshape(shape)
 
     def apply(self, x):
         """P x, by the level matrices themselves rather than the eigenbasis."""
@@ -176,10 +180,10 @@ class ToeplitzPreconditioner:
                    for l, (a, n) in enumerate(zip(self.levels, self.sizes)))
 
     def apply_inverse(self, r):
-        return self._eigen_apply(r, self._inverse)
+        return self._out_of(self._into(r), self._inverse, np.shape(r))
 
     def apply_inverse_sqrt(self, r):
-        return self._eigen_apply(r, np.sqrt(self._inverse))
+        return self._out_of(self._into(r), np.sqrt(self._inverse), np.shape(r))
 
 
 # The benchmark's tracer looks the circulant preconditioner up by this name.
@@ -242,12 +246,12 @@ def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> Toeplitz
 def preconditioned_spectrum(p, s) -> np.ndarray:
     """Eigenvalues of P^{-1} S for symmetric S and SPD P, ascending.
 
-    Works on the symmetric similarity surrogate P^{-1/2} S P^{-1/2}, formed
-    as P^{-1/2} (P^{-1/2} S)^T, so only a symmetric eigensolver is involved.
+    With P = Q Lambda Q^T, P^{-1} S is similar to the symmetric
+    Lambda^{-1/2} Q^T S Q Lambda^{-1/2}, formed by two sweeps into the eigenbasis.
     """
-    if not hasattr(p, "apply_inverse_sqrt"):
+    if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
-    s = np.asarray(s, dtype=float)
-    w = p.apply_inverse_sqrt(p.apply_inverse_sqrt(s).T)
+    scale = np.sqrt(p._inverse)
+    w = p._into(p._into(np.asarray(s, dtype=float)) * scale) * scale
     w = (w + w.T) / 2.0
     return np.linalg.eigvalsh(w)

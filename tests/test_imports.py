@@ -1,14 +1,20 @@
-"""Static checks over the flipspec sources.
+"""Static checks over the flipspec sources, and what a solve loads.
 
 Every name a module imports is used in that module, no top-level function
 is defined in two modules, every private top-level function is referenced
 somewhere in the package, and the one CSV writer is the only code that
 opens a file.  No linter ships with the package, so
 this scans the source with ``ast``.  ``__init__.py`` is skipped: its
-imports are the package's re-exports.
+imports are the package's re-exports.  An ex2 solve loads no scipy module,
+and an ex3 solve no scipy subpackage but ``scipy.sparse``: each scipy import
+adds its load time to every cold ``flipspec table`` run.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +115,36 @@ def test_scanner_flags_open_calls():
 
 def test_only_the_csv_writer_opens_files():
     assert open_calls(package_sources()) == [("experiments.py", "_write_csv")]
+
+
+SOLVE_SCRIPT = """\
+import json, sys
+from flipspec import experiments as ex
+from flipspec.krylov import flipped_solve
+exp, pre, sizes = sys.argv[1], sys.argv[2], tuple(int(v) for v in sys.argv[3].split(","))
+cfg = ex.ExperimentConfig(exp=exp, precond=pre, sizes=sizes)
+f = ex.experiment_symbol(cfg, sizes)
+p, _ = ex.build_preconditioner(cfg, f, sizes)
+assert flipped_solve(f, sizes, ex.rhs_vector(cfg, sizes), p).converged
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after_solve(exp, precond, sizes) -> list:
+    """The scipy modules loaded by one flipped solve in a fresh interpreter."""
+    src = str(SOURCES[0].parents[1])
+    out = subprocess.run([sys.executable, "-c", SOLVE_SCRIPT, exp, precond, sizes],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_ex2_solve_loads_no_scipy():
+    assert scipy_modules_after_solve("ex2", "p22", "10,10") == []
+
+
+def test_ex3_solve_loads_only_scipy_sparse():
+    # scipy's own root and private modules come with any subpackage
+    loaded = scipy_modules_after_solve("ex3", "circsum", "5,5,5")
+    public = {m.split(".")[1] for m in loaded if "." in m} - {"version"}
+    assert {name for name in public if not name.startswith("_")} == {"sparse"}

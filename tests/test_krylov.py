@@ -127,6 +127,54 @@ class TestMinres:
             kv.minres(lambda x: x, 3.5, np.ones(2))
 
 
+def read_only(fn):
+    """fn with its output copied and made read-only."""
+    def wrapped(x):
+        out = np.array(fn(x))
+        out.setflags(write=False)
+        return out
+    return wrapped
+
+
+class TestBuffers:
+    def test_minres_writes_only_into_its_own_buffers(self):
+        # a write into b or into an operator or preconditioner output raises
+        rng = np.random.default_rng(52)
+        a = rng.standard_normal((30, 30))
+        a = a + a.T
+        d = 1.0 + rng.random(30)
+        b = rng.standard_normal(30)
+        b.setflags(write=False)
+        before = b.copy()
+        first, second = (kv.minres(read_only(lambda x: a @ x), read_only(lambda r: r / d), b)
+                         for _ in range(2))
+        assert first.converged
+        np.testing.assert_array_equal(b, before)
+        np.testing.assert_array_equal(first.solution, second.solution)
+        assert not np.shares_memory(first.solution, second.solution)
+
+    def test_identity_preconditioner_returns_the_solver_buffer(self):
+        # apply_pinv = None hands back r2 itself; the rotation must not clobber it early
+        rng = np.random.default_rng(53)
+        a = np.diag(np.linspace(-2.0, 3.0, 25)) + 0.1
+        b = rng.standard_normal(25)
+        r = kv.minres(lambda x: a @ x, None, b)
+        want = kv.minres(lambda x: a @ x, lambda s: np.array(s), b)
+        assert r.converged and r.iterations == want.iterations
+        np.testing.assert_array_equal(r.solution, want.solution)
+
+    def test_flipped_solve_reads_a_read_only_rhs(self):
+        f = sym.convection_diffusion_symbol(5, 5, 5)
+        p = pc.build_circulant_kron_sum(f, (5, 5, 5))
+        b = np.linspace(1.0, 2.0, 125)
+        writable = kv.flipped_solve(f, (5, 5, 5), b, preconditioner=p)
+        b.setflags(write=False)
+        frozen = kv.flipped_solve(f, (5, 5, 5), b, preconditioner=p)
+        np.testing.assert_array_equal(b, np.linspace(1.0, 2.0, 125))
+        assert frozen.iterations == writable.iterations
+        np.testing.assert_array_equal(frozen.solution, writable.solution)
+
+
 class TestStoppingRule:
     def test_count_is_invariant_under_rhs_scaling(self):
         f = sym.Symbol(1, None, {(0,): 1.0, (1,): 0.25, (-1,): 0.25})

@@ -38,8 +38,8 @@ from .symbols import (Symbol, as_sizes, constant_symbol,
                       convection_diffusion_symbol, ex1_symbol,
                       fractional_symbol, grunwald_symbol,
                       real_part_symbol, total_dim)
-from .operators import (ToeplitzOperator, _shuffle_conjugate, assemble_block_g,
-                        assemble_hankel, flip_apply, flip_map, interleaved_block_g,
+from .operators import (ToeplitzOperator, _panels, _shuffle_conjugate, assemble_block_g,
+                        assemble_hankel, flip_apply, interleaved_block_g,
                         pi_apply, pi_map, structure_residual, u_apply)
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
@@ -158,8 +158,14 @@ def size_ladder(cfg: ExperimentConfig):
 
 
 def _flipped_dense(f: Symbol, sizes) -> np.ndarray:
+    # Y_n T_n(f): Y reverses the flat index (see flip_apply), so the rows of
+    # the assembled matrix are reversed in place, swapping mirrored panels
     a = ToeplitzOperator.from_symbol(f, sizes).dense()
-    return a[flip_map(sizes), :]
+    d_n = len(a)
+    for top in _panels(d_n // 2):
+        bottom = slice(d_n - top.stop, d_n - top.start)
+        a[top], a[bottom] = a[bottom][::-1], a[top][::-1].copy()
+    return a
 
 
 def _dropped_note(lam) -> str:
@@ -206,8 +212,9 @@ def _spectrum(cfg: ExperimentConfig, build_grid):
     sizes = cfg.sizes
     f = experiment_symbol(cfg, sizes)
     p, weight = build_preconditioner(cfg, f, sizes)
-    s = _flipped_dense(f, sizes)
-    eigs = sym_eigenvalues(s) if p is None else preconditioned_spectrum(p, s)
+    # no local name keeps the flipped matrix: the callee may free it early
+    eigs = (sym_eigenvalues(_flipped_dense(f, sizes)) if p is None
+            else preconditioned_spectrum(p, _flipped_dense(f, sizes)))
     return eigs, build_lambda(f, weight, build_grid(sizes))
 
 

@@ -49,12 +49,20 @@ __all__ = [
     "structure_residual",
 ]
 
+# A spectrum holds two d_n x d_n arrays, one of them LAPACK's: 6.4 GB at the cap.
 DENSE_CAPACITY = 20000
+# Row or column panel height of the dense passes that need no d_n x d_n temporary.
+_PANEL_ROWS = 32
 
 
 def _guard_capacity(dim: int, what: str) -> None:
     if dim > DENSE_CAPACITY:
         raise CapacityError(f"{what} needs size {dim} > {DENSE_CAPACITY}")
+
+
+def _panels(n: int):
+    # consecutive slices of at most _PANEL_ROWS indices covering range(n)
+    return (slice(i, min(i + _PANEL_ROWS, n)) for i in range(0, n, _PANEL_ROWS))
 
 
 def _check_length(x, d_n: int):
@@ -166,17 +174,18 @@ def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
     # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
     # (sign +1, Hankel), level by level, for a table of shape (2 n_l - 1)_l;
     # the mixed-radix code of per-level sums and differences is separable
-    # (digits never carry), so one outer sum of two length-d_n key vectors
-    # indexes the whole matrix at once
+    # (digits never carry), so the outer sum of two length-d_n key vectors
+    # indexes the matrix, gathered one row panel at a time into the output
     strides = np.cumprod((1,) + table.shape[::-1][:-1])[::-1]
     levels = np.unravel_index(np.arange(total_dim(sizes)), sizes)
     key = sum(s * il for s, il in zip(strides, levels))
     rowkey = key if sign > 0 else key + sum(s * (nl - 1) for s, nl in zip(strides, sizes))
     colkey = sign * key
-    if table.size < 2**31:  # halve the index-matrix footprint at large d_n
-        rowkey = rowkey.astype(np.int32)
-        colkey = colkey.astype(np.int32)
-    return table.ravel()[rowkey[:, None] + colkey[None, :]]
+    flat = table.ravel()
+    out = np.empty((key.size, key.size), dtype=table.dtype)
+    for rows in _panels(key.size):  # keys are in range; "clip" lets take write out unbuffered
+        np.take(flat, rowkey[rows, None] + colkey, out=out[rows], mode="clip")
+    return out
 
 
 class ToeplitzOperator:
@@ -224,7 +233,11 @@ class ToeplitzOperator:
                      for l in range(len(self.sizes)))
 
     def dense(self) -> np.ndarray:
-        """Materialize the d_n x d_n matrix.  Guarded at d_n <= 20000."""
+        """Materialize the d_n x d_n matrix.  Guarded at d_n <= 20000.
+
+        Gathered by row panels, so it is the one d_n x d_n array built; a
+        spectrum of it adds one more, LAPACK's copy inside eigvalsh.
+        """
         _guard_capacity(self.dim, "dense Toeplitz assembly")
         sizes = self.sizes
         table = np.zeros(tuple(2 * nl - 1 for nl in sizes),

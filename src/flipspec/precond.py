@@ -23,7 +23,7 @@ build_circulant_kron_sum  sum of the levels |C_l| of a separable symbol,
 build_toepfr              T(f_R) for a given symbol
 build_p22                 Laplacian on both levels (kron_sum_symbol)
 build_p2beta              Laplacian on level 1, band truncation on level 2
-preconditioned_spectrum   eigenvalues of P^{-1} S, two sweeps into the eigenbasis
+preconditioned_spectrum   eigenvalues of P^{-1} S, two panelled sweeps into the eigenbasis
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
+from .operators import _panels
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
@@ -247,11 +248,25 @@ def preconditioned_spectrum(p, s) -> np.ndarray:
     """Eigenvalues of P^{-1} S for symmetric S and SPD P, ascending.
 
     With P = Q Lambda Q^T, P^{-1} S is similar to the symmetric
-    Lambda^{-1/2} Q^T S Q Lambda^{-1/2}, formed by two sweeps into the eigenbasis.
+    W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2}, formed in one array by two
+    panelled sweeps into the eigenbasis (rows of S, then columns of W in
+    place); its lower triangle, the one eigvalsh reads, then takes the
+    average of W and W^T.  S is never written and is let go after the
+    first sweep, so given the only reference to S this holds two d_n x d_n
+    arrays: S and W, then W and LAPACK's copy.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
     scale = np.sqrt(p._inverse)
-    w = p._into(p._into(np.asarray(s, dtype=float)) * scale) * scale
-    w = (w + w.T) / 2.0
-    return np.linalg.eigvalsh(w)
+    # S must be (d_n, d_n): checked as a block, then as the sweep's transpose
+    s = p._check(np.asarray(s, dtype=float))
+    s = p._check(s.reshape(p.dim, -1).T).T
+    w = np.empty((p.dim, p.dim))
+    for rows in _panels(p.dim):
+        np.multiply(p._into(s[rows].T), scale, out=w[rows])
+    del s
+    for cols in _panels(p.dim):
+        np.multiply(p._into(w[:, cols]), scale, out=w[:, cols].T)
+    for r in _panels(p.dim):
+        w[r.start:, r] = (w[r.start:, r] + w[r, r.start:].T) / 2.0
+    return np.linalg.eigvalsh(w, UPLO="L")

@@ -23,6 +23,7 @@ odd_embedding_check           odd-size embedding identity, one level
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import (CapacityError, ParameterError, PoleError, ShapeError,
                      SymmetryError)
 from .symbols import Symbol, as_sizes
-from .operators import (DENSE_CAPACITY, ToeplitzOperator, _singular_split,
+from .operators import (DENSE_CAPACITY, ToeplitzOperator, _panels, _singular_split,
                         assemble_hankel, flip_map, u_map)
 
 __all__ = [
@@ -57,18 +58,20 @@ def sym_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a dense symmetric real matrix, ascending.
 
     The input must be symmetric within 1e-10 of its Frobenius norm and no
-    larger than the dense capacity guard.
+    larger than the dense capacity guard.  The norms are summed by row
+    panels and an exactly symmetric input goes to eigvalsh as it is, so
+    the footprint is two d_n x d_n arrays, the input and LAPACK's copy.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > DENSE_CAPACITY:
         raise CapacityError(f"matrix size {a.shape[0]} > {DENSE_CAPACITY}")
-    scale = np.linalg.norm(a)
-    skew = np.linalg.norm(a - a.conj().T)
+    scale = math.hypot(*(np.linalg.norm(a[r]) for r in _panels(len(a))))
+    skew = math.hypot(*(np.linalg.norm(a[r] - a[:, r].conj().T) for r in _panels(len(a))))
     if skew > 1e-10 * max(scale, 1e-300):
         raise SymmetryError(f"matrix is not symmetric: ||A - A^T|| = {skew:.3e}, ||A|| = {scale:.3e}")
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return np.linalg.eigvalsh(a if skew == 0.0 else (a + a.conj().T) / 2.0)
 
 
 def singular_values(a) -> np.ndarray:

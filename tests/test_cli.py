@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from flipspec import experiments
 from flipspec.cli import main
 from flipspec.experiments import ExperimentConfig
-from flipspec.operators import ToeplitzOperator
+from flipspec.operators import _PANEL_ROWS, ToeplitzOperator
 
 
 def read_rows(path):
@@ -59,6 +60,49 @@ class TestSpectrum:
         rc = main(["spectrum", "--n", "8,8", "--out", str(tmp_path)])
         assert rc == 1
         assert "--exp" in capsys.readouterr().err
+
+
+class TestDenseFootprint:
+    """Traced peak of one spectrum or match, in units of one d_n x d_n array.
+
+    tracemalloc sees numpy's arrays but not LAPACK's copy inside eigvalsh.
+    A spectrum without a preconditioner holds the flipped matrix, one with
+    a preconditioner also the transformed one while the first sweep reads
+    the flipped matrix; the row and column panels add about 0.2 at
+    d_n = 400, 12.5 panels.  When eigvalsh starts, one array is left for
+    it to copy.  The bounds leave a further 0.2.  Assembling the index
+    matrix whole, flipping into a copy, or sweeping whole matrices peaks at
+    about 2.05 without a preconditioner and 4.04 with one, and holds two
+    arrays when eigvalsh starts.
+    """
+
+    @pytest.mark.parametrize("command,exp,precond,sizes,arrays", [
+        ("spectrum", "ex1", "none", (20, 20), 1),
+        ("spectrum", "ex2", "toepfr", (20, 20), 2),
+        ("spectrum", "ex3", "circsum", (8, 8, 8), 2),
+        ("match", "ex2", "none", (16, 25), 1),
+    ], ids=["spectrum-ex1", "spectrum-ex2-toepfr", "spectrum-ex3-circsum", "match-ex2"])
+    def test_traced_peak(self, tmp_path, monkeypatch, command, exp, precond, sizes, arrays):
+        d_n = int(np.prod(sizes))
+        assert d_n >= 4 * _PANEL_ROWS
+        held, eigvalsh = [], np.linalg.eigvalsh
+
+        def traced_eigvalsh(a, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
+        cfg = ExperimentConfig(exp=exp, precond=precond, sizes=sizes, out=str(tmp_path))
+        run = experiments.run_spectrum if command == "spectrum" else experiments.run_match
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = 8.0 * d_n * d_n
+        assert peak / unit <= arrays + 0.4
+        assert len(held) == 1 and held[0] / unit <= 1.4
 
 
 class TestCommonZeros:

@@ -5,9 +5,10 @@ is defined in two modules, every private top-level function is referenced
 somewhere in the package, and the one CSV writer is the only code that
 opens a file.  No linter ships with the package, so
 this scans the source with ``ast``.  ``__init__.py`` is skipped: its
-imports are the package's re-exports.  An ex2 solve loads no scipy module,
-and an ex3 solve no scipy subpackage but ``scipy.sparse``: each scipy import
-adds its load time to every cold ``flipspec table`` run.
+imports are the package's re-exports.  An ex2 solve and the dense
+``spectrum``/``match`` path load no scipy module, and an ex3 solve no scipy
+subpackage but ``scipy.sparse``: each scipy import adds its load time to
+every cold ``flipspec table`` or ``spectrum`` run.
 """
 
 import ast
@@ -137,6 +138,24 @@ def scipy_modules_after_solve(exp, precond, sizes) -> list:
                          check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout.splitlines()[-1])
+
+
+SPECTRUM_SCRIPT = """\
+import json, sys
+from flipspec import experiments as ex
+out = sys.argv[1]
+ex.run_spectrum(ex.ExperimentConfig(exp="ex1", sizes=(8, 8), out=out))
+ex.run_spectrum(ex.ExperimentConfig(exp="ex2", precond="toepfr", sizes=(8, 8), out=out))
+ex.run_match(ex.ExperimentConfig(exp="ex2", sizes=(6, 8), out=out))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_spectrum_and_match_load_no_scipy(tmp_path):
+    src = str(SOURCES[0].parents[1])
+    out = subprocess.run([sys.executable, "-c", SPECTRUM_SCRIPT, str(tmp_path)], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 def test_ex2_solve_loads_no_scipy():

@@ -12,7 +12,7 @@ from conftest import kron_toeplitz_dense, random_banded_table, shifted_sum
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import CapacityError, EvenSizeError, ShapeError
-from flipspec.experiments import ExperimentConfig, experiment_symbol
+from flipspec.experiments import ExperimentConfig, _flipped_dense, experiment_symbol
 
 
 def perm_matrix(index_map):
@@ -490,3 +490,14 @@ def test_flipped_toeplitz_is_exactly_symmetric():
     a = ops.ToeplitzOperator(coeffs, sizes).dense()
     ya = a[ops.flip_map(sizes), :]
     np.testing.assert_array_equal(ya, ya.T)
+
+
+@pytest.mark.parametrize("exp,sizes", [("ex1", (17, 19)), ("ex2", (17, 19)), ("ex3", (7, 7, 7))])
+def test_flipped_dense_matches_kronecker_assembly(exp, sizes):
+    # odd d_n over several row panels and a partial last one, so the
+    # in-place reversal swaps whole and partial panels and keeps the middle row
+    d_n = int(np.prod(sizes))
+    assert d_n % 2 and d_n > ops._PANEL_ROWS and d_n // 2 % ops._PANEL_ROWS
+    f = experiment_symbol(ExperimentConfig(exp=exp), sizes)
+    want = kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes), :]
+    np.testing.assert_array_equal(_flipped_dense(f, sizes), want)

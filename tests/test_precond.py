@@ -14,6 +14,7 @@ from flipspec import precond as pc
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import NotSPDError, ParameterError, ShapeError, SymmetryError
+from flipspec.experiments import ExperimentConfig, build_preconditioner, experiment_symbol
 
 LAP = {0: 2.0, 1: -1.0, -1: -1.0}
 
@@ -447,3 +448,38 @@ class TestPreconditionedSpectrum:
     def test_unknown_preconditioner_type(self):
         with pytest.raises(ParameterError):
             pc.preconditioned_spectrum(object(), np.eye(2))
+
+    @pytest.mark.parametrize("exp,precond,sizes", [("ex2", "toepfr", (17, 19)),
+                                                   ("ex2", "p2beta", (17, 19)),
+                                                   ("ex3", "circsum", (7, 7, 7)),
+                                                   ("ex3", "toepfr", (7, 7, 7))])
+    def test_panelled_sweeps_match_whole_matrix_sweeps(self, exp, precond, sizes):
+        # odd d_n over several panels and a partial last one, on two- and
+        # three-level bases; s is read-only, so a write into it would raise
+        cfg = ExperimentConfig(exp=exp, precond=precond)
+        f = experiment_symbol(cfg, sizes)
+        p, _ = build_preconditioner(cfg, f, sizes)
+        assert p.dim % 2 and p.dim % ops._PANEL_ROWS and p.dim > ops._PANEL_ROWS
+        s = self.flipped(f, sizes)
+        s.setflags(write=False)
+        got = pc.preconditioned_spectrum(p, s)
+        scale = np.sqrt(p._inverse)
+        w = p._into(p._into(s) * scale) * scale
+        np.testing.assert_allclose(got, np.linalg.eigvalsh((w + w.T) / 2.0), rtol=1e-13)
+
+    def test_the_read_triangle_holds_the_average(self):
+        # an asymmetric s gives an asymmetric transformed matrix, and eigvalsh
+        # reads one triangle of it, so that triangle must hold the average
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (17, 19))
+        s = np.random.default_rng(49).standard_normal((p.dim, p.dim))
+        scale = np.sqrt(p._inverse)
+        w = p._into(p._into(s) * scale) * scale
+        want = np.linalg.eigvalsh((w + w.T) / 2.0)
+        np.testing.assert_allclose(pc.preconditioned_spectrum(p, s), want,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("shape", [(20, 19), (19, 20), (20,), (20, 20, 1)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 5))
+        with pytest.raises(ShapeError):
+            pc.preconditioned_spectrum(p, np.zeros(shape))

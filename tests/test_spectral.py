@@ -47,6 +47,42 @@ class TestEigenvalues:
             sp.sym_eigenvalues(np.ones((2, 3)))
 
 
+def symmetric_over_panels(seed):
+    # a symmetric matrix spanning several row panels and a partial last one
+    n = 10 * ops._PANEL_ROWS + 3
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    return b + b.T
+
+
+class TestSymmetryGate:
+    """The gate sums its norms over row panels; every panel must count."""
+
+    def test_rejects_skew_only_in_the_last_partial_panel(self):
+        a = symmetric_over_panels(31)
+        a[-1, -2] += 1e-8 * np.linalg.norm(a)
+        with pytest.raises(SymmetryError, match="matrix is not symmetric"):
+            sp.sym_eigenvalues(a)
+
+    def test_rejects_skew_only_across_a_panel_boundary(self):
+        a = symmetric_over_panels(32)
+        edge = ops._PANEL_ROWS
+        a[edge - 1, edge] += 1e-8 * np.linalg.norm(a)
+        with pytest.raises(SymmetryError, match="matrix is not symmetric"):
+            sp.sym_eigenvalues(a)
+
+    def test_exactly_symmetric_input_goes_to_eigvalsh_unchanged(self):
+        a = symmetric_over_panels(33)
+        a.setflags(write=False)
+        np.testing.assert_array_equal(sp.sym_eigenvalues(a), np.linalg.eigvalsh(a))
+
+    def test_small_skew_is_averaged_away(self):
+        a = symmetric_over_panels(34)
+        skew = np.random.default_rng(35).standard_normal(a.shape)
+        a += 1e-13 * np.linalg.norm(a) / np.linalg.norm(skew) * skew
+        assert not np.array_equal(a, a.T)
+        np.testing.assert_array_equal(sp.sym_eigenvalues(a), np.linalg.eigvalsh((a + a.T) / 2.0))
+
+
 class TestSingularValues:
     def test_permutation_has_unit_spectrum(self):
         np.testing.assert_allclose(sp.singular_values(flip_matrix((6,))),

@@ -462,12 +462,32 @@ def _suite_oracles(cfg: ExperimentConfig):
         coeffs = {tuple(int(rng.integers(1 - nl, nl)) for nl in sizes): rng.standard_normal()
                   for _ in range(nnz)}
         op = ToeplitzOperator(coeffs, sizes)
-        summed = summed and op._sparse
+        summed = summed and op._kernel == "diagonals"
         x = rng.standard_normal(op.dim)
         ref = op.dense() @ x
         err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)
         worst = max(worst, float(err))
     rows.append(("oracles", "direct_matvec_vs_dense", summed and worst <= 1e-12, f"{worst:.3e}"))
+
+    # separable tables, t_0 plus a full band on each level alone: dense, so the
+    # operator takes the level product
+    worst, by_levels = 0.0, True
+    for _ in range(10):
+        d = int(rng.integers(2, 4))
+        sizes = tuple(int(rng.integers(3, 9)) for _ in range(d))
+        coeffs = {(0,) * d: rng.standard_normal()}
+        for l, nl in enumerate(sizes):
+            for k in range(1, nl):
+                for s in (-k, k):
+                    coeffs[tuple(s if m == l else 0 for m in range(d))] = rng.standard_normal()
+        op = ToeplitzOperator(coeffs, sizes)
+        by_levels = by_levels and op._kernel == "levels"
+        x = rng.standard_normal(op.dim)
+        ref = op.dense() @ x
+        err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)
+        worst = max(worst, float(err))
+    rows.append(("oracles", "level_matvec_vs_dense", by_levels and worst <= 1e-12,
+                 f"{worst:.3e}"))
     return rows
 
 

@@ -233,11 +233,14 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     """Solve Y_n T_n(f) x = Y_n b with MINRES, matrix-free.
 
     The symbol must have real coefficients: that is what makes Y T real
-    symmetric.  The matvec is the operator's own (flat diagonals through
-    scipy's DIA matvec for a sparse table, built on first use and kept as
-    one length-d_n vector per coefficient; a real FFT embedding for a dense
-    one), the flip is a reversed view of its output, and the right-hand
-    side is flipped to keep the solution of the original system T_n(f) x = b.
+    symmetric.  The matvec is the operator's own, one of three kernels
+    fixed by the table: flat diagonals through scipy's DIA matvec for a
+    sparse table (at most log2 M coefficients); one GEMM per level for a
+    dense table that is a sum of one-level tables on two or more levels
+    with sum_l n_l < 4096, such as ex2's; a real FFT embedding for any
+    other dense one.  Each is built on the first matvec.  The flip is a
+    reversed view of its output, and the right-hand side is flipped to
+    keep the solution of the original system T_n(f) x = b.
     """
     sizes = as_sizes(n)
     if not f.coefficients:

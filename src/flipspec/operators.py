@@ -1,19 +1,28 @@
 """Structured matrices and index-map operators.
 
 Multilevel Toeplitz matrices are represented by their sparse coefficient
-table and assembled densely only behind an explicit size guard.  A sparse
-table is applied as flat diagonals through scipy's DIA matvec, built on
-first use and kept as one length-d_n vector per stored coefficient; a
-dense one through a circulant embedding of each level at the least
-5-smooth length >= n_l + q_l, with a real FFT for real tables.  The table
-picks the path: the diagonals whenever it stores at most log2 M
-coefficients, M the size of the embedding.  The flip, shuffle and
-half-flip operators are never materialized: they act as per-level index
-permutations composed through the row-major flat layout (level 1 slowest).
+table and assembled densely only behind an explicit size guard.  A matvec
+takes one of three kernels, fixed by the table at construction:
+
+- the flat diagonals, through scipy's DIA matvec, whenever the table stores
+  at most log2 M coefficients, M the size of the circulant embedding below;
+  kept as one length-d_n vector per stored coefficient;
+- the level product, for a dense table on two or more levels that is
+  separable (every index has at most one nonzero component) while
+  sum_l n_l < 4096: T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I with one
+  GEMM per level, on dense n_l x n_l level matrices;
+- otherwise the circulant embedding of each level at the least 5-smooth
+  length >= n_l + q_l, with a real FFT for real tables.
+
+Each kernel is built on the first matvec.  The flip, shuffle and half-flip
+operators are never materialized: they act as per-level index permutations
+composed through the row-major flat layout (level 1 slowest).
 
 Contents
 --------
 ToeplitzOperator          coefficient table + sizes, dense(), matvec()
+toeplitz_level            dense one-level Toeplitz matrix from t_{1-n}..t_{n-1}
+kron_sum_product          sum_l (I (x) A_l (x) I) x, one GEMM per level
 flip_apply                reversed copy of the vector (Y_n x)
 u_apply                   reverse the leading half of each level (U_n x)
 pi_apply                  even-size shuffle permutation (Pi_n x, Pi_n^T x)
@@ -36,6 +45,8 @@ from .symbols import Symbol, as_sizes, total_dim
 __all__ = [
     "DENSE_CAPACITY",
     "ToeplitzOperator",
+    "toeplitz_level",
+    "kron_sum_product",
     "flip_map",
     "u_map",
     "pi_map",
@@ -170,6 +181,24 @@ def _sums_directly(nterms: int, lengths) -> bool:
     return nterms <= math.log2(math.prod(lengths))
 
 
+# Level sizes summing to this or more go to the FFT: the level GEMMs make
+# 2 sum_l n_l flops per entry, the FFT pair a few log2 M passes.  Measured
+# on a 2-core Xeon with one BLAS thread, ms per ex2 matvec, FFT -> levels:
+# 10^2 0.058 -> 0.010, 40^2 0.164 -> 0.017, 80^2 0.47 -> 0.057,
+# 256^2 10.9 -> 1.7, 512^2 46 -> 12.6, 1024^2 156 -> 83; near parity at
+# 2048^2 (551 vs 633 and 731 vs 625 in two readings), and the FFT ahead at
+# 64 x 4096 and 4096 x 64 (47-52 vs 57-68).
+_LEVEL_CROSSOVER = 4096
+
+
+def _multiplies_by_levels(indices, sizes) -> bool:
+    # a separable table, every index with at most one nonzero component, is
+    # a sum of one-level tables, T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I; on
+    # one level the product would be a memory-bound GEMV
+    return (len(sizes) > 1 and sum(sizes) < _LEVEL_CROSSOVER
+            and all(sum(map(bool, k)) <= 1 for k in indices))
+
+
 def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
     # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
     # (sign +1, Hankel), level by level, for a table of shape (2 n_l - 1)_l;
@@ -188,17 +217,50 @@ def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
     return out
 
 
+def toeplitz_level(t) -> np.ndarray:
+    """Dense n x n Toeplitz matrix with entry (i, j) = t_{i-j}.
+
+    ``t`` is the length 2n - 1 vector t_{1-n}, ..., t_{n-1}, so t_k sits at
+    index k + n - 1; the matrix takes its dtype.
+    """
+    t = np.ascontiguousarray(t)
+    if t.ndim != 1 or t.size % 2 == 0:
+        raise ShapeError(f"expected a vector of odd length 2n - 1, got shape {t.shape}")
+    n, step = (t.size + 1) // 2, t.itemsize
+    # entry (i, j) is t[n - 1 + i - j]: a view whose rows step forward from
+    # t_0 and whose columns step back, copied out
+    return np.ndarray((n, n), t.dtype, t, (n - 1) * step, (step, -step)).copy()
+
+
+def kron_sum_product(levels, x) -> np.ndarray:
+    """sum_l (I (x) A_l (x) I) x for square level matrices A_l, level 1 slowest.
+
+    x is a vector of length d_n = prod n_l or a (d_n, k) block, and the
+    result has its shape.  The work runs on the (k, d_n) rows of x, a copy
+    only for a block: level l < d is one matmul of A_l into the
+    (k prod n_<l, n_l, prod n_>l) view, and the last level is the single
+    GEMM of the (k d_n / n_d, n_d) view with A_d^T, not a batched GEMV.
+    """
+    sizes = [a.shape[0] for a in levels]
+    rows = np.ascontiguousarray(np.reshape(x, (math.prod(sizes), -1)).T)
+    *first, last = levels
+    y = rows.reshape(-1, sizes[-1]) @ last.T
+    for l, a in enumerate(first):
+        y += (a @ rows.reshape(-1, sizes[l], math.prod(sizes[l + 1:]))).reshape(y.shape)
+    return y.reshape(rows.shape).T.reshape(np.shape(x))
+
+
 class ToeplitzOperator:
     """Multilevel Toeplitz matrix T_n(f), entry (i, j) = t_{i-j}.
 
     Holds the coefficient table clipped to the representable band
     |k_l| <= n_l - 1 (coefficients outside it cannot touch any entry), and
-    fixes at construction how matvec applies it: as flat diagonals through
-    scipy's DIA matvec when the table stores at most log2 M coefficients,
-    M = prod m_l the size of the circulant embedding, and through that
-    embedding otherwise.  Either kernel is built on the first matvec; the
-    diagonals keep one length-d_n vector per stored coefficient.  Immutable
-    after construction; matvec is reentrant.
+    fixes at construction which of the three kernels in the module notes
+    matvec uses: flat diagonals when the table stores at most log2 M
+    coefficients, M = prod m_l the size of the circulant embedding; one
+    GEMM per level when it is separable, spans two or more levels and
+    sum_l n_l < 4096; the embedding otherwise.  Each kernel is built on the
+    first matvec.  Immutable after construction; matvec is reentrant.
     """
 
     def __init__(self, coefficients: dict, n):
@@ -217,8 +279,14 @@ class ToeplitzOperator:
         # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
         # of every |k_l| <= q_l off the leading n_l x n_l block
         self._lengths = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.band))
-        self._sparse = _sums_directly(len(clipped), self._lengths)
+        if _sums_directly(len(clipped), self._lengths):
+            self._kernel = "diagonals"
+        elif _multiplies_by_levels(clipped, self.sizes):
+            self._kernel = "levels"
+        else:
+            self._kernel = "fft"
         self._diagonals = None
+        self._levels = None
         self._kernel_hat = None
 
     @classmethod
@@ -270,6 +338,15 @@ class ToeplitzOperator:
             self._diagonals = dia_matrix((data, list(rows)), shape=(self.dim, self.dim))
         return self._diagonals
 
+    def _level_matrices(self):
+        # T_{n_l}(f_l) for each level table of Symbol.levels, t_0 on level 1
+        if self._levels is None:
+            tables = Symbol(len(self.sizes), None, self.coefficients).levels()
+            cols = (np.array([tab.get(k, 0j) for k in range(1 - nl, nl)])
+                    for tab, nl in zip(tables, self.sizes))
+            self._levels = [toeplitz_level(t.real if self.is_real else t) for t in cols]
+        return self._levels
+
     def _embedding(self):
         if self._kernel_hat is None:
             mm = self._lengths
@@ -288,20 +365,27 @@ class ToeplitzOperator:
         matvec, built on first use: coefficient k is the diagonal at offset
         -sum_l k_l stride_l, zero on the rows where a level would wrap, and
         the diagonals are added in the table's order, O(nnz d_n).
-        A dense table goes through the per-level circulant embedding,
-        O(d_n log d_n): a real-to-complex FFT pair for a real table (twice,
-        on the real and imaginary parts, for a complex x), a complex pair
-        for a complex table.
+        A dense separable table on two or more levels with sum_l n_l < 4096
+        is applied as sum_l (I (x) T_{n_l}(f_l) (x) I) x, t_0 booked on
+        level 1 as ``Symbol.levels`` does, O(d_n sum_l n_l).  Any other
+        dense table goes through the per-level circulant embedding,
+        O(d_n log d_n), with a real FFT pair for a real table.  A complex x
+        on a real table takes either dense kernel twice, on its real and
+        imaginary parts.
         """
         x = _check_length(x, self.dim).reshape(self.sizes)
-        if self._sparse:
+        if self._kernel == "diagonals":
             return self._shifted_sum(x)
+        product = self._level_product if self._kernel == "levels" else self._product
         if self.is_real and np.iscomplexobj(x):
-            return self._product(x.real) + 1j * self._product(x.imag)
-        return self._product(x)
+            return product(x.real) + 1j * product(x.imag)
+        return product(x)
 
     def _shifted_sum(self, x) -> np.ndarray:
         return self._diagonal_matrix() @ x.ravel()
+
+    def _level_product(self, x) -> np.ndarray:
+        return kron_sum_product(self._level_matrices(), x).ravel()
 
     def _product(self, x) -> np.ndarray:
         mm, axes, khat = self._embedding()

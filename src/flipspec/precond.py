@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .operators import _panels
+from .operators import _panels, kron_sum_product, toeplitz_level
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
@@ -81,11 +81,10 @@ def circulant_abs(c) -> np.ndarray:
     return np.abs(np.fft.fft(np.asarray(c)))
 
 
-def _symmetric_toeplitz(col) -> np.ndarray:
-    # T[i, j] = col[|i - j|]
+def _symmetric_level(col) -> np.ndarray:
+    # T[i, j] = col[|i - j|], from the real parts of col
     col = np.asarray(np.real(col), dtype=float)
-    idx = np.arange(len(col))
-    return col[np.abs(idx[:, None] - idx)]
+    return toeplitz_level(np.concatenate((col[:0:-1], col)))
 
 
 def _level_modulus(table: dict) -> Symbol:
@@ -149,7 +148,7 @@ class ToeplitzPreconditioner:
             mirror = complex(h.coefficients.get(tuple(-x for x in k), 0.0))
             if abs(v.imag) > 1e-12 * peak or abs(v - mirror.conjugate()) > 1e-12 * peak:
                 raise SymmetryError(f"symbol coefficient t_{k} breaks real symmetry")
-        levels = [_symmetric_toeplitz([tab.get(j, 0.0) for j in range(nl)])
+        levels = [_symmetric_level([tab.get(j, 0.0) for j in range(nl)])
                   for tab, nl in zip(h.levels(), sizes)]
         return cls(levels, h)
 
@@ -175,10 +174,12 @@ class ToeplitzPreconditioner:
         return y.reshape(shape)
 
     def apply(self, x):
-        """P x, by the level matrices themselves rather than the eigenbasis."""
-        x = self._check(x)
-        return sum((a @ x.reshape(math.prod(self.sizes[:l]), n, -1)).reshape(x.shape)
-                   for l, (a, n) in enumerate(zip(self.levels, self.sizes)))
+        """P x, by the level matrices themselves rather than the eigenbasis.
+
+        This is the level product of ``ToeplitzOperator.matvec``,
+        ``operators.kron_sum_product``: one GEMM per level.
+        """
+        return kron_sum_product(self.levels, self._check(x))
 
     def apply_inverse(self, r):
         return self._out_of(self._into(r), self._inverse, np.shape(r))
@@ -201,7 +202,7 @@ def build_circulant_kron_sum(f: Symbol, n) -> ToeplitzPreconditioner:
     sizes = f.check_sizes(n)
     tables = f.levels()
     # a symmetric circulant is the symmetric Toeplitz matrix of its first column
-    levels = [_symmetric_toeplitz(np.fft.ifft(circulant_abs(optimal_circulant(tab, nl))).real)
+    levels = [_symmetric_level(np.fft.ifft(circulant_abs(optimal_circulant(tab, nl))).real)
               for tab, nl in zip(tables, sizes)]
     weight = kron_sum_symbol([_level_modulus(tab) for tab in tables], name="sum_of_level_moduli")
     return ToeplitzPreconditioner(levels, weight)

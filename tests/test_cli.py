@@ -247,6 +247,16 @@ class TestVerify:
         assert verdict["fft_matvec_vs_dense"]
         assert not verdict["direct_matvec_vs_dense"]
 
+    def test_level_oracle_checks_the_level_product(self, tmp_path, monkeypatch):
+        # a broken level product must fail only the level oracle
+        monkeypatch.setattr(ToeplitzOperator, "_level_product",
+                            lambda self, x: np.zeros(x.size))
+        res = experiments.run_verify(ExperimentConfig(exp="ex1", out=str(tmp_path)),
+                                     suites=["oracles"])
+        verdict = {check: ok for _, check, ok, _ in res["rows"]}
+        assert verdict["fft_matvec_vs_dense"] and verdict["direct_matvec_vs_dense"]
+        assert not verdict["level_matvec_vs_dense"]
+
     def test_unknown_suite_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "bogus", "--out", str(tmp_path)])
         assert rc == 1

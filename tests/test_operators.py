@@ -303,16 +303,80 @@ def test_scipy_sparse_loads_on_the_first_sparse_matvec():
     subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
+def separable_table(rng, sizes, complex_table):
+    # t_0 plus a full band on each level alone, so the table is dense
+    draw = (lambda: complex(*rng.standard_normal(2))) if complex_table else (
+        lambda: float(rng.standard_normal()))
+    coeffs = {(0,) * len(sizes): draw()}
+    for l, nl in enumerate(sizes):
+        for k in range(1 - nl, nl):
+            if k:
+                coeffs[tuple(k if m == l else 0 for m in range(len(sizes)))] = draw()
+    return coeffs
+
+
+class TestLevelProduct:
+    """A separable dense table is applied level by level, one GEMM each,
+    against the dense Kronecker oracle; t_0 must count once, not per level."""
+
+    @pytest.mark.parametrize("sizes", [(5, 7), (7, 5), (6, 1), (1, 6), (4, 5, 3), (3, 1, 6)])
+    @pytest.mark.parametrize("complex_table", [False, True])
+    @pytest.mark.parametrize("complex_x", [False, True])
+    def test_matches_kronecker_oracle(self, sizes, complex_table, complex_x):
+        rng = np.random.default_rng(sum(sizes) + 7 * len(sizes))
+        coeffs = separable_table(rng, sizes, complex_table)
+        op = ops.ToeplitzOperator(coeffs, sizes)
+        assert op._kernel == "levels"
+        x = rng.standard_normal(op.dim)
+        if complex_x:
+            x = x + 1j * rng.standard_normal(op.dim)
+        y = op.matvec(x)
+        assert np.iscomplexobj(y) == (complex_table or complex_x)
+        ref = kron_toeplitz_dense(coeffs, sizes) @ x
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert op._kernel_hat is None and op._diagonals is None
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_level_builder_entry_rule(self, n):
+        # t_k at index k + n - 1, read through a strided view as well
+        every_other = np.arange(1.0, 4 * n - 1) * (1 + 0.5j)
+        t = every_other[::2]
+        want = kron_toeplitz_dense({(k,): t[k + n - 1] for k in range(1 - n, n)}, (n,))
+        assert np.array_equal(ops.toeplitz_level(t), want)
+        with pytest.raises(ShapeError):
+            ops.toeplitz_level(every_other[:2 * n])
+
+
+def test_crossover_sends_large_separable_tables_to_the_fft():
+    coeffs = {(0, 0): 4.0, **{(k, 0): -1.0 for k in (-1, 1, 2)},
+              **{(0, k): 0.5 for k in range(-20, 21) if k}}
+    assert ops.ToeplitzOperator(coeffs, (64, ops._LEVEL_CROSSOVER - 65))._kernel == "levels"
+    assert ops.ToeplitzOperator(coeffs, (64, ops._LEVEL_CROSSOVER - 64))._kernel == "fft"
+
+
 @pytest.mark.parametrize("exp,sizes,direct", [
     ("ex1", (50, 50), True),
     *[("ex3", (n, n, n), True) for n in (5, 10, 20, 24, 32, 64)],
     *[("ex2", (n, n), False) for n in (10, 20, 40, 80, 256, 512, 1024)],
 ])
 def test_shipped_symbols_take_their_path(exp, sizes, direct):
+    # direct: the flat diagonals; otherwise (ex2) the level product
     f = experiment_symbol(ExperimentConfig(exp=exp, sizes=sizes), sizes)
     op = ops.ToeplitzOperator.from_symbol(f, sizes)
     assert takes_sum(op) == direct
-    assert op._sparse == direct
+    assert op._kernel == ("diagonals" if direct else "levels")
+    if not direct:
+        op.matvec(np.ones(op.dim))
+        assert op._kernel_hat is None and op._diagonals is None
+
+
+def test_non_separable_and_one_level_tables_keep_the_fft():
+    custom = experiment_symbol(ExperimentConfig(exp="custom", sizes=(64,)), (64,))
+    for op in (ops.ToeplitzOperator(stencil_table(np.random.default_rng(38), 2), (8, 9)),
+               ops.ToeplitzOperator.from_symbol(custom, (64,))):
+        assert op._kernel == "fft"
+        op.matvec(np.ones(op.dim))
+        assert op._kernel_hat is not None and op._levels is None
 
 
 class TestIndexMaps:

@@ -247,7 +247,8 @@ class TestToeplitzPreconditioner:
         inverse_sqrt = (v / np.sqrt(w)) @ v.T
         for r in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3)),
                   rng.standard_normal((3, p.dim)).T):
-            for got, want in ((p.apply_inverse(r), inverse @ r),
+            for got, want in ((p.apply(r), kron_sum_dense(levels) @ r),
+                              (p.apply_inverse(r), inverse @ r),
                               (p.apply_inverse_sqrt(r), inverse_sqrt @ r)):
                 assert got.shape == r.shape
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -391,6 +392,26 @@ class TestFractionalPreconditioners:
         pts = rng.uniform(-np.pi, np.pi, size=(2000, 2))
         vals = np.asarray(r.eval(pts))
         assert vals.real.min() > 0.0
+
+
+@pytest.mark.parametrize("exp,precond,sizes", [("ex2", "toepfr", (9, 11)),
+                                               ("ex2", "p22", (9, 11)),
+                                               ("ex2", "p2beta", (9, 11)),
+                                               ("ex3", "circsum", (5, 6, 7))])
+def test_levels_are_the_gathered_first_columns(exp, precond, sizes):
+    # bit for bit A_l[i, j] = col_l[|i - j|], col_l the level's real first column
+    cfg = ExperimentConfig(exp=exp, precond=precond)
+    f = experiment_symbol(cfg, sizes)
+    p, _ = build_preconditioner(cfg, f, sizes)
+    if precond == "circsum":
+        cols = [np.fft.ifft(pc.circulant_abs(pc.optimal_circulant(tab, n))).real
+                for tab, n in zip(f.levels(), sizes)]
+    else:
+        cols = [np.real([tab.get(j, 0.0) for j in range(n)])
+                for tab, n in zip(p.symbol.levels(), sizes)]
+    for a, col in zip(p.levels, cols):
+        i = np.arange(len(col))
+        assert np.array_equal(a, col[np.abs(i[:, None] - i)])
 
 
 class TestPreconditionedSpectrum:

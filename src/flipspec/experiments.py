@@ -44,7 +44,7 @@ from .operators import (ToeplitzOperator, _panels, _shuffle_conjugate, assemble_
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
                        sym_eigenvalues, tent, zero_distribution_verdict)
-from .precond import (build_circulant_kron_sum, build_p22, build_p2beta,
+from .precond import (_parity_spectrum, build_circulant_kron_sum, build_p22, build_p2beta,
                       build_toepfr, optimal_circulant, preconditioned_spectrum)
 from .krylov import SolveConfig, flipped_solve
 
@@ -487,6 +487,24 @@ def _suite_oracles(cfg: ExperimentConfig):
         err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)
         worst = max(worst, float(err))
     rows.append(("oracles", "level_matvec_vs_dense", by_levels and worst <= 1e-12,
+                 f"{worst:.3e}"))
+
+    # toepfr spectra solved in the flip parity split at size m_o, against
+    # eigvalsh of the same symmetric W at size d_n; all-odd sizes give m_e > m_o
+    worst, halved = 0.0, True
+    for exp, sizes in (("ex2", (9, 7)), ("ex3", (5, 4, 3))):
+        f = experiment_symbol(replace(cfg, exp=exp), sizes)
+        p = build_toepfr(f, sizes)
+        scale = np.sqrt(p._inverse)
+        w = p._into(p._into(_flipped_dense(f, sizes)) * scale) * scale
+        w = (w + w.T) / 2.0
+        full = np.linalg.eigvalsh(w)
+        half = _parity_spectrum(p, w)
+        if half is None or half.shape != full.shape:
+            halved = False
+            continue
+        worst = max(worst, float(np.max(np.abs(half - full)) / np.max(np.abs(full))))
+    rows.append(("oracles", "parity_spectrum_vs_dense", halved and worst <= 1e-12,
                  f"{worst:.3e}"))
     return rows
 

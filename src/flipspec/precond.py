@@ -24,6 +24,24 @@ build_toepfr              T(f_R) for a given symbol
 build_p22                 Laplacian on both levels (kron_sum_symbol)
 build_p2beta              Laplacian on level 1, band truncation on level 2
 preconditioned_spectrum   eigenvalues of P^{-1} S, two panelled sweeps into the eigenbasis
+
+Flip parity of the preconditioned spectrum
+------------------------------------------
+A symmetric Toeplitz level commutes with its flip J, so an eigenvector
+q of a simple eigenvalue is even or odd, J q = +-q (Cantoni & Butler,
+1976), and the columns of Q = Q_1 (x) ... (x) Q_d are even or odd under
+Y = J (x) ... (x) J; write D = Q^T Y Q = diag(+-1), with m_e even and m_o
+odd columns.  For P = T(f_R), the symmetric part of T = T(f), and S = Y T:
+Y P Q = Q D Lambda, while the skew part K = T(i f_I) anticommutes with Y,
+so Q^T Y K Q has no parity-diagonal entries.  Hence in the parity split
+W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2} = [[I, B], [B^T, -I]], whose square
+is diag(I + B B^T, I + B^T B): the eigenvalues are +-sqrt(1 + sigma_j^2)
+over the singular values of B, plus m_e - m_o eigenvalues +1 from the
+null space of B^T (0 or 1 of them).  This is the finite-n form of the
+paper's +-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).  ``preconditioned_spectrum``
+checks both facts on the numbers (definite level parities, +I and -I
+blocks) rather than on the builder's name, and solves at size d_n when
+either fails.
 """
 
 from __future__ import annotations
@@ -34,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .operators import _panels, kron_sum_product, toeplitz_level
+from .operators import _PANEL_ROWS, _panels, kron_sum_product, toeplitz_level
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
@@ -251,10 +269,15 @@ def preconditioned_spectrum(p, s) -> np.ndarray:
     With P = Q Lambda Q^T, P^{-1} S is similar to the symmetric
     W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2}, formed in one array by two
     panelled sweeps into the eigenbasis (rows of S, then columns of W in
-    place); its lower triangle, the one eigvalsh reads, then takes the
-    average of W and W^T.  S is never written and is let go after the
-    first sweep, so given the only reference to S this holds two d_n x d_n
-    arrays: S and W, then W and LAPACK's copy.
+    place).  S is never written and is let go after the first sweep, so
+    given the only reference to S this holds two d_n x d_n arrays: S and W,
+    then W and LAPACK's copy.
+
+    W is then averaged with W^T in both triangles.  For ``build_toepfr``'s
+    P = T(f_R) and S = Y T, ``_parity_spectrum`` solves W at size
+    m_o <= d_n / 2 in the flip parity split of the module notes; any other
+    P or S (``p22``, ``p2beta``, ``circsum``) fails one of its two checks
+    and goes to eigvalsh at size d_n, unchanged.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
@@ -268,6 +291,76 @@ def preconditioned_spectrum(p, s) -> np.ndarray:
     del s
     for cols in _panels(p.dim):
         np.multiply(p._into(w[:, cols]), scale, out=w[:, cols].T)
+    # average W and W^T into both triangles; eigvalsh reads the lower one
     for r in _panels(p.dim):
-        w[r.start:, r] = (w[r.start:, r] + w[r, r.start:].T) / 2.0
+        mean = (w[r.start:, r] + w[r, r.start:].T) / 2.0
+        w[r.start:, r] = mean
+        w[r, r.start:] = mean.T
+    eigs = _parity_spectrum(p, w)
+    if eigs is not None:
+        return eigs
     return np.linalg.eigvalsh(w, UPLO="L")
+
+
+# |q . q[::-1]| of a level basis column may miss 1 by this much, and the
+# parity-diagonal blocks of W may miss +I and -I by this much times max|W|
+# (measured for toepfr: 2.5e-14 at ex2 50^2, 5.3e-14 at 70^2, 2.1e-14 at
+# ex3 16^3; a P scaled by 1.01 misses by 1e-2)
+_PARITY_TOL = 1e-12
+
+
+def _even_columns(p: ToeplitzPreconditioner):
+    # the Y-even columns of Q as a mask over d_n, or None when some level
+    # basis column has no definite parity under the level flip
+    signs = []
+    for q in p.bases:
+        parity = np.einsum("ij,ij->j", q, q[::-1])
+        if np.abs(np.abs(parity) - 1.0).max() > _PARITY_TOL:
+            return None
+        signs.append(np.sign(parity))
+    return functools.reduce(np.multiply.outer, signs).ravel() > 0.0
+
+
+def _parity_spectrum(p: ToeplitzPreconditioner, w):
+    """Eigenvalues of W in the flip parity split of the module notes, or None.
+
+    None, with W untouched, unless every level basis column has definite
+    Y-parity and the parity-diagonal blocks of W are +I and -I to within
+    _PARITY_TOL max|W|.  Otherwise B and the lower triangle of I + B^T B
+    are written over the head of W's buffer.  B^T B is the smaller side: a
+    centrosymmetric level has ceil(n_l / 2) even and floor(n_l / 2) odd
+    eigenvectors, so m_e - m_o = prod_l (n_l mod 2).
+    """
+    even = _even_columns(p)
+    if even is None:
+        return None
+    # W + D W D is twice the parity-diagonal blocks of W, D = diag(+-1) the
+    # parity of each column: formed one row panel at a time in one buffer
+    sign = np.where(even, 1.0, -1.0)
+    buf = np.empty((min(_PANEL_ROWS, p.dim), p.dim))
+    deviation = peak = 0.0
+    for r in _panels(p.dim):
+        panel, twice = w[r], buf[:r.stop - r.start]
+        np.multiply(panel, sign, out=twice)
+        twice *= sign[r, None]
+        twice += panel
+        twice[np.arange(len(twice)), np.arange(r.start, r.stop)] -= 2.0 * sign[r]
+        deviation = max(deviation, twice.max() / 2.0, -twice.min() / 2.0)
+        peak = max(peak, panel.max(), -panel.min())
+    if not deviation <= _PARITY_TOL * peak:
+        return None
+    rows, cols = np.flatnonzero(even), np.flatnonzero(~even)
+    m_e, m_o = len(rows), len(cols)
+    # row a of B lands before row rows[a] >= a of W, which is read first
+    flat = w.reshape(-1)
+    b = flat[:m_e * m_o].reshape(m_e, m_o)
+    for r in _panels(m_e):
+        b[r] = w[np.ix_(rows[r], cols)]
+    # the lower triangle of B^T B by column panels: one product of the whole
+    # of B would grow BLAS's packing buffers for the rest of the process
+    gram = flat[m_e * m_o:m_e * m_o + m_o * m_o].reshape(m_o, m_o)
+    for c in _panels(m_o):
+        np.matmul(b[:, c.start:].T, b[:, c], out=gram[c.start:, c])
+    gram.reshape(-1)[::m_o + 1] += 1.0
+    root = np.sqrt(np.linalg.eigvalsh(gram))
+    return np.sort(np.concatenate((-root, np.ones(m_e - m_o), root)))

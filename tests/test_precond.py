@@ -14,7 +14,8 @@ from flipspec import precond as pc
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from flipspec.experiments import ExperimentConfig, build_preconditioner, experiment_symbol
+from flipspec.experiments import (ExperimentConfig, _flipped_dense, build_preconditioner,
+                                  experiment_symbol)
 
 LAP = {0: 2.0, 1: -1.0, -1: -1.0}
 
@@ -504,3 +505,94 @@ class TestPreconditionedSpectrum:
         p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 5))
         with pytest.raises(ShapeError):
             pc.preconditioned_spectrum(p, np.zeros(shape))
+
+
+def whole_matrix_w(p, s):
+    """Symmetric Lambda^{-1/2} Q^T S Q Lambda^{-1/2}, by whole-matrix sweeps."""
+    scale = np.sqrt(p._inverse)
+    w = p._into(p._into(s) * scale) * scale
+    return (w + w.T) / 2.0
+
+
+def full_size_spectrum(p, s):
+    """The size-d_n path step for step: panelled sweeps, lower-triangle average."""
+    scale = np.sqrt(p._inverse)
+    w = np.empty((p.dim, p.dim))
+    for rows in ops._panels(p.dim):
+        np.multiply(p._into(s[rows].T), scale, out=w[rows])
+    for cols in ops._panels(p.dim):
+        np.multiply(p._into(w[:, cols]), scale, out=w[:, cols].T)
+    for r in ops._panels(p.dim):
+        w[r.start:, r] = (w[r.start:, r] + w[r, r.start:].T) / 2.0
+    return np.linalg.eigvalsh(w, UPLO="L")
+
+
+def experiment_case(exp, precond, sizes):
+    # P and the flipped matrix S = Y T that the spectrum command would build
+    cfg = ExperimentConfig(exp=exp, precond=precond)
+    f = experiment_symbol(cfg, sizes)
+    p, _ = build_preconditioner(cfg, f, sizes)
+    return p, _flipped_dense(f, sizes)
+
+
+class TestParitySpectrum:
+    """toepfr spectra solved in the flip parity split, W = [[I, B], [B^T, -I]].
+
+    All-odd sizes have one even eigenvector more than odd ones, so the
+    spectrum holds one eigenvalue +1 besides the pairs +-sqrt(1 + sigma^2).
+    """
+
+    @pytest.mark.parametrize("exp,sizes", [("ex2", (16, 16)), ("ex2", (17, 19)),
+                                           ("ex2", (30, 60)), ("ex3", (7, 7, 7)),
+                                           ("ex3", (9, 10, 11))])
+    def test_matches_eigvalsh_of_the_same_w(self, exp, sizes):
+        p, s = experiment_case(exp, "toepfr", sizes)
+        got = pc.preconditioned_spectrum(p, s)
+        want = np.linalg.eigvalsh(whole_matrix_w(p, s))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("exp,precond,sizes,half", [
+        ("ex2", "toepfr", (16, 16), True),
+        ("ex2", "toepfr", (17, 19), True),
+        ("ex3", "toepfr", (7, 7, 7), True),
+        ("ex2", "p22", (16, 16), False),
+        ("ex2", "p2beta", (17, 19), False),
+        ("ex3", "circsum", (7, 7, 7), False),
+        ("ex2", "toepfr-scaled", (16, 16), False),
+    ])
+    def test_path_choice(self, monkeypatch, exp, precond, sizes, half):
+        # the toepfr spectrum solves at size m_o <= max(m_e, m_o); any other
+        # P, including toepfr's scaled by 1.01, solves at d_n as before
+        p, s = experiment_case(exp, precond.split("-")[0], sizes)
+        if precond == "toepfr-scaled":
+            p = pc.ToeplitzPreconditioner([1.01 * a for a in p.levels], p.symbol)
+        eigvalsh, solved = np.linalg.eigvalsh, []
+
+        def recorded(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        want = full_size_spectrum(p, s)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        got = pc.preconditioned_spectrum(p, s)
+        assert len(solved) == 1
+        if half:
+            assert solved[0] <= (p.dim + 1) // 2
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+        else:
+            assert solved[0] == p.dim
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("exp,sizes", [("ex2", (30, 34)), ("ex3", (6, 6, 6))])
+    def test_dense_spectrum_avoids_the_unit_interval(self, exp, sizes):
+        # no flipspec path: P^{-1/2} Y T P^{-1/2} from the dense T(f_R) and its
+        # eigh, so every |lambda| >= 1 is the finite-n clustering at +-|f| / f_R
+        cfg = ExperimentConfig(exp=exp, precond="toepfr")
+        f = experiment_symbol(cfg, sizes)
+        vals, vecs = np.linalg.eigh(kron_toeplitz_dense(
+            sym.real_part_symbol(f).coefficients, sizes).real)
+        root = (vecs / np.sqrt(vals)) @ vecs.T
+        w = root @ TestPreconditionedSpectrum.flipped(f, sizes) @ root
+        eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
+        assert np.abs(eigs).min() >= 1.0 - 1e-12

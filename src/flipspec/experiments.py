@@ -15,6 +15,22 @@ bytes (the recorded wall times being the one honest exception).
 ``spectrum`` and ``match`` share one pipeline (``_spectrum``) and differ
 only in the sampling grid and the files they write.
 
+Exchange symmetry of the unpreconditioned spectrum
+--------------------------------------------------
+Every dense spectrum gathers Y T straight from the coefficient table, a
+Hankel lookup of the table reversed on every level, into the array it is
+solved in.  When two levels l, m have n_l = n_m and the table is exactly
+invariant under exchanging k_l and k_m (ex1's 4 + e^{i t1} + e^{i t2} at
+n_1 = n_2, ex2 at alpha = beta), the level exchange S commutes with T and
+with Y, so Y T splits into a symmetric-tensor and an antisymmetric-tensor
+block of sizes d_n (n_l + 1) / 2 n_l and d_n (n_l - 1) / 2 n_l
+(Fässler & Stiefel, 1992).  The check is exact equality of the table and
+its transposed levels, with no tolerance; without such a pair the one
+block is the whole Y T.  ``_flipped_spectrum`` solves the blocks one at a
+time, each through the symmetry gate of ``sym_eigenvalues``, and it has no
+option: ``spectrum``, ``match`` and ``verify``'s distribution rows all take it.
+Preconditioned spectra gather the whole Y T (``preconditioned_spectrum``).
+
 Contents
 --------
 ExperimentConfig, VALID_PRECONDITIONERS
@@ -38,7 +54,7 @@ from .symbols import (Symbol, as_sizes, constant_symbol,
                       convection_diffusion_symbol, ex1_symbol,
                       fractional_symbol, grunwald_symbol,
                       real_part_symbol, total_dim)
-from .operators import (ToeplitzOperator, _panels, _shuffle_conjugate, assemble_block_g,
+from .operators import (ToeplitzOperator, _shuffle_conjugate, assemble_block_g,
                         assemble_hankel, flip_apply, interleaved_block_g,
                         pi_apply, pi_map, structure_residual, u_apply)
 from .spectral import (build_delta, build_gamma, build_lambda,
@@ -157,15 +173,15 @@ def size_ladder(cfg: ExperimentConfig):
     raise ParameterError(f"experiment {cfg.exp} has no default size ladder; pass sizes")
 
 
-def _flipped_dense(f: Symbol, sizes) -> np.ndarray:
-    # Y_n T_n(f): Y reverses the flat index (see flip_apply), so the rows of
-    # the assembled matrix are reversed in place, swapping mirrored panels
-    a = ToeplitzOperator.from_symbol(f, sizes).dense()
-    d_n = len(a)
-    for top in _panels(d_n // 2):
-        bottom = slice(d_n - top.stop, d_n - top.start)
-        a[top], a[bottom] = a[bottom][::-1], a[top][::-1].copy()
-    return a
+def _flipped_spectrum(f: Symbol, sizes) -> np.ndarray:
+    # eigenvalues of Y_n T_n(f), ascending: each block that
+    # ToeplitzOperator.flipped_blocks gathers goes through the symmetry gate
+    # and eigvalsh, and is let go before the next one is gathered
+    eigs = []
+    for block in ToeplitzOperator.from_symbol(f, sizes).flipped_blocks():
+        eigs.append(sym_eigenvalues(block))
+        del block
+    return np.sort(np.concatenate(eigs))
 
 
 def _dropped_note(lam) -> str:
@@ -212,9 +228,7 @@ def _spectrum(cfg: ExperimentConfig, build_grid):
     sizes = cfg.sizes
     f = experiment_symbol(cfg, sizes)
     p, weight = build_preconditioner(cfg, f, sizes)
-    # no local name keeps the flipped matrix: the callee may free it early
-    eigs = (sym_eigenvalues(_flipped_dense(f, sizes)) if p is None
-            else preconditioned_spectrum(p, _flipped_dense(f, sizes)))
+    eigs = _flipped_spectrum(f, sizes) if p is None else preconditioned_spectrum(p, f)
     return eigs, build_lambda(f, weight, build_grid(sizes))
 
 
@@ -343,7 +357,7 @@ def _suite_ops(cfg: ExperimentConfig):
                               - np.sort(np.linalg.eigvalsh(t)))))
     rows.append(("ops", "permuted_similarity", gap <= 1e-11, f"{gap:.3e}"))
 
-    s = _flipped_dense(ex1_symbol(), (6, 6))
+    s = ToeplitzOperator.from_symbol(ex1_symbol(), (6, 6)).flipped_dense()
     gap = float(np.max(np.abs(s - s.T)))
     rows.append(("ops", "flipped_symmetry", gap == 0.0, f"{gap:g}"))
     return rows
@@ -384,8 +398,8 @@ def _suite_hankel(cfg: ExperimentConfig, sizes):
 def _suite_distribution(cfg: ExperimentConfig):
     f = ex1_symbol()
     fns = [tent(0.0, 8.0), tent(4.0, 4.0), tent(-4.0, 4.0)]
-    small = distribution_discrepancy(sym_eigenvalues(_flipped_dense(f, (10, 10))), f, None, fns)
-    big = distribution_discrepancy(sym_eigenvalues(_flipped_dense(f, (30, 30))), f, None, fns)
+    small = distribution_discrepancy(_flipped_spectrum(f, (10, 10)), f, None, fns)
+    big = distribution_discrepancy(_flipped_spectrum(f, (30, 30)), f, None, fns)
     rows = []
     for a, b in zip(small, big):
         ok = b.discrepancy < a.discrepancy and b.discrepancy < 0.05
@@ -496,7 +510,8 @@ def _suite_oracles(cfg: ExperimentConfig):
         f = experiment_symbol(replace(cfg, exp=exp), sizes)
         p = build_toepfr(f, sizes)
         scale = np.sqrt(p._inverse)
-        w = p._into(p._into(_flipped_dense(f, sizes)) * scale) * scale
+        s = ToeplitzOperator.from_symbol(f, sizes).flipped_dense()
+        w = p._into(p._into(s) * scale) * scale
         w = (w + w.T) / 2.0
         full = np.linalg.eigvalsh(w)
         half = _parity_spectrum(p, w)
@@ -506,6 +521,26 @@ def _suite_oracles(cfg: ExperimentConfig):
         worst = max(worst, float(np.max(np.abs(half - full)) / np.max(np.abs(full))))
     rows.append(("oracles", "parity_spectrum_vs_dense", halved and worst <= 1e-12,
                  f"{worst:.3e}"))
+
+    # Y T solved as its two exchange blocks, against eigvalsh of the whole
+    # gathered Y T: ex1 at odd and even n, and a random 3-level table
+    # exchange-symmetric in levels 2 and 3
+    table = {}
+    for k in np.ndindex(3, 5, 5):
+        k = (k[0] - 1, k[1] - 2, k[2] - 2)
+        swapped = (k[0], k[2], k[1])
+        table[k] = table[swapped] if swapped in table else rng.standard_normal()
+    worst, split = 0.0, True
+    for f, sizes in ((ex1_symbol(), (9, 9)), (ex1_symbol(), (10, 10)),
+                     (Symbol(3, None, table), (3, 5, 5))):
+        op = ToeplitzOperator.from_symbol(f, sizes)
+        full = np.linalg.eigvalsh(op.flipped_dense())
+        got = _flipped_spectrum(f, sizes)
+        if len(list(op.flipped_blocks())) != 2 or got.shape != full.shape:
+            split = False
+            continue
+        worst = max(worst, float(np.max(np.abs(got - full)) / np.max(np.abs(full))))
+    rows.append(("oracles", "swap_spectrum_vs_dense", split and worst <= 1e-12, f"{worst:.3e}"))
     return rows
 
 

@@ -20,7 +20,8 @@ composed through the row-major flat layout (level 1 slowest).
 
 Contents
 --------
-ToeplitzOperator          coefficient table + sizes, dense(), matvec()
+ToeplitzOperator          coefficient table + sizes, dense(), matvec(),
+                          flipped_dense() and flipped_blocks() for Y T
 toeplitz_level            dense one-level Toeplitz matrix from t_{1-n}..t_{n-1}
 kron_sum_product          sum_l (I (x) A_l (x) I) x, one GEMM per level
 flip_apply                reversed copy of the vector (Y_n x)
@@ -199,21 +200,45 @@ def _multiplies_by_levels(indices, sizes) -> bool:
             and all(sum(map(bool, k)) <= 1 for k in indices))
 
 
-def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
-    # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
-    # (sign +1, Hankel), level by level, for a table of shape (2 n_l - 1)_l;
-    # the mixed-radix code of per-level sums and differences is separable
-    # (digits never carry), so the outer sum of two length-d_n key vectors
-    # indexes the matrix, gathered one row panel at a time into the output
+def _lookup_keys(table, sizes) -> np.ndarray:
+    # the mixed-radix code sum_l stride_l i_l of every flat index i, on the
+    # strides of a table of shape (2 n_l - 1)_l; the code of per-level sums
+    # and differences is separable (digits never carry), so the outer sum of
+    # two key vectors indexes the table levelwise
     strides = np.cumprod((1,) + table.shape[::-1][:-1])[::-1]
     levels = np.unravel_index(np.arange(total_dim(sizes)), sizes)
-    key = sum(s * il for s, il in zip(strides, levels))
-    rowkey = key if sign > 0 else key + sum(s * (nl - 1) for s, nl in zip(strides, sizes))
+    return sum(s * il for s, il in zip(strides, levels))
+
+
+def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
+    # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
+    # (sign +1, Hankel), level by level, gathered one row panel at a time
+    # into the output; the last key is the code of n - 1
+    key = _lookup_keys(table, sizes)
+    rowkey = key if sign > 0 else key + key[-1]
     colkey = sign * key
     flat = table.ravel()
     out = np.empty((key.size, key.size), dtype=table.dtype)
     for rows in _panels(key.size):  # keys are in range; "clip" lets take write out unbuffered
         np.take(flat, rowkey[rows, None] + colkey, out=out[rows], mode="clip")
+    return out
+
+
+def _exchange_block(flat, key, partner, combine, weight) -> np.ndarray:
+    # D combine(A[R, R], A[R, S R]) D for the Hankel lookup A[i, j] =
+    # flat[key_i + key_j] and combine np.add or np.subtract, given key over
+    # R, partner = the keys of S R and D = diag(weight); both gathers and
+    # the combination run one row panel at a time
+    size = key.size
+    out = np.empty((size, size), dtype=flat.dtype)
+    buf = np.empty((min(_PANEL_ROWS, size), size), dtype=flat.dtype)
+    for rows in _panels(size):
+        panel, part = out[rows], buf[:rows.stop - rows.start]
+        np.take(flat, key[rows, None] + key, out=panel, mode="clip")
+        np.take(flat, key[rows, None] + partner, out=part, mode="clip")
+        combine(panel, part, out=panel)
+        panel *= weight[rows, None]
+        panel *= weight
     return out
 
 
@@ -300,6 +325,15 @@ class ToeplitzOperator:
         return tuple(max(abs(k[l]) for k in self.coefficients)
                      for l in range(len(self.sizes)))
 
+    def _table(self) -> np.ndarray:
+        # t_k at position k + n - 1, an array of shape (2 n_l - 1)_l
+        table = np.zeros(tuple(2 * nl - 1 for nl in self.sizes),
+                         dtype=float if self.is_real else complex)
+        for k, t in self.coefficients.items():
+            pos = tuple(kl + nl - 1 for kl, nl in zip(k, self.sizes))
+            table[pos] = t.real if self.is_real else t
+        return table
+
     def dense(self) -> np.ndarray:
         """Materialize the d_n x d_n matrix.  Guarded at d_n <= 20000.
 
@@ -307,13 +341,55 @@ class ToeplitzOperator:
         spectrum of it adds one more, LAPACK's copy inside eigvalsh.
         """
         _guard_capacity(self.dim, "dense Toeplitz assembly")
-        sizes = self.sizes
-        table = np.zeros(tuple(2 * nl - 1 for nl in sizes),
-                         dtype=float if self.is_real else complex)
-        for k, t in self.coefficients.items():
-            pos = tuple(kl + nl - 1 for kl, nl in zip(k, sizes))
-            table[pos] = t.real if self.is_real else t
-        return _dense_lookup(table, sizes, -1)
+        return _dense_lookup(self._table(), self.sizes, -1)
+
+    def _flipped_table(self) -> np.ndarray:
+        # t_{n-1-m} at position m: Y T has entry (i, j) = t_{n-1-i-j} levelwise
+        _guard_capacity(self.dim, "dense flipped assembly")
+        return self._table()[(slice(None, None, -1),) * len(self.sizes)]
+
+    def flipped_dense(self) -> np.ndarray:
+        """Y_n T_n(f), gathered as a Hankel lookup of the table reversed on every level.
+
+        Entry (i, j) is t_{n-1-i-j} levelwise, the row d_n - 1 - i of
+        ``dense()``; gathered by row panels straight into the one d_n x d_n
+        array built.  Guarded at d_n <= 20000.
+        """
+        return _dense_lookup(self._flipped_table(), self.sizes, 1)
+
+    def flipped_blocks(self):
+        """Y_n T_n(f) as the blocks that hold its spectrum, yielded one at a time.
+
+        With no exchange symmetry the one block is ``flipped_dense()``.  A
+        level pair (l, m) with n_l = n_m whose table is exactly invariant
+        under exchanging k_l and k_m (checked by equality, first such pair)
+        makes the level exchange S commute with T and with Y, so Y T is
+        orthogonally similar to diag(B+, B-), gathered from the same lookup
+        A[i, j] = t_{n-1-i-j}:
+
+            B+ = D (A[R+, R+] + A[R+, S R+]) D,  R+ = {i : i_l <= i_m},
+            B- = A[R-, R-] - A[R-, S R-],        R- = {i : i_l < i_m},
+
+        with D = 1/sqrt(2) where i_l = i_m and 1 elsewhere: the symmetric-
+        and antisymmetric-tensor blocks, of sizes d_n (n_l + 1) / 2 n_l and
+        d_n (n_l - 1) / 2 n_l.  Guarded at d_n <= 20000.
+        """
+        table = self._flipped_table()
+        pair = next(((l, m) for l in range(table.ndim) for m in range(l + 1, table.ndim)
+                     if self.sizes[l] == self.sizes[m]
+                     and np.array_equal(table, table.swapaxes(l, m))), None)
+        if pair is None:
+            yield _dense_lookup(table, self.sizes, 1)
+            return
+        l, m = pair
+        flat, key = table.ravel(), _lookup_keys(table, self.sizes)
+        partner = key.reshape(self.sizes).swapaxes(l, m).ravel()
+        levels = np.unravel_index(np.arange(self.dim), self.sizes)
+        il, im = levels[l], levels[m]
+        for combine, rows in ((np.add, np.flatnonzero(il <= im)),
+                              (np.subtract, np.flatnonzero(il < im))):
+            weight = np.where(il[rows] == im[rows], np.sqrt(0.5), 1.0)
+            yield _exchange_block(flat, key[rows], partner[rows], combine, weight)
 
     def _diagonal_matrix(self):
         # y_i collects t_k x_{i-s_k}, s_k = sum_l k_l stride_l on the flat

@@ -23,7 +23,8 @@ build_circulant_kron_sum  sum of the levels |C_l| of a separable symbol,
 build_toepfr              T(f_R) for a given symbol
 build_p22                 Laplacian on both levels (kron_sum_symbol)
 build_p2beta              Laplacian on level 1, band truncation on level 2
-preconditioned_spectrum   eigenvalues of P^{-1} S, two panelled sweeps into the eigenbasis
+preconditioned_spectrum   eigenvalues of P^{-1} Y T(f) from the symbol, two in-place
+                          panelled sweeps into the eigenbasis of one gathered array
 
 Flip parity of the preconditioned spectrum
 ------------------------------------------
@@ -42,6 +43,14 @@ paper's +-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).  ``preconditioned_spectrum``
 checks both facts on the numbers (definite level parities, +I and -I
 blocks) rather than on the builder's name, and solves at size d_n when
 either fails.
+
+One array per preconditioned spectrum
+-------------------------------------
+``preconditioned_spectrum`` takes the symbol f, not a dense S: it gathers
+S = Y T from f's table into an array it owns and runs both eigenbasis
+sweeps in place there, so W overwrites S and a spectrum holds one
+d_n x d_n array besides LAPACK's copy.  No caller can pass an asymmetric
+S; the averaging of W with W^T only evens out the sweeps' rounding.
 """
 
 from __future__ import annotations
@@ -52,7 +61,8 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .operators import _PANEL_ROWS, _panels, kron_sum_product, toeplitz_level
+from .operators import (_PANEL_ROWS, ToeplitzOperator, _panels, kron_sum_product,
+                        toeplitz_level)
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
@@ -263,32 +273,33 @@ def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> Toeplitz
 # preconditioned spectra
 
 
-def preconditioned_spectrum(p, s) -> np.ndarray:
-    """Eigenvalues of P^{-1} S for symmetric S and SPD P, ascending.
+def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
+    """Eigenvalues of P^{-1} S for S = Y T_n(f) and SPD P, ascending; takes the symbol.
 
     With P = Q Lambda Q^T, P^{-1} S is similar to the symmetric
-    W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2}, formed in one array by two
-    panelled sweeps into the eigenbasis (rows of S, then columns of W in
-    place).  S is never written and is let go after the first sweep, so
-    given the only reference to S this holds two d_n x d_n arrays: S and W,
-    then W and LAPACK's copy.
+    W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2}.  S is gathered from f's table
+    at P's sizes (``ToeplitzOperator.flipped_dense``) into an array this
+    function owns, and the two panelled sweeps into the eigenbasis (rows,
+    then columns) run in place there, so it holds one d_n x d_n array, then
+    that array and LAPACK's copy.  Raises ShapeError when f has another
+    level count and SymmetryError for a complex table, whose Y T is not
+    real symmetric.
 
     W is then averaged with W^T in both triangles.  For ``build_toepfr``'s
-    P = T(f_R) and S = Y T, ``_parity_spectrum`` solves W at size
-    m_o <= d_n / 2 in the flip parity split of the module notes; any other
-    P or S (``p22``, ``p2beta``, ``circsum``) fails one of its two checks
-    and goes to eigvalsh at size d_n, unchanged.
+    P = T(f_R), ``_parity_spectrum`` solves W at size m_o <= d_n / 2 in the
+    flip parity split of the module notes; any other P (``p22``,
+    ``p2beta``, ``circsum``) fails one of its two checks and goes to
+    eigvalsh at size d_n, unchanged.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
+    t = ToeplitzOperator.from_symbol(f, p.sizes)
+    if not t.is_real:
+        raise SymmetryError("Y T of a complex coefficient table is not real symmetric")
+    w = t.flipped_dense()
     scale = np.sqrt(p._inverse)
-    # S must be (d_n, d_n): checked as a block, then as the sweep's transpose
-    s = p._check(np.asarray(s, dtype=float))
-    s = p._check(s.reshape(p.dim, -1).T).T
-    w = np.empty((p.dim, p.dim))
     for rows in _panels(p.dim):
-        np.multiply(p._into(s[rows].T), scale, out=w[rows])
-    del s
+        np.multiply(p._into(w[rows].T), scale, out=w[rows])
     for cols in _panels(p.dim):
         np.multiply(p._into(w[:, cols]), scale, out=w[:, cols].T)
     # average W and W^T into both triangles; eigvalsh reads the lower one

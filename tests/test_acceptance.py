@@ -240,7 +240,7 @@ def test_acceptance_7_oracle_equivalences():
 def test_acceptance_8_preconditioned_clustering():
     f = sym.fractional_symbol(1.8, 1.6, 30, 34, 30)
     p = build_toepfr(f, (30, 34))
-    eigs = preconditioned_spectrum(p, _flipped_dense(f, (30, 34)))
+    eigs = preconditioned_spectrum(p, f)
     inside = float(np.mean(np.abs(np.abs(eigs) - 1.0) <= 0.3))
 
     ok = inside >= 0.9

@@ -12,7 +12,8 @@ from conftest import kron_toeplitz_dense, random_banded_table, shifted_sum
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import CapacityError, EvenSizeError, ShapeError
-from flipspec.experiments import ExperimentConfig, _flipped_dense, experiment_symbol
+from flipspec import spectral as sp
+from flipspec.experiments import ExperimentConfig, _flipped_spectrum, experiment_symbol
 
 
 def perm_matrix(index_map):
@@ -558,10 +559,91 @@ def test_flipped_toeplitz_is_exactly_symmetric():
 
 @pytest.mark.parametrize("exp,sizes", [("ex1", (17, 19)), ("ex2", (17, 19)), ("ex3", (7, 7, 7))])
 def test_flipped_dense_matches_kronecker_assembly(exp, sizes):
-    # odd d_n over several row panels and a partial last one, so the
-    # in-place reversal swaps whole and partial panels and keeps the middle row
+    # odd d_n over several row panels and a partial last one, gathered
+    # directly from the table reversed on every level
     d_n = int(np.prod(sizes))
     assert d_n % 2 and d_n > ops._PANEL_ROWS and d_n // 2 % ops._PANEL_ROWS
     f = experiment_symbol(ExperimentConfig(exp=exp), sizes)
     want = kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes), :]
-    np.testing.assert_array_equal(_flipped_dense(f, sizes), want)
+    got = ops.ToeplitzOperator.from_symbol(f, sizes).flipped_dense()
+    np.testing.assert_array_equal(got, want)
+
+
+def exchange_symmetric_symbol(band, pair, seed):
+    # a random table on the full band with t_k = t_{S k}, S exchanging the two levels of pair
+    rng = np.random.default_rng(seed)
+    l, m = pair
+    table = {}
+    for k in np.ndindex(*(2 * q + 1 for q in band)):
+        k = tuple(kl - q for kl, q in zip(k, band))
+        swapped = list(k)
+        swapped[l], swapped[m] = k[m], k[l]
+        swapped = tuple(swapped)
+        table[k] = table[swapped] if swapped in table else rng.standard_normal()
+    return sym.Symbol(len(band), None, table)
+
+
+def split_case(case):
+    if case == "ex2-equal-orders":
+        return sym.fractional_symbol(1.6, 1.6, 12, 12, 12), (12, 12)
+    if case == "levels-2-3":
+        return exchange_symmetric_symbol((1, 2, 2), (1, 2), 61), (4, 6, 6)
+    if case == "levels-1-3":
+        return exchange_symmetric_symbol((2, 1, 2), (0, 2), 62), (5, 3, 5)
+    return sym.ex1_symbol(), tuple(int(n) for n in case.split("-")[1:])
+
+
+def whole_case(case):
+    if case == "ex1-ulp":
+        coeffs = dict(sym.ex1_symbol().coefficients)
+        coeffs[(1, 0)] = np.nextafter(coeffs[(1, 0)], 2.0)
+        return sym.Symbol(2, None, coeffs), (16, 16)
+    exp, sizes = {"ex1-20-21": ("ex1", (20, 21)), "ex2-16-16": ("ex2", (16, 16)),
+                  "ex3-6-6-6": ("ex3", (6, 6, 6)), "custom-31": ("custom", (31,))}[case]
+    return experiment_symbol(ExperimentConfig(exp=exp), sizes), sizes
+
+
+class TestExchangeSplit:
+    """Y T of a table exchange-symmetric in two equal-size levels, solved as two blocks.
+
+    Odd n puts a diagonal representative, weighted 1/sqrt(2), in every
+    row of the symmetric block.
+    """
+
+    @pytest.mark.parametrize("case", ["ex1-16-16", "ex1-17-17", "levels-2-3", "levels-1-3",
+                                      "ex2-equal-orders"])
+    def test_matches_eigvalsh_of_the_kronecker_assembly(self, case):
+        f, sizes = split_case(case)
+        blocks = list(ops.ToeplitzOperator.from_symbol(f, sizes).flipped_blocks())
+        assert len(blocks) == 2
+        want = np.linalg.eigvalsh(kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes)])
+        got = _flipped_spectrum(f, sizes)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @staticmethod
+    def solved_sizes(monkeypatch, f, sizes):
+        eigvalsh, solved = np.linalg.eigvalsh, []
+
+        def recorded(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        return _flipped_spectrum(f, sizes), solved
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_ex1_solves_the_two_tensor_blocks(self, monkeypatch, n):
+        _, solved = self.solved_sizes(monkeypatch, sym.ex1_symbol(), (n, n))
+        assert solved == [n * (n + 1) // 2, n * (n - 1) // 2]
+
+    @pytest.mark.parametrize("case", ["ex1-20-21", "ex2-16-16", "ex3-6-6-6", "custom-31",
+                                      "ex1-ulp"])
+    def test_other_tables_solve_whole(self, monkeypatch, case):
+        # unequal sizes, unequal orders, distinct levels, one level, and a
+        # table one ulp off the exchange symmetry
+        f, sizes = whole_case(case)
+        want = sp.sym_eigenvalues(kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes)])
+        got, solved = self.solved_sizes(monkeypatch, f, sizes)
+        assert solved == [int(np.prod(sizes))]
+        assert np.array_equal(got, want)

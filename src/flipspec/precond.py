@@ -282,8 +282,9 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     function owns, and the two panelled sweeps into the eigenbasis (rows,
     then columns) run in place there, so it holds one d_n x d_n array, then
     that array and LAPACK's copy.  Raises ShapeError when f has another
-    level count and SymmetryError for a complex table, whose Y T is not
-    real symmetric.
+    level count or is an array (a dense S, which this function no longer
+    takes) and SymmetryError for a complex table, whose Y T is not real
+    symmetric.
 
     W is then averaged with W^T in both triangles.  For ``build_toepfr``'s
     P = T(f_R), ``_parity_spectrum`` solves W at size m_o <= d_n / 2 in the
@@ -293,6 +294,9 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
+    if isinstance(f, np.ndarray):
+        raise ShapeError(f"expected the symbol f, got an array of shape {f.shape}; "
+                         "S = Y T_n(f) is gathered here from f's table")
     t = ToeplitzOperator.from_symbol(f, p.sizes)
     if not t.is_real:
         raise SymmetryError("Y T of a complex coefficient table is not real symmetric")

@@ -491,6 +491,13 @@ class TestPreconditionedSpectrum:
         with pytest.raises(SymmetryError):
             pc.preconditioned_spectrum(p, sym.Symbol(2, None, {(0, 0): 4.0, (1, 0): 1j}))
 
+    @pytest.mark.parametrize("shape", [(20, 19), (19, 20), (20,), (20, 20, 1)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        # a dense S in place of the symbol, as the function took before
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 5))
+        with pytest.raises(ShapeError, match="expected the symbol f"):
+            pc.preconditioned_spectrum(p, np.zeros(shape))
+
     @pytest.mark.parametrize("levels", [1, 3])
     def test_rejects_a_symbol_with_another_level_count(self, levels):
         p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 5))

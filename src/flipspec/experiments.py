@@ -29,7 +29,7 @@ its transposed levels, with no tolerance; without such a pair the one
 block is the whole Y T.  ``_flipped_spectrum`` solves the blocks one at a
 time, each through the symmetry gate of ``sym_eigenvalues``, and it has no
 option: ``spectrum``, ``match`` and ``verify``'s distribution rows all take it.
-Preconditioned spectra gather the whole Y T (``preconditioned_spectrum``).
+Preconditioned spectra are assembled from the levels (``preconditioned_spectrum``).
 
 Contents
 --------
@@ -60,8 +60,8 @@ from .operators import (ToeplitzOperator, _shuffle_conjugate, assemble_block_g,
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
                        sym_eigenvalues, tent, zero_distribution_verdict)
-from .precond import (_parity_spectrum, build_circulant_kron_sum, build_p22, build_p2beta,
-                      build_toepfr, optimal_circulant, preconditioned_spectrum)
+from .precond import (build_circulant_kron_sum, build_p22, build_p2beta, build_toepfr,
+                      optimal_circulant, preconditioned_spectrum)
 from .krylov import SolveConfig, flipped_solve
 
 VALID_PRECONDITIONERS = {
@@ -503,24 +503,26 @@ def _suite_oracles(cfg: ExperimentConfig):
     rows.append(("oracles", "level_matvec_vs_dense", by_levels and worst <= 1e-12,
                  f"{worst:.3e}"))
 
-    # toepfr spectra solved in the flip parity split at size m_o, against
-    # eigvalsh of the same symmetric W at size d_n; all-odd sizes give m_e > m_o
-    worst, halved = 0.0, True
-    for exp, sizes in (("ex2", (9, 7)), ("ex3", (5, 4, 3))):
-        f = experiment_symbol(replace(cfg, exp=exp), sizes)
-        p = build_toepfr(f, sizes)
-        scale = np.sqrt(p._inverse)
-        s = ToeplitzOperator.from_symbol(f, sizes).flipped_dense()
-        w = p._into(p._into(s) * scale) * scale
-        w = (w + w.T) / 2.0
-        full = np.linalg.eigvalsh(w)
-        half = _parity_spectrum(p, w)
-        if half is None or half.shape != full.shape:
-            halved = False
-            continue
-        worst = max(worst, float(np.max(np.abs(half - full)) / np.max(np.abs(full))))
-    rows.append(("oracles", "parity_spectrum_vs_dense", halved and worst <= 1e-12,
-                 f"{worst:.3e}"))
+    # preconditioned spectra assembled from the levels, against eigvalsh of
+    # W = Lambda^{-1/2} Q^T Y T Q Lambda^{-1/2} swept from the whole gathered
+    # Y T: toepfr in the flip parity split (all-odd sizes give m_e > m_o),
+    # then p2beta and circsum at size d_n
+    for check, cases in (("parity_spectrum_vs_dense", (("ex2", "toepfr", (9, 7)),
+                                                       ("ex3", "toepfr", (5, 4, 3)))),
+                         ("level_spectrum_vs_dense", (("ex2", "p2beta", (9, 7)),
+                                                      ("ex3", "circsum", (5, 4, 3))))):
+        worst = 0.0
+        for exp, precond, sizes in cases:
+            case = replace(cfg, exp=exp, precond=precond, sizes=sizes)
+            f = experiment_symbol(case, sizes)
+            p, _ = build_preconditioner(case, f, sizes)
+            scale = np.sqrt(p._inverse)
+            s = ToeplitzOperator.from_symbol(f, sizes).flipped_dense()
+            w = p._into(p._into(s) * scale) * scale
+            full = np.linalg.eigvalsh((w + w.T) / 2.0)
+            got = preconditioned_spectrum(p, f)
+            worst = max(worst, float(np.max(np.abs(got - full)) / np.max(np.abs(full))))
+        rows.append(("oracles", check, worst <= 1e-12, f"{worst:.3e}"))
 
     # Y T solved as its two exchange blocks, against eigvalsh of the whole
     # gathered Y T: ex1 at odd and even n, and a random 3-level table

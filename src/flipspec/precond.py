@@ -16,41 +16,39 @@ Contents
 --------
 optimal_circulant         first column of the Frobenius-closest circulant
 circulant_abs             |eigenvalues| via length-n DFT
-ToeplitzPreconditioner    Kronecker sum of symmetric levels, per-level eigh
+ToeplitzPreconditioner    Kronecker sum of centrosymmetric levels, parity eigenbases
 CirculantKronSum          the same class, under the name the circulant used
 build_circulant_kron_sum  sum of the levels |C_l| of a separable symbol,
                           weight symbol sum_l |f_l|
 build_toepfr              T(f_R) for a given symbol
 build_p22                 Laplacian on both levels (kron_sum_symbol)
 build_p2beta              Laplacian on level 1, band truncation on level 2
-preconditioned_spectrum   eigenvalues of P^{-1} Y T(f) from the symbol, two in-place
-                          panelled sweeps into the eigenbasis of one gathered array
+preconditioned_spectrum   eigenvalues of P^{-1} Y T(f), assembled from the levels
 
-Flip parity of the preconditioned spectrum
-------------------------------------------
-A symmetric Toeplitz level commutes with its flip J, so an eigenvector
-q of a simple eigenvalue is even or odd, J q = +-q (Cantoni & Butler,
-1976), and the columns of Q = Q_1 (x) ... (x) Q_d are even or odd under
-Y = J (x) ... (x) J; write D = Q^T Y Q = diag(+-1), with m_e even and m_o
-odd columns.  For P = T(f_R), the symmetric part of T = T(f), and S = Y T:
-Y P Q = Q D Lambda, while the skew part K = T(i f_I) anticommutes with Y,
-so Q^T Y K Q has no parity-diagonal entries.  Hence in the parity split
-W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2} = [[I, B], [B^T, -I]], whose square
-is diag(I + B B^T, I + B^T B): the eigenvalues are +-sqrt(1 + sigma_j^2)
-over the singular values of B, plus m_e - m_o eigenvalues +1 from the
-null space of B^T (0 or 1 of them).  This is the finite-n form of the
-paper's +-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).  ``preconditioned_spectrum``
-checks both facts on the numbers (definite level parities, +I and -I
-blocks) rather than on the builder's name, and solves at size d_n when
-either fails.
+Flip parity and the preconditioned spectrum
+-------------------------------------------
+A symmetric Toeplitz level, a symmetric circulant included, is
+centrosymmetric, J A J = A for the flip J.  Its even half A11 + A12 J and
+odd half A11 - A12 J (the middle row and column folded into the even half
+by sqrt 2 for odd n) give an eigenbasis of vectors [u; +-J u] / sqrt 2, so
+J_l Q_l = Q_l D_l with D_l = diag(+-1), exactly and even at repeated
+eigenvalues (Cantoni & Butler, 1976).  For a separable f,
+T = T_n(f) = sum_l I (x) T_l (x) I (t_0 on level 1) and Y = J_1 (x) ... (x) J_d, so
 
-One array per preconditioned spectrum
--------------------------------------
-``preconditioned_spectrum`` takes the symbol f, not a dense S: it gathers
-S = Y T from f's table into an array it owns and runs both eigenbasis
-sweeps in place there, so W overwrites S and a spectrum holds one
-d_n x d_n array besides LAPACK's copy.  No caller can pass an asymmetric
-S; the averaging of W with W^T only evens out the sweeps' rounding.
+    W = Lambda^{-1/2} Q^T Y T Q Lambda^{-1/2}
+      = Lambda^{-1/2} (sum_l D_1 (x) ... (x) G_l (x) ... (x) D_d) Lambda^{-1/2}
+
+with G_l = Q_l^T J_l T_l Q_l of size n_l x n_l: about d_n sum_l n_l
+nonzeros.  For P = T(f_R), T_l is P's level A_l plus a skew Toeplitz part
+that anticommutes with J_l, so the entries of G_l between columns of equal
+parity are D_l diag(lambda_l), and in the parity split of Q's m_e even and
+m_o odd columns W = [[I, B], [B^T, -I]], whose square is
+diag(I + B B^T, I + B^T B): the eigenvalues are +-sqrt(1 + sigma_j^2) over
+the singular values of B, plus m_e - m_o (0 or 1) eigenvalues +1.  This is
+the finite-n form of the paper's +-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).
+``preconditioned_spectrum`` checks the parity-preserving part of each G_l
+on the numbers, not on which function built P, and solves at size d_n when
+a level fails.
 """
 
 from __future__ import annotations
@@ -61,8 +59,7 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .operators import (_PANEL_ROWS, ToeplitzOperator, _panels, kron_sum_product,
-                        toeplitz_level)
+from .operators import ToeplitzOperator, _guard_capacity, kron_sum_product, toeplitz_level
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
@@ -121,16 +118,46 @@ def _level_modulus(table: dict) -> Symbol:
     return Symbol(1, lambda t: np.abs(level.eval(np.reshape(t, (-1, 1)))))
 
 
-class ToeplitzPreconditioner:
-    """P = sum_l I (x) A_l (x) I for real symmetric n_l x n_l levels A_l.
+def _parity_eigh(a):
+    # (lambda, Q, parity) of a centrosymmetric level from its even and odd
+    # halves (module notes), even columns first; the bottom rows are the top
+    # ones reversed and multiplied by the parity, so J Q = Q diag(parity)
+    # holds bit for bit
+    n = len(a)
+    m, even = n // 2, (n + 1) // 2
+    a11, a12j = a[:m, :m], a[:m, ::-1][:, :m]
+    half = np.empty((even, even))
+    np.add(a11, a12j, out=half[:m, :m])
+    if n % 2:
+        half[m, :m] = half[:m, m] = math.sqrt(2.0) * a[m, :m]
+        half[m, m] = a[m, m]
+    lam, q = np.empty(n), np.empty((n, n))
+    lam[:even], u = np.linalg.eigh(half)
+    lam[even:], v = np.linalg.eigh(a11 - a12j)
+    np.divide(u[:m], math.sqrt(2.0), out=q[:m, :even])
+    np.divide(v, math.sqrt(2.0), out=q[:m, even:])
+    parity = np.ones(n)
+    parity[even:] = -1.0
+    np.multiply(q[:m][::-1], parity, out=q[n - m:])
+    if n % 2:
+        q[m, :even], q[m, even:] = u[m], 0.0
+    return lam, q, parity
 
-    Each level is diagonalized once, A_l = Q_l diag(lambda_l) Q_l^T, so
-    P = Q diag(Lambda) Q^T with Q the Kronecker product of the Q_l and the
-    eigen-tensor Lambda(k_1, ..., k_d) = sum_l lambda_l[k_l].  Building
-    raises NotSPDError unless Lambda is positive.  ``symbol`` is the symbol
-    of the preconditioner sequence, the weight that divides |f| in the
-    sample set.  The vector methods take a vector of length d_n or a
-    (d_n, k) block; the instance is immutable and they are reentrant.
+
+class ToeplitzPreconditioner:
+    """P = sum_l I (x) A_l (x) I for real symmetric, centrosymmetric levels A_l.
+
+    Each level is diagonalized once, A_l = Q_l diag(lambda_l) Q_l^T, from
+    its even and odd halves (module notes), so J_l Q_l = Q_l D_l exactly
+    with D_l = diag(``parities[l]``), entries +-1, and ``eigenvalues[l]``
+    = lambda_l.  Then P = Q diag(Lambda) Q^T with Q the Kronecker product
+    of the Q_l and the eigen-tensor Lambda(k_1, ..., k_d) =
+    sum_l lambda_l[k_l].  Building raises SymmetryError unless every level
+    equals its transpose and its flip J A_l J exactly, and NotSPDError
+    unless Lambda is positive.  ``symbol`` is the symbol of the
+    preconditioner sequence, the weight that divides |f| in the sample set.
+    The vector methods take a vector of length d_n or a (d_n, k) block;
+    the instance is immutable and they are reentrant.
     The eigenbasis is applied by a rotating sweep, one GEMM per level: the
     first pass takes the levels in order, applies Q_l^T along the leading
     level and moves it last, so a block ends as (k, n_1, ..., n_d); after
@@ -147,11 +174,13 @@ class ToeplitzPreconditioner:
                 raise ShapeError(f"level matrix has shape {a.shape}, expected a square matrix")
             if not np.array_equal(a, a.T):
                 raise SymmetryError("level matrix is not symmetric")
+            if not np.array_equal(a, a[::-1, ::-1]):
+                raise SymmetryError("level matrix is not centrosymmetric")
         self.sizes = tuple(a.shape[0] for a in self.levels)
         self.dim = math.prod(self.sizes)
         self.symbol = symbol
-        eigs, self.bases = zip(*(np.linalg.eigh(a) for a in self.levels))
-        tensor = functools.reduce(np.add.outer, eigs)
+        self.eigenvalues, self.bases, self.parities = zip(*map(_parity_eigh, self.levels))
+        tensor = functools.reduce(np.add.outer, self.eigenvalues)
         low, peak = float(tensor.min()), float(tensor.max())
         if not low > 1e-14 * abs(peak):
             name = symbol.name if symbol is not None and symbol.name else "P"
@@ -276,106 +305,74 @@ def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> Toeplitz
 def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     """Eigenvalues of P^{-1} S for S = Y T_n(f) and SPD P, ascending; takes the symbol.
 
-    With P = Q Lambda Q^T, P^{-1} S is similar to the symmetric
-    W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2}.  S is gathered from f's table
-    at P's sizes (``ToeplitzOperator.flipped_dense``) into an array this
-    function owns, and the two panelled sweeps into the eigenbasis (rows,
-    then columns) run in place there, so it holds one d_n x d_n array, then
-    that array and LAPACK's copy.  Raises ShapeError when f has another
-    level count or is an array (a dense S, which this function no longer
-    takes) and SymmetryError for a complex table, whose Y T is not real
-    symmetric.
-
-    W is then averaged with W^T in both triangles.  For ``build_toepfr``'s
-    P = T(f_R), ``_parity_spectrum`` solves W at size m_o <= d_n / 2 in the
-    flip parity split of the module notes; any other P (``p22``,
-    ``p2beta``, ``circsum``) fails one of its two checks and goes to
-    eigvalsh at size d_n, unchanged.
+    P^{-1} S is similar to the symmetric W of the module notes, whose terms
+    are added from the level matrices T_l of f's table at P's sizes
+    (``ToeplitzOperator._level_matrices``) into one zeroed d_n x d_n array.
+    When every G_l keeps parity, as for ``build_toepfr``'s P = T(f_R),
+    ``_parity_spectrum`` solves W at size m_o <= d_n / 2; any other P
+    (``p22``, ``p2beta``, ``circsum``) goes to eigvalsh at size d_n.
+    Raises ShapeError when f has another level count or is an array,
+    SymmetryError for a complex table, whose Y T is not real symmetric,
+    ParameterError when f is not separable and CapacityError above
+    d_n = 20000.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
     if isinstance(f, np.ndarray):
         raise ShapeError(f"expected the symbol f, got an array of shape {f.shape}; "
-                         "S = Y T_n(f) is gathered here from f's table")
+                         "Y T_n(f) is assembled here from f's table")
     t = ToeplitzOperator.from_symbol(f, p.sizes)
     if not t.is_real:
         raise SymmetryError("Y T of a complex coefficient table is not real symmetric")
-    w = t.flipped_dense()
-    scale = np.sqrt(p._inverse)
-    for rows in _panels(p.dim):
-        np.multiply(p._into(w[rows].T), scale, out=w[rows])
-    for cols in _panels(p.dim):
-        np.multiply(p._into(w[:, cols]), scale, out=w[:, cols].T)
-    # average W and W^T into both triangles; eigvalsh reads the lower one
-    for r in _panels(p.dim):
-        mean = (w[r.start:, r] + w[r, r.start:].T) / 2.0
-        w[r.start:, r] = mean
-        w[r, r.start:] = mean.T
-    eigs = _parity_spectrum(p, w)
-    if eigs is not None:
-        return eigs
+    _guard_capacity(p.dim, "preconditioned spectrum")
+    sizes, dim = p.sizes, p.dim
+    parity = functools.reduce(np.multiply.outer, p.parities)
+    scale = np.sqrt(p._inverse).reshape(sizes)
+    w = np.zeros((dim, dim))
+    steps = [math.prod(sizes[l + 1:]) * w.itemsize for l in range(len(sizes))]
+    split = True
+    for l, (q, t_l, par) in enumerate(zip(p.bases, t._level_matrices(), p.parities)):
+        g = q.T @ t_l[::-1] @ q
+        g = (g + g.T) / 2.0
+        deviation = np.abs(g - np.diag(par * p.eigenvalues[l]))[np.equal.outer(par, par)]
+        split = split and deviation.max() <= _PARITY_TOL * np.abs(g).max()
+        # term l on the entries (i, j) that agree off level l, viewed as an
+        # array (i off l, i_l, j_l); the product of D_m over m != l is D(i) D_l(i_l)
+        rest = [m for m in range(len(sizes)) if m != l]
+        block = np.ndarray([sizes[m] for m in rest] + [sizes[l]] * 2, float, w, 0,
+                           [(dim + 1) * steps[m] for m in rest] + [dim * steps[l], steps[l]])
+        row = np.moveaxis(scale * parity, l, -1) * par
+        block += g * row[..., :, None] * np.moveaxis(scale, l, -1)[..., None, :]
+    if split:
+        return _parity_spectrum(w, parity.ravel() > 0.0)
     return np.linalg.eigvalsh(w, UPLO="L")
 
 
-# |q . q[::-1]| of a level basis column may miss 1 by this much, and the
-# parity-diagonal blocks of W may miss +I and -I by this much times max|W|
-# (measured for toepfr: 2.5e-14 at ex2 50^2, 5.3e-14 at 70^2, 2.1e-14 at
-# ex3 16^3; a P scaled by 1.01 misses by 1e-2)
+# The parity-preserving part of G_l may miss D_l diag(lambda_l) by this much
+# times max|G_l| (measured for toepfr: 2.1e-15 at ex2 50^2, 1.3e-15 at 70^2,
+# 1.1e-15 at ex3 16^3; a P scaled by 1.01 misses by 1e-2)
 _PARITY_TOL = 1e-12
 
 
-def _even_columns(p: ToeplitzPreconditioner):
-    # the Y-even columns of Q as a mask over d_n, or None when some level
-    # basis column has no definite parity under the level flip
-    signs = []
-    for q in p.bases:
-        parity = np.einsum("ij,ij->j", q, q[::-1])
-        if np.abs(np.abs(parity) - 1.0).max() > _PARITY_TOL:
-            return None
-        signs.append(np.sign(parity))
-    return functools.reduce(np.multiply.outer, signs).ravel() > 0.0
+def _parity_spectrum(w, even) -> np.ndarray:
+    """Eigenvalues of W = [[I, B], [B^T, -I]], ``even`` marking the Y-even columns of Q.
 
-
-def _parity_spectrum(p: ToeplitzPreconditioner, w):
-    """Eigenvalues of W in the flip parity split of the module notes, or None.
-
-    None, with W untouched, unless every level basis column has definite
-    Y-parity and the parity-diagonal blocks of W are +I and -I to within
-    _PARITY_TOL max|W|.  Otherwise B and the lower triangle of I + B^T B
-    are written over the head of W's buffer.  B^T B is the smaller side: a
-    centrosymmetric level has ceil(n_l / 2) even and floor(n_l / 2) odd
-    eigenvectors, so m_e - m_o = prod_l (n_l mod 2).
+    B = W[even, odd] and then I + B^T B are written over the head of W's
+    buffer.  B^T B is the smaller side: a centrosymmetric level has
+    ceil(n_l / 2) even and floor(n_l / 2) odd eigenvectors, so m_e >= m_o.
     """
-    even = _even_columns(p)
-    if even is None:
-        return None
-    # W + D W D is twice the parity-diagonal blocks of W, D = diag(+-1) the
-    # parity of each column: formed one row panel at a time in one buffer
-    sign = np.where(even, 1.0, -1.0)
-    buf = np.empty((min(_PANEL_ROWS, p.dim), p.dim))
-    deviation = peak = 0.0
-    for r in _panels(p.dim):
-        panel, twice = w[r], buf[:r.stop - r.start]
-        np.multiply(panel, sign, out=twice)
-        twice *= sign[r, None]
-        twice += panel
-        twice[np.arange(len(twice)), np.arange(r.start, r.stop)] -= 2.0 * sign[r]
-        deviation = max(deviation, twice.max() / 2.0, -twice.min() / 2.0)
-        peak = max(peak, panel.max(), -panel.min())
-    if not deviation <= _PARITY_TOL * peak:
-        return None
     rows, cols = np.flatnonzero(even), np.flatnonzero(~even)
     m_e, m_o = len(rows), len(cols)
     # row a of B lands before row rows[a] >= a of W, which is read first
     flat = w.reshape(-1)
     b = flat[:m_e * m_o].reshape(m_e, m_o)
-    for r in _panels(m_e):
-        b[r] = w[np.ix_(rows[r], cols)]
-    # the lower triangle of B^T B by column panels: one product of the whole
-    # of B would grow BLAS's packing buffers for the rest of the process
+    for a, i in enumerate(rows):
+        b[a] = w[i, cols]
+    # the lower triangle of B^T B by 128 columns: one whole product grows BLAS's
+    # packing buffers for the rest of the process (4.4 MB against 1 MB at ex2 50^2)
     gram = flat[m_e * m_o:m_e * m_o + m_o * m_o].reshape(m_o, m_o)
-    for c in _panels(m_o):
-        np.matmul(b[:, c.start:].T, b[:, c], out=gram[c.start:, c])
+    for c in range(0, m_o, 128):
+        np.matmul(b[:, c:].T, b[:, c:c + 128], out=gram[c:, c:c + 128])
     gram.reshape(-1)[::m_o + 1] += 1.0
     root = np.sqrt(np.linalg.eigvalsh(gram))
     return np.sort(np.concatenate((-root, np.ones(m_e - m_o), root)))

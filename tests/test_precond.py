@@ -13,7 +13,8 @@ from conftest import (brute_frobenius_circulant, dense_circulant, fft_fourier_co
 from flipspec import precond as pc
 from flipspec import operators as ops
 from flipspec import symbols as sym
-from flipspec.errors import NotSPDError, ParameterError, ShapeError, SymmetryError
+from flipspec.errors import (CapacityError, NotSPDError, ParameterError, ShapeError,
+                             SymmetryError)
 from flipspec.experiments import ExperimentConfig, build_preconditioner, experiment_symbol
 
 LAP = {0: 2.0, 1: -1.0, -1: -1.0}
@@ -234,12 +235,14 @@ class TestToeplitzPreconditioner:
     @pytest.mark.parametrize("sizes", [(7,), (5, 1), (1, 6), (4, 5), (3, 1, 4), (2, 3, 4)])
     def test_eigen_apply_matches_dense_eigen_oracle(self, sizes):
         # size-1 and unequal levels catch a sweep that reshapes along the wrong
-        # level; r.T is the non-contiguous block preconditioned_spectrum passes
+        # level, and r.T is a non-contiguous block; the levels are symmetric
+        # and centrosymmetric, (s + J s J) / 2
         rng = np.random.default_rng(sum(sizes))
         levels = []
         for n in sizes:
             s = rng.standard_normal((n, n))
             s = (s + s.T) / 2.0
+            s = (s + s[::-1, ::-1]) / 2.0
             levels.append(s + (np.abs(s).sum(axis=1).max() + 1.0) * np.eye(n))
         p = pc.ToeplitzPreconditioner(levels)
         w, v = np.linalg.eigh(kron_sum_dense(levels))
@@ -276,6 +279,11 @@ class TestToeplitzPreconditioner:
             pc.ToeplitzPreconditioner.from_symbol(f, (8, 8))
         with pytest.raises(SymmetryError):
             pc.ToeplitzPreconditioner([np.triu(np.ones((3, 3)))])
+
+    def test_rejects_a_level_that_is_not_centrosymmetric(self):
+        # symmetric, but J A J swaps the diagonal entries
+        with pytest.raises(SymmetryError, match="not centrosymmetric"):
+            pc.ToeplitzPreconditioner([np.eye(3), np.array([[2.0, 1.0], [1.0, 3.0]])])
 
     def test_rejects_empty_table(self):
         with pytest.raises(ParameterError):
@@ -414,6 +422,23 @@ def test_levels_are_the_gathered_first_columns(exp, precond, sizes):
         assert np.array_equal(a, col[np.abs(i[:, None] - i)])
 
 
+@pytest.mark.parametrize("exp,precond,sizes", [("ex2", "toepfr", (9, 10)),
+                                               ("ex2", "p22", (9, 10)),
+                                               ("ex2", "p2beta", (10, 9)),
+                                               ("ex3", "circsum", (5, 6, 7))])
+def test_level_bases_have_parity_by_construction(exp, precond, sizes):
+    # J_l Q_l = Q_l D_l bit for bit, even at circsum's repeated eigenvalues,
+    # and Q_l is an orthonormal eigenbasis of A_l
+    cfg = ExperimentConfig(exp=exp, precond=precond)
+    f = experiment_symbol(cfg, sizes)
+    p, _ = build_preconditioner(cfg, f, sizes)
+    for a, q, lam, parity in zip(p.levels, p.bases, p.eigenvalues, p.parities):
+        assert np.array_equal(q[::-1], q * parity)
+        assert np.array_equal(np.abs(parity), np.ones(len(a)))
+        np.testing.assert_allclose(q.T @ q, np.eye(len(a)), atol=1e-14)
+        np.testing.assert_allclose(a @ q, q * lam, atol=1e-13 * np.abs(a).max())
+
+
 class TestPreconditionedSpectrum:
     @staticmethod
     def flipped(f, sizes):
@@ -471,19 +496,18 @@ class TestPreconditionedSpectrum:
     @pytest.mark.parametrize("exp,precond,sizes", [("ex2", "toepfr", (17, 19)),
                                                    ("ex2", "p2beta", (17, 19)),
                                                    ("ex3", "circsum", (7, 7, 7)),
-                                                   ("ex3", "toepfr", (7, 7, 7))])
-    def test_panelled_sweeps_match_whole_matrix_sweeps(self, exp, precond, sizes):
-        # odd d_n over several panels and a partial last one, on two- and
-        # three-level bases
-        cfg = ExperimentConfig(exp=exp, precond=precond)
-        f = experiment_symbol(cfg, sizes)
-        p, _ = build_preconditioner(cfg, f, sizes)
-        assert p.dim % 2 and p.dim % ops._PANEL_ROWS and p.dim > ops._PANEL_ROWS
-        s = self.flipped(f, sizes)
+                                                   ("ex3", "toepfr", (7, 7, 7)),
+                                                   ("ex2", "p22", (17, 19)),
+                                                   ("ex3", "circsum", (7, 9, 8))])
+    def test_matches_the_whole_matrix_w(self, exp, precond, sizes):
+        # the level assembly against W swept from the whole Y T, on two- and
+        # three-level bases with odd and even level sizes, within 1e-13 of
+        # max|lambda|: eigvalsh's error bound scales with ||W||, so a small
+        # eigenvalue (0.05 at circsum (7, 9, 8)) can move by more relative to itself
+        p, f, s = experiment_case(exp, precond, sizes)
         got = pc.preconditioned_spectrum(p, f)
-        scale = np.sqrt(p._inverse)
-        w = p._into(p._into(s) * scale) * scale
-        np.testing.assert_allclose(got, np.linalg.eigvalsh((w + w.T) / 2.0), rtol=1e-13)
+        want = np.linalg.eigvalsh(whole_matrix_w(p, s))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     def test_rejects_a_complex_table(self):
         # Y T of a complex table is complex symmetric, not Hermitian
@@ -498,6 +522,19 @@ class TestPreconditionedSpectrum:
         with pytest.raises(ShapeError, match="expected the symbol f"):
             pc.preconditioned_spectrum(p, np.zeros(shape))
 
+    def test_rejects_a_non_separable_symbol(self):
+        # W is assembled from one Toeplitz level per level of f
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 5))
+        coupled = sym.Symbol(2, None, {(0, 0): 4.0, (1, 1): -1.0, (-1, -1): -1.0})
+        with pytest.raises(ParameterError, match="not separable"):
+            pc.preconditioned_spectrum(p, coupled)
+
+    def test_refuses_a_size_above_the_dense_cap(self):
+        # checked before the d_n x d_n array is allocated
+        p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (150, 150))
+        with pytest.raises(CapacityError):
+            pc.preconditioned_spectrum(p, laplace_sum_symbol(2))
+
     @pytest.mark.parametrize("levels", [1, 3])
     def test_rejects_a_symbol_with_another_level_count(self, levels):
         p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 5))
@@ -510,19 +547,6 @@ def whole_matrix_w(p, s):
     scale = np.sqrt(p._inverse)
     w = p._into(p._into(s) * scale) * scale
     return (w + w.T) / 2.0
-
-
-def full_size_spectrum(p, s):
-    """The size-d_n path step for step: panelled sweeps, lower-triangle average."""
-    scale = np.sqrt(p._inverse)
-    w = np.empty((p.dim, p.dim))
-    for rows in ops._panels(p.dim):
-        np.multiply(p._into(s[rows].T), scale, out=w[rows])
-    for cols in ops._panels(p.dim):
-        np.multiply(p._into(w[:, cols]), scale, out=w[:, cols].T)
-    for r in ops._panels(p.dim):
-        w[r.start:, r] = (w[r.start:, r] + w[r, r.start:].T) / 2.0
-    return np.linalg.eigvalsh(w, UPLO="L")
 
 
 def experiment_case(exp, precond, sizes):
@@ -571,16 +595,15 @@ class TestParitySpectrum:
             solved.append(len(a))
             return eigvalsh(a, *args, **kwargs)
 
-        want = full_size_spectrum(p, s)
+        want = eigvalsh(whole_matrix_w(p, s))
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         got = pc.preconditioned_spectrum(p, f)
         assert len(solved) == 1
         if half:
             assert solved[0] <= (p.dim + 1) // 2
-            np.testing.assert_allclose(got, want, rtol=1e-13)
         else:
             assert solved[0] == p.dim
-            assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
     @pytest.mark.parametrize("exp,sizes", [("ex2", (30, 34)), ("ex3", (6, 6, 6))])
     def test_dense_spectrum_avoids_the_unit_interval(self, exp, sizes):

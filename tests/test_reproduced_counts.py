@@ -18,6 +18,7 @@ PINNED = [
     ("ex3", (5, 5, 5), {"toepfr": 8, "circsum": 61}),
     ("ex3", (10, 10, 10), {"toepfr": 9, "circsum": 198}),
     ("ex3", (20, 20, 20), {"toepfr": 9, "circsum": 722}),
+    ("ex3", (24, 24, 24), {"toepfr": 9, "circsum": 999}),
 ]
 
 

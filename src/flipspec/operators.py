@@ -23,6 +23,7 @@ Contents
 ToeplitzOperator          coefficient table + sizes, dense(), matvec(),
                           flipped_dense() and flipped_blocks() for Y T
 toeplitz_level            dense one-level Toeplitz matrix from t_{1-n}..t_{n-1}
+level_matrices            T_{n_l}(f_l) per level of a separable table, t_0 on level 1
 kron_sum_product          sum_l (I (x) A_l (x) I) x, one GEMM per level
 flip_apply                reversed copy of the vector (Y_n x)
 u_apply                   reverse the leading half of each level (U_n x)
@@ -47,6 +48,7 @@ __all__ = [
     "DENSE_CAPACITY",
     "ToeplitzOperator",
     "toeplitz_level",
+    "level_matrices",
     "kron_sum_product",
     "flip_map",
     "u_map",
@@ -257,6 +259,25 @@ def toeplitz_level(t) -> np.ndarray:
     return np.ndarray((n, n), t.dtype, t, (n - 1) * step, (step, -step)).copy()
 
 
+def level_matrices(f: Symbol, sizes) -> list:
+    """T_{n_l}(f_l) for each level table (``Symbol.levels``) of a separable f.
+
+    Only coefficients with every |k_l| < n_l are read, and the matrices are
+    real when all of those are (``ToeplitzOperator.is_real``).  Raises
+    ShapeError unless there is one size per level, ParameterError when an
+    in-band index has two nonzero components.
+    """
+    sizes = f.check_sizes(sizes)
+    band = {k: complex(t) for k, t in f.coefficients.items()
+            if all(abs(kl) < nl for kl, nl in zip(k, sizes))}
+    real = all(t.imag == 0.0 for t in band.values())
+    cols = [np.zeros(2 * nl - 1, dtype=float if real else complex) for nl in sizes]
+    for col, tab, nl in zip(cols, Symbol(len(sizes), None, band).levels(), sizes):
+        for k, t in tab.items():
+            col[k + nl - 1] = t.real if real else t
+    return [toeplitz_level(col) for col in cols]
+
+
 def kron_sum_product(levels, x) -> np.ndarray:
     """sum_l (I (x) A_l (x) I) x for square level matrices A_l, level 1 slowest.
 
@@ -414,15 +435,6 @@ class ToeplitzOperator:
             self._diagonals = dia_matrix((data, list(rows)), shape=(self.dim, self.dim))
         return self._diagonals
 
-    def _level_matrices(self):
-        # T_{n_l}(f_l) for each level table of Symbol.levels, t_0 on level 1
-        if self._levels is None:
-            tables = Symbol(len(self.sizes), None, self.coefficients).levels()
-            cols = (np.array([tab.get(k, 0j) for k in range(1 - nl, nl)])
-                    for tab, nl in zip(tables, self.sizes))
-            self._levels = [toeplitz_level(t.real if self.is_real else t) for t in cols]
-        return self._levels
-
     def _embedding(self):
         if self._kernel_hat is None:
             mm = self._lengths
@@ -442,8 +454,8 @@ class ToeplitzOperator:
         -sum_l k_l stride_l, zero on the rows where a level would wrap, and
         the diagonals are added in the table's order, O(nnz d_n).
         A dense separable table on two or more levels with sum_l n_l < 4096
-        is applied as sum_l (I (x) T_{n_l}(f_l) (x) I) x, t_0 booked on
-        level 1 as ``Symbol.levels`` does, O(d_n sum_l n_l).  Any other
+        is applied as sum_l (I (x) T_{n_l}(f_l) (x) I) x on the levels of
+        ``level_matrices``, O(d_n sum_l n_l).  Any other
         dense table goes through the per-level circulant embedding,
         O(d_n log d_n), with a real FFT pair for a real table.  A complex x
         on a real table takes either dense kernel twice, on its real and
@@ -461,7 +473,10 @@ class ToeplitzOperator:
         return self._diagonal_matrix() @ x.ravel()
 
     def _level_product(self, x) -> np.ndarray:
-        return kron_sum_product(self._level_matrices(), x).ravel()
+        if self._levels is None:
+            table = Symbol(len(self.sizes), None, self.coefficients)
+            self._levels = level_matrices(table, self.sizes)
+        return kron_sum_product(self._levels, x).ravel()
 
     def _product(self, x) -> np.ndarray:
         mm, axes, khat = self._embedding()

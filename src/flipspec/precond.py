@@ -46,9 +46,10 @@ m_o odd columns W = [[I, B], [B^T, -I]], whose square is
 diag(I + B B^T, I + B^T B): the eigenvalues are +-sqrt(1 + sigma_j^2) over
 the singular values of B, plus m_e - m_o (0 or 1) eigenvalues +1.  This is
 the finite-n form of the paper's +-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).
-``preconditioned_spectrum`` checks the parity-preserving part of each G_l
-on the numbers, not on which function built P, and solves at size d_n when
-a level fails.
+That part of G_l is D_l diag(lambda_l) if and only if (T_l + T_l^T) / 2 =
+A_l, so ``preconditioned_spectrum`` solves at half size exactly when that
+holds bit for bit on every level, with no tolerance; a P equal to T(f_R)
+only up to rounding solves at size d_n.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .operators import ToeplitzOperator, _guard_capacity, kron_sum_product, toeplitz_level
+from .operators import _guard_capacity, kron_sum_product, level_matrices, toeplitz_level
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
@@ -104,12 +105,6 @@ def circulant_abs(c) -> np.ndarray:
     which keeps them aligned with the Fourier modes.
     """
     return np.abs(np.fft.fft(np.asarray(c)))
-
-
-def _symmetric_level(col) -> np.ndarray:
-    # T[i, j] = col[|i - j|], from the real parts of col
-    col = np.asarray(np.real(col), dtype=float)
-    return toeplitz_level(np.concatenate((col[:0:-1], col)))
 
 
 def _level_modulus(table: dict) -> Symbol:
@@ -193,20 +188,16 @@ class ToeplitzPreconditioner:
     def from_symbol(cls, h: Symbol, n) -> "ToeplitzPreconditioner":
         """T_n(h) for a real, even symbol h that is a sum of one-level symbols.
 
-        Raises SymmetryError unless the table is real with t_{-k} = t_k,
-        and ParameterError if it is empty or couples two levels.
+        The levels are ``operators.level_matrices(h, n)``.  A complex table
+        raises SymmetryError, as does t_{-k} != t_k in any bit, through the
+        class's exact A_l == A_l^T.  Raises ParameterError if the table is
+        empty or all zero, or couples two levels.
         """
-        sizes = h.check_sizes(n)
-        peak = max((abs(complex(v)) for v in h.coefficients.values()), default=0.0)
-        if peak == 0.0:
+        levels = level_matrices(h, n)
+        if not any(map(complex, h.coefficients.values())):
             raise ParameterError("preconditioner symbol has no coefficients")
-        for k, v in h.coefficients.items():
-            v = complex(v)
-            mirror = complex(h.coefficients.get(tuple(-x for x in k), 0.0))
-            if abs(v.imag) > 1e-12 * peak or abs(v - mirror.conjugate()) > 1e-12 * peak:
-                raise SymmetryError(f"symbol coefficient t_{k} breaks real symmetry")
-        levels = [_symmetric_level([tab.get(j, 0.0) for j in range(nl)])
-                  for tab, nl in zip(h.levels(), sizes)]
+        if np.iscomplexobj(levels[0]):
+            raise SymmetryError("preconditioner symbol has complex coefficients")
         return cls(levels, h)
 
     def _check(self, x) -> np.ndarray:
@@ -258,9 +249,10 @@ def build_circulant_kron_sum(f: Symbol, n) -> ToeplitzPreconditioner:
     """
     sizes = f.check_sizes(n)
     tables = f.levels()
-    # a symmetric circulant is the symmetric Toeplitz matrix of its first column
-    levels = [_symmetric_level(np.fft.ifft(circulant_abs(optimal_circulant(tab, nl))).real)
-              for tab, nl in zip(tables, sizes)]
+    # a symmetric circulant is the symmetric Toeplitz matrix of its first column c
+    cols = (np.fft.ifft(circulant_abs(optimal_circulant(tab, nl))).real
+            for tab, nl in zip(tables, sizes))
+    levels = [toeplitz_level(np.concatenate((c[:0:-1], c))) for c in cols]
     weight = kron_sum_symbol([_level_modulus(tab) for tab in tables], name="sum_of_level_moduli")
     return ToeplitzPreconditioner(levels, weight)
 
@@ -278,10 +270,7 @@ def build_p22(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPre
     describe the same time-stepped problem.  The shift toggle must match the
     one used for the system symbol.
     """
-    ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
-    sym = kron_sum_symbol((laplace1d_symbol(), laplace1d_symbol()), (1.0, ratio), shift,
-                          name=f"p22(alpha={alpha:g},beta={beta:g})")
-    return ToeplitzPreconditioner.from_symbol(sym, (n1, n2))
+    return _laplacian_variant("p22", laplace1d_symbol(), alpha, beta, n1, n2, M, include_shift)
 
 
 def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> ToeplitzPreconditioner:
@@ -291,10 +280,14 @@ def build_p2beta(alpha, beta, n1, n2, M, include_shift: bool = True) -> Toeplitz
     unlike the full symbol the truncation does not vanish at t2 = 0, which
     keeps the factor well conditioned as the shift goes to zero.
     """
+    return _laplacian_variant("p2beta", real_part_symbol(p_beta_truncation(beta)),
+                              alpha, beta, n1, n2, M, include_shift)
+
+
+def _laplacian_variant(name, level2: Symbol, alpha, beta, n1, n2, M, include_shift):
     ratio, shift = fractional_mesh(alpha, beta, n1, n2, M, include_shift)
-    level2 = real_part_symbol(p_beta_truncation(beta))
     sym = kron_sum_symbol((laplace1d_symbol(), level2), (1.0, ratio), shift,
-                          name=f"p2beta(alpha={alpha:g},beta={beta:g})")
+                          name=f"{name}(alpha={alpha:g},beta={beta:g})")
     return ToeplitzPreconditioner.from_symbol(sym, (n1, n2))
 
 
@@ -306,23 +299,22 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     """Eigenvalues of P^{-1} S for S = Y T_n(f) and SPD P, ascending; takes the symbol.
 
     P^{-1} S is similar to the symmetric W of the module notes, whose terms
-    are added from the level matrices T_l of f's table at P's sizes
-    (``ToeplitzOperator._level_matrices``) into one zeroed d_n x d_n array.
-    When every G_l keeps parity, as for ``build_toepfr``'s P = T(f_R),
-    ``_parity_spectrum`` solves W at size m_o <= d_n / 2; any other P
-    (``p22``, ``p2beta``, ``circsum``) goes to eigvalsh at size d_n.
-    Raises ShapeError when f has another level count or is an array,
-    SymmetryError for a complex table, whose Y T is not real symmetric,
-    ParameterError when f is not separable and CapacityError above
-    d_n = 20000.
+    are added from T_l = ``level_matrices(f, P.sizes)`` into one zeroed
+    d_n x d_n array.  When (T_l + T_l^T) / 2 == A_l bit for bit on every
+    level, as for ``build_toepfr``'s P = T(f_R), ``_parity_spectrum`` solves
+    W at size m_o <= d_n / 2; any other P (``p22``, ``p2beta``, ``circsum``,
+    a T(f_R) off by rounding) goes to eigvalsh at size d_n.  Raises
+    ShapeError when f has another level count or is an array, SymmetryError
+    for a complex table, whose Y T is not real symmetric, ParameterError
+    when f is not separable and CapacityError above d_n = 20000.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
     if isinstance(f, np.ndarray):
         raise ShapeError(f"expected the symbol f, got an array of shape {f.shape}; "
                          "Y T_n(f) is assembled here from f's table")
-    t = ToeplitzOperator.from_symbol(f, p.sizes)
-    if not t.is_real:
+    levels = level_matrices(f, p.sizes)
+    if np.iscomplexobj(levels[0]):
         raise SymmetryError("Y T of a complex coefficient table is not real symmetric")
     _guard_capacity(p.dim, "preconditioned spectrum")
     sizes, dim = p.sizes, p.dim
@@ -330,12 +322,9 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     scale = np.sqrt(p._inverse).reshape(sizes)
     w = np.zeros((dim, dim))
     steps = [math.prod(sizes[l + 1:]) * w.itemsize for l in range(len(sizes))]
-    split = True
-    for l, (q, t_l, par) in enumerate(zip(p.bases, t._level_matrices(), p.parities)):
+    for l, (q, t_l, par) in enumerate(zip(p.bases, levels, p.parities)):
         g = q.T @ t_l[::-1] @ q
         g = (g + g.T) / 2.0
-        deviation = np.abs(g - np.diag(par * p.eigenvalues[l]))[np.equal.outer(par, par)]
-        split = split and deviation.max() <= _PARITY_TOL * np.abs(g).max()
         # term l on the entries (i, j) that agree off level l, viewed as an
         # array (i off l, i_l, j_l); the product of D_m over m != l is D(i) D_l(i_l)
         rest = [m for m in range(len(sizes)) if m != l]
@@ -343,15 +332,9 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
                            [(dim + 1) * steps[m] for m in rest] + [dim * steps[l], steps[l]])
         row = np.moveaxis(scale * parity, l, -1) * par
         block += g * row[..., :, None] * np.moveaxis(scale, l, -1)[..., None, :]
-    if split:
+    if all(np.array_equal((t_l + t_l.T) / 2.0, a) for t_l, a in zip(levels, p.levels)):
         return _parity_spectrum(w, parity.ravel() > 0.0)
     return np.linalg.eigvalsh(w, UPLO="L")
-
-
-# The parity-preserving part of G_l may miss D_l diag(lambda_l) by this much
-# times max|G_l| (measured for toepfr: 2.1e-15 at ex2 50^2, 1.3e-15 at 70^2,
-# 1.1e-15 at ex3 16^3; a P scaled by 1.01 misses by 1e-2)
-_PARITY_TOL = 1e-12
 
 
 def _parity_spectrum(w, even) -> np.ndarray:

@@ -155,9 +155,9 @@ class LambdaSet:
 
 
 def _vanishes(v) -> np.ndarray:
-    # |v| below 1e-13 of the largest |v| on the grid (floored at 1)
+    # |v| below 1e-13 of the largest |v| on the grid, whatever its scale; 0 always vanishes
     v = np.abs(v)
-    return v < 1e-13 * max(1.0, float(np.max(v)))
+    return (v < 1e-13 * np.max(v)) | (v == 0.0)
 
 
 def _modulus_ratio(f: Symbol, h, pts):
@@ -169,7 +169,7 @@ def _modulus_ratio(f: Symbol, h, pts):
     if h is None:
         return fv, np.ones(len(pts), dtype=bool)
     hv = np.asarray(h.eval(pts), dtype=complex)
-    if np.max(np.abs(hv.imag)) > 1e-10 * max(1.0, np.max(np.abs(hv))):
+    if np.max(np.abs(hv.imag)) > 1e-10 * np.max(np.abs(hv)):
         raise PoleError("weight symbol h must be real on the grid")
     hv = hv.real
     pole = _vanishes(hv)

@@ -147,6 +147,8 @@ out = sys.argv[1]
 ex.run_spectrum(ex.ExperimentConfig(exp="ex1", sizes=(8, 8), out=out))
 ex.run_spectrum(ex.ExperimentConfig(exp="ex2", precond="toepfr", sizes=(8, 8), out=out))
 ex.run_spectrum(ex.ExperimentConfig(exp="ex3", precond="toepfr", sizes=(5, 5, 5), out=out))
+ex.run_spectrum(ex.ExperimentConfig(exp="ex2", precond="p2beta", sizes=(8, 8), out=out))
+ex.run_spectrum(ex.ExperimentConfig(exp="ex3", precond="circsum", sizes=(5, 5, 5), out=out))
 ex.run_match(ex.ExperimentConfig(exp="ex2", sizes=(6, 8), out=out))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """

@@ -11,7 +11,7 @@ import pytest
 from conftest import kron_toeplitz_dense, random_banded_table, shifted_sum
 from flipspec import operators as ops
 from flipspec import symbols as sym
-from flipspec.errors import CapacityError, EvenSizeError, ShapeError
+from flipspec.errors import CapacityError, EvenSizeError, ParameterError, ShapeError
 from flipspec import spectral as sp
 from flipspec.experiments import ExperimentConfig, _flipped_spectrum, experiment_symbol
 
@@ -346,6 +346,28 @@ class TestLevelProduct:
         assert np.array_equal(ops.toeplitz_level(t), want)
         with pytest.raises(ShapeError):
             ops.toeplitz_level(every_other[:2 * n])
+
+    @pytest.mark.parametrize("sizes", [(5, 7), (6, 1), (4, 1, 3)])
+    @pytest.mark.parametrize("complex_table", [False, True])
+    def test_level_matrices_sum_to_the_kronecker_oracle(self, sizes, complex_table):
+        # t_0 counts once; coefficients past the band, a coupled one and an
+        # imaginary one among them, touch no entry and do not make the levels
+        # complex
+        rng = np.random.default_rng(3 * sum(sizes) + complex_table)
+        coeffs = separable_table(rng, sizes, complex_table)
+        far = {tuple(nl for nl in sizes): 1j, (sizes[0],) + (0,) * (len(sizes) - 1): 2j}
+        levels = ops.level_matrices(sym.Symbol(len(sizes), None, {**coeffs, **far}), sizes)
+        assert [a.shape for a in levels] == [(nl, nl) for nl in sizes]
+        assert all(np.iscomplexobj(a) == complex_table for a in levels)
+        dense = ops.kron_sum_product(levels, np.eye(int(np.prod(sizes))))
+        assert np.array_equal(dense, kron_toeplitz_dense(coeffs, sizes))
+
+    def test_level_matrices_refuse_a_coupled_index_and_a_size_mismatch(self):
+        coupled = sym.Symbol(2, None, {(0, 0): 4.0, (1, 1): -1.0})
+        with pytest.raises(ParameterError, match="not separable"):
+            ops.level_matrices(coupled, (3, 3))
+        with pytest.raises(ShapeError):
+            ops.level_matrices(coupled, (3, 3, 3))
 
 
 def test_crossover_sends_large_separable_tables_to_the_fft():

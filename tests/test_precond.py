@@ -280,6 +280,18 @@ class TestToeplitzPreconditioner:
         with pytest.raises(SymmetryError):
             pc.ToeplitzPreconditioner([np.triu(np.ones((3, 3)))])
 
+    def test_rejects_a_table_asymmetric_in_the_last_bit(self):
+        # no tolerance: t_{-1} one ulp below t_1 leaves a level A != A^T
+        t1 = -0.7
+        h = sym.Symbol(1, None, {(0,): 3.0, (1,): t1, (-1,): np.nextafter(t1, 0.0)})
+        with pytest.raises(SymmetryError, match="not symmetric"):
+            pc.ToeplitzPreconditioner.from_symbol(h, (5,))
+
+    def test_rejects_a_complex_table(self):
+        h = sym.Symbol(1, None, {(0,): 3.0, (1,): 1e-17j, (-1,): -1e-17j})
+        with pytest.raises(SymmetryError, match="complex"):
+            pc.ToeplitzPreconditioner.from_symbol(h, (5,))
+
     def test_rejects_a_level_that_is_not_centrosymmetric(self):
         # symmetric, but J A J swaps the diagonal entries
         with pytest.raises(SymmetryError, match="not centrosymmetric"):
@@ -420,6 +432,17 @@ def test_levels_are_the_gathered_first_columns(exp, precond, sizes):
     for a, col in zip(p.levels, cols):
         i = np.arange(len(col))
         assert np.array_equal(a, col[np.abs(i[:, None] - i)])
+
+
+@pytest.mark.parametrize("precond", ["toepfr", "p22", "p2beta"])
+@pytest.mark.parametrize("sizes", [(9, 7), (10, 12), (11, 8)])
+def test_levels_are_the_level_matrices_of_the_weight(precond, sizes):
+    # one path from a table to level matrices: P's levels are
+    # operators.level_matrices of its own symbol, bit for bit
+    cfg = ExperimentConfig(exp="ex2", precond=precond)
+    p, h = build_preconditioner(cfg, experiment_symbol(cfg, sizes), sizes)
+    for a, want in zip(p.levels, ops.level_matrices(h, sizes), strict=True):
+        assert a.dtype == want.dtype and np.array_equal(a, want)
 
 
 @pytest.mark.parametrize("exp,precond,sizes", [("ex2", "toepfr", (9, 10)),
@@ -588,13 +611,18 @@ class TestParitySpectrum:
         ("ex2", "p2beta", (17, 19), False),
         ("ex3", "circsum", (7, 7, 7), False),
         ("ex2", "toepfr-scaled", (16, 16), False),
+        ("ex2", "toepfr-nudged", (16, 16), False),
     ])
     def test_path_choice(self, monkeypatch, exp, precond, sizes, half):
         # the toepfr spectrum solves at size m_o <= max(m_e, m_o); any other
-        # P, including toepfr's scaled by 1.01, solves at d_n as before
+        # P solves at d_n, toepfr's scaled by 1.01 or by 1 + 2^-52 included:
+        # the split needs (T_l + T_l^T) / 2 == A_l bit for bit.  Each
+        # eigenvalue is checked within 1e-13 of max|lambda|, since eigvalsh on
+        # two W's that differ by rounding agree to ||dW|| (Weyl), not relatively
         p, f, s = experiment_case(exp, precond.split("-")[0], sizes)
-        if precond == "toepfr-scaled":
-            p = pc.ToeplitzPreconditioner([1.01 * a for a in p.levels], p.symbol)
+        factor = {"toepfr-scaled": 1.01, "toepfr-nudged": 1.0 + 2.0**-52}.get(precond)
+        if factor is not None:
+            p = pc.ToeplitzPreconditioner([factor * a for a in p.levels], p.symbol)
         eigvalsh, solved = np.linalg.eigvalsh, []
 
         def recorded(a, *args, **kwargs):
@@ -609,7 +637,7 @@ class TestParitySpectrum:
             assert solved[0] <= (p.dim + 1) // 2
         else:
             assert solved[0] == p.dim
-        np.testing.assert_allclose(got, want, rtol=1e-13)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("exp,sizes", [("ex2", (30, 34)), ("ex3", (6, 6, 6))])
     def test_dense_spectrum_avoids_the_unit_interval(self, exp, sizes):

@@ -184,6 +184,31 @@ class TestLambdaSet:
         with pytest.raises(PoleError, match=r"theta = \(0\.0, 0\.0\)"):
             sp.build_lambda(shifted, lap, grid)
 
+    @pytest.mark.parametrize("include_shift", [True, False])
+    def test_scaling_f_and_h_together_moves_nothing(self, include_shift):
+        # ex2 8^2 with its toepfr weight; without the shift f and h both vanish
+        # at theta = 0.  The thresholds are relative to the grid's own maximum,
+        # so c f and c h give the samples and drops of f and h at every scale
+        def scaled(g, c):
+            return sym.Symbol(g.dims, lambda *th: c * g.evaluator(*th),
+                              {k: c * t for k, t in g.coefficients.items()})
+
+        f = sym.fractional_symbol(1.8, 1.6, 8, 8, 8, include_shift)
+        h = sym.real_part_symbol(f)
+        grid = sp.build_gamma((8, 8))
+        want = sp.build_lambda(f, h, grid)
+        assert want.dropped == (() if include_shift else (0,))
+        for c in (1e-20, 1.0, 1e20):
+            lam = sp.build_lambda(scaled(f, c), scaled(h, c), grid)
+            assert lam.dropped == want.dropped
+            np.testing.assert_allclose(lam.values, want.values, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_complex_weight_is_rejected_at_any_scale(self, c):
+        h = sym.constant_symbol(c * (1.0 + 0.1j), 2)
+        with pytest.raises(PoleError, match="real"):
+            sp.build_lambda(sym.ex1_symbol(), h, sp.build_gamma((8, 8)))
+
     def test_weight_divides_values(self):
         grid = sp.build_gamma((9, 8))
         two = sym.constant_symbol(2.0, 2)

@@ -3,10 +3,10 @@
 The solver runs the plain Lanczos three-term recurrence with Givens
 rotations, no reorthogonalization, starting from x_0 = 0.  Stopping is
 gated on the true unpreconditioned relative residual ||b - A x_k|| / ||b||,
-recomputed from the iterate every step; the recurred quantity phibar (the
-preconditioned residual norm estimate) is recorded alongside for
-monotonicity diagnostics but never decides termination.  That rule is what
-makes iteration counts comparable across preconditioners.  Every solve
+recomputed from the iterate every step; the recurred preconditioned
+residual estimate phibar only scales the update of x and never decides
+termination.  That rule is what makes iteration counts comparable across
+preconditioners.  A complex right-hand side raises ShapeError.  Every solve
 counts its operator products and preconditioner applies and times both
 into SolveResult.meta.  The iteration works in fixed buffers allocated once
 per solve and never writes into b or into an array the operator or the
@@ -15,7 +15,7 @@ preconditioner returned.
 Contents
 --------
 SolveConfig      tolerance, iteration cap, history switch
-SolveResult      solution, counts, histories, wall time, provenance
+SolveResult      solution, counts, residual history, wall time, provenance
 minres           operator-level solver
 flipped_solve    Y T(f) x = Y b from a symbol, matrix-free matvec
 """
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSPDError, OperatorError, ParameterError, ShapeError, SymmetryError
-from .symbols import Symbol, as_sizes, total_dim
+from .errors import NotSPDError, OperatorError, ParameterError, ShapeError
+from .symbols import Symbol, as_sizes
 from .operators import ToeplitzOperator, flip_apply
 
 __all__ = [
@@ -65,19 +65,8 @@ class SolveResult:
     residual_history: list
     converged: bool
     wall_time: float
-    precond_history: list = field(default_factory=list)
     config: SolveConfig = None
     meta: dict = field(default_factory=dict)
-
-
-def _as_applier(p):
-    if p is None:
-        return lambda r: r
-    if callable(p):
-        return p
-    if hasattr(p, "apply_inverse"):
-        return p.apply_inverse
-    raise ParameterError(f"cannot use {type(p).__name__} as a preconditioner")
 
 
 class _Counted:
@@ -111,11 +100,12 @@ def _probe_symmetry(apply_a, dim: int, seed: int) -> None:
 def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> SolveResult:
     """Preconditioned MINRES on a symmetric operator.
 
-    ``apply_a`` is a callable on vectors; ``apply_pinv`` is a callable, an
-    object with apply_inverse, or None for the identity.  The operator is
-    probed for symmetry on three seeded random unit pairs x, y before the
-    iteration starts: |<Ax, y> - <x, Ay>| must stay within
-    1e-8 (||Ax|| + ||Ay||), a gap relative to the operator's scale.
+    ``apply_a`` is a callable on vectors; ``apply_pinv`` is the callable
+    r -> P^{-1} r, or None for the identity; b must be a real vector, and a
+    complex one raises ShapeError.  The operator is probed for symmetry on
+    three seeded random unit pairs x, y before the iteration starts:
+    |<Ax, y> - <x, Ay>| must stay within 1e-8 (||Ax|| + ||Ay||), a gap
+    relative to the operator's scale.
     Breakdown of the Lanczos recurrence counts as convergence only if the
     recomputed residual passes the rule.  A NaN symmetry gap or a
     non-finite residual raises OperatorError, and a NaN or negative
@@ -129,12 +119,17 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     are fixed buffers; b and what the callables return are only read.
     """
     cfg = cfg or SolveConfig()
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise ShapeError(f"right-hand side must be a vector, got shape {b.shape}")
+    b = np.asarray(b)
+    if b.ndim != 1 or np.iscomplexobj(b):
+        raise ShapeError(f"right-hand side must be a real vector, got {b.dtype} {b.shape}")
+    b = b.astype(float, copy=False)
+    if apply_pinv is None:
+        apply_pinv = lambda r: r
+    elif not callable(apply_pinv):
+        raise ParameterError(f"cannot use {type(apply_pinv).__name__} as a preconditioner")
     dim = b.size
     apply_a = _Counted(apply_a)
-    pinv = _Counted(_as_applier(apply_pinv))
+    pinv = _Counted(apply_pinv)
     _probe_symmetry(apply_a, dim, seed)
     maxit = cfg.max_iterations if cfg.max_iterations is not None else 10 * dim
 
@@ -142,7 +137,6 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     bnorm = np.linalg.norm(b)
     x = np.zeros(dim)
     history = [1.0] if cfg.record_residuals else []
-    phist = []
 
     def counters():
         return {"matvecs": apply_a.calls, "preconditioner_applies": pinv.calls,
@@ -150,7 +144,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
 
     if bnorm == 0.0:
         return SolveResult(x, 0, history, True, time.perf_counter() - start,
-                           phist, cfg, {"note": "zero right-hand side", **counters()})
+                           cfg, {"note": "zero right-hand side", **counters()})
 
     # fixed buffers; the pair r1/r2 and the triple w1/w2/w rotate by name.
     # r1 starts at zero, so the first Lanczos step subtracts nothing from A v.
@@ -214,7 +208,6 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
             raise OperatorError(f"relative residual is {relres} at iteration {itn}")
         if cfg.record_residuals:
             history.append(relres)
-        phist.append(float(phibar) / beta1)
         if relres < cfg.rel_tolerance:
             converged = True
             break
@@ -224,7 +217,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
                                 f"residual {relres:.3e} still above tolerance")
 
     elapsed = time.perf_counter() - start
-    return SolveResult(x, itn, history, converged, elapsed, phist, cfg,
+    return SolveResult(x, itn, history, converged, elapsed, cfg,
                        {"final_relres": relres, **counters()})
 
 
@@ -232,30 +225,20 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
                   seed: int = 0) -> SolveResult:
     """Solve Y_n T_n(f) x = Y_n b with MINRES, matrix-free.
 
-    The symbol must have real coefficients: that is what makes Y T real
-    symmetric.  The matvec is the operator's own, one of three kernels
-    fixed by the table: flat diagonals through scipy's DIA matvec for a
-    sparse table (at most log2 M coefficients); one GEMM per level for a
-    dense table that is a sum of one-level tables on two or more levels
-    with sum_l n_l < 4096, such as ex2's; a real FFT embedding for any
-    other dense one.  Each is built on the first matvec.  The flip is a
-    reversed view of its output, and the right-hand side is flipped to
-    keep the solution of the original system T_n(f) x = b.
+    The symbol's real table is what makes Y T real symmetric.  The matvec
+    is ``ToeplitzOperator.matvec``, whose kernel the table fixes; the flip
+    is a reversed view of its output, and the right-hand side is flipped to
+    keep the solution of the original system T_n(f) x = b.  The
+    preconditioner is an object with ``apply_inverse``, or None.
     """
     sizes = as_sizes(n)
     if not f.coefficients:
         raise ParameterError("flipped solve needs a symbol with coefficients")
-    if not f.has_real_coefficients:
-        raise SymmetryError("flipped solve needs real coefficients (Y T is not symmetric otherwise)")
-    d_n = total_dim(sizes)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (d_n,):
-        raise ShapeError(f"right-hand side must have length {d_n}, got shape {b.shape}")
-
     op = ToeplitzOperator.from_symbol(f, sizes)
     apply_a = lambda x: op.matvec(x)[::-1]
     rhs = flip_apply(sizes, b)
-    result = minres(apply_a, preconditioner, rhs, cfg, seed)
+    pinv = None if preconditioner is None else preconditioner.apply_inverse
+    result = minres(apply_a, pinv, rhs, cfg, seed)
     pname = type(preconditioner).__name__ if preconditioner is not None else "none"
     result.meta.update({"symbol": f.name, "n": sizes, "preconditioner": pname})
     return result

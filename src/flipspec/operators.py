@@ -1,8 +1,10 @@
 """Structured matrices and index-map operators.
 
-Multilevel Toeplitz matrices are represented by their sparse coefficient
-table and assembled densely only behind an explicit size guard.  A matvec
-takes one of three kernels, fixed by the table at construction:
+Multilevel Toeplitz matrices are represented by their sparse table of real
+coefficients t_k and assembled densely only behind an explicit size guard.
+Every matrix and vector here is real: a complex t_k is refused where the
+table enters (``Symbol`` or ``ToeplitzOperator``), a complex x by matvec.
+A matvec takes one of three kernels, fixed by the table at construction:
 
 - the flat diagonals, through scipy's DIA matvec, whenever the table stores
   at most log2 M coefficients, M the size of the circulant embedding below;
@@ -12,7 +14,7 @@ takes one of three kernels, fixed by the table at construction:
   sum_l n_l < 4096: T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I with one
   GEMM per level, on dense n_l x n_l level matrices;
 - otherwise the circulant embedding of each level at the least 5-smooth
-  length >= n_l + q_l, with a real FFT for real tables.
+  length >= n_l + q_l, through a real FFT pair.
 
 Each kernel is built on the first matvec.  The flip, shuffle and half-flip
 operators are never materialized: they act as per-level index permutations
@@ -42,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, EvenSizeError, ShapeError
-from .symbols import Symbol, as_sizes, total_dim
+from .symbols import Symbol, _check_real_table, _separable_level, as_sizes, total_dim
 
 __all__ = [
     "DENSE_CAPACITY",
@@ -262,19 +264,16 @@ def toeplitz_level(t) -> np.ndarray:
 def level_matrices(f: Symbol, sizes) -> list:
     """T_{n_l}(f_l) for each level table (``Symbol.levels``) of a separable f.
 
-    Only coefficients with every |k_l| < n_l are read, and the matrices are
-    real when all of those are (``ToeplitzOperator.is_real``).  Raises
-    ShapeError unless there is one size per level, ParameterError when an
-    in-band index has two nonzero components.
+    Only coefficients with every |k_l| < n_l are read.  Raises ShapeError
+    unless there is one size per level, ParameterError when an in-band index
+    has two nonzero components.
     """
     sizes = f.check_sizes(sizes)
-    band = {k: complex(t) for k, t in f.coefficients.items()
-            if all(abs(kl) < nl for kl, nl in zip(k, sizes))}
-    real = all(t.imag == 0.0 for t in band.values())
-    cols = [np.zeros(2 * nl - 1, dtype=float if real else complex) for nl in sizes]
-    for col, tab, nl in zip(cols, Symbol(len(sizes), None, band).levels(), sizes):
-        for k, t in tab.items():
-            col[k + nl - 1] = t.real if real else t
+    cols = [np.zeros(2 * nl - 1) for nl in sizes]
+    for k, t in f.coefficients.items():
+        if all(abs(kl) < nl for kl, nl in zip(k, sizes)):
+            l = _separable_level(k)
+            cols[l][k[l] + sizes[l] - 1] = t
     return [toeplitz_level(col) for col in cols]
 
 
@@ -299,29 +298,26 @@ def kron_sum_product(levels, x) -> np.ndarray:
 class ToeplitzOperator:
     """Multilevel Toeplitz matrix T_n(f), entry (i, j) = t_{i-j}.
 
-    Holds the coefficient table clipped to the representable band
+    Holds the real coefficient table clipped to the representable band
     |k_l| <= n_l - 1 (coefficients outside it cannot touch any entry), and
     fixes at construction which of the three kernels in the module notes
-    matvec uses: flat diagonals when the table stores at most log2 M
-    coefficients, M = prod m_l the size of the circulant embedding; one
-    GEMM per level when it is separable, spans two or more levels and
-    sum_l n_l < 4096; the embedding otherwise.  Each kernel is built on the
-    first matvec.  Immutable after construction; matvec is reentrant.
+    matvec uses, built on the first matvec.  Immutable after construction;
+    matvec is reentrant.
     """
 
     def __init__(self, coefficients: dict, n):
         self.sizes = as_sizes(n)
         self.dim = math.prod(self.sizes)
         d = len(self.sizes)
+        _check_real_table(coefficients)
         clipped = {}
         for k, t in coefficients.items():
             k = tuple(int(v) for v in k)
             if len(k) != d:
                 raise ShapeError(f"coefficient index {k} does not match {d} levels")
             if all(abs(kl) <= nl - 1 for kl, nl in zip(k, self.sizes)):
-                clipped[k] = complex(t)
+                clipped[k] = t
         self.coefficients = clipped
-        self.is_real = all(v.imag == 0.0 for v in clipped.values())
         # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
         # of every |k_l| <= q_l off the leading n_l x n_l block
         self._lengths = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.band))
@@ -348,11 +344,9 @@ class ToeplitzOperator:
 
     def _table(self) -> np.ndarray:
         # t_k at position k + n - 1, an array of shape (2 n_l - 1)_l
-        table = np.zeros(tuple(2 * nl - 1 for nl in self.sizes),
-                         dtype=float if self.is_real else complex)
+        table = np.zeros(tuple(2 * nl - 1 for nl in self.sizes))
         for k, t in self.coefficients.items():
-            pos = tuple(kl + nl - 1 for kl, nl in zip(k, self.sizes))
-            table[pos] = t.real if self.is_real else t
+            table[tuple(kl + nl - 1 for kl, nl in zip(k, self.sizes))] = t
         return table
 
     def dense(self) -> np.ndarray:
@@ -422,32 +416,29 @@ class ToeplitzOperator:
         if self._diagonals is None:
             from scipy.sparse import dia_matrix
 
-            dtype = float if self.is_real else complex
             strides = np.cumprod((1,) + self.sizes[:0:-1])[::-1]
             rows = {}
             for k, t in self.coefficients.items():
                 offset = -int(np.dot(k, strides))
-                row = rows.setdefault(offset, np.zeros(self.sizes, dtype=dtype))
+                row = rows.setdefault(offset, np.zeros(self.sizes))
                 src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, self.sizes))
-                row[src] = t.real if self.is_real else t
-            data = np.array([row.ravel() for row in rows.values()],
-                            dtype=dtype).reshape(len(rows), self.dim)
+                row[src] = t
+            data = np.array([row.ravel() for row in rows.values()]).reshape(len(rows), self.dim)
             self._diagonals = dia_matrix((data, list(rows)), shape=(self.dim, self.dim))
         return self._diagonals
 
     def _embedding(self):
         if self._kernel_hat is None:
             mm = self._lengths
-            kernel = np.zeros(mm, dtype=float if self.is_real else complex)
+            kernel = np.zeros(mm)
             for k, t in self.coefficients.items():
-                kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t.real if self.is_real else t
+                kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t
             axes = tuple(range(len(mm)))
-            fft = np.fft.rfftn if self.is_real else np.fft.fftn
-            self._kernel_hat = (mm, axes, fft(kernel, mm, axes))
+            self._kernel_hat = (mm, axes, np.fft.rfftn(kernel, mm, axes))
         return self._kernel_hat
 
     def matvec(self, x) -> np.ndarray:
-        """y = T_n(f) x; real x and a real table give a real y.
+        """y = T_n(f) x for a real x; a complex x raises ShapeError.
 
         A sparse table is applied as flat diagonals through scipy's DIA
         matvec, built on first use: coefficient k is the diagonal at offset
@@ -455,36 +446,33 @@ class ToeplitzOperator:
         the diagonals are added in the table's order, O(nnz d_n).
         A dense separable table on two or more levels with sum_l n_l < 4096
         is applied as sum_l (I (x) T_{n_l}(f_l) (x) I) x on the levels of
-        ``level_matrices``, O(d_n sum_l n_l).  Any other
-        dense table goes through the per-level circulant embedding,
-        O(d_n log d_n), with a real FFT pair for a real table.  A complex x
-        on a real table takes either dense kernel twice, on its real and
-        imaginary parts.
+        ``level_matrices``, O(d_n sum_l n_l).  Any other dense table goes
+        through the per-level circulant embedding and a real FFT pair,
+        O(d_n log d_n).
         """
-        x = _check_length(x, self.dim).reshape(self.sizes)
+        x = _check_length(x, self.dim)
+        if np.iscomplexobj(x):
+            raise ShapeError("T_n(f) multiplies real vectors, got a complex one")
+        x = x.reshape(self.sizes)
         if self._kernel == "diagonals":
             return self._shifted_sum(x)
-        product = self._level_product if self._kernel == "levels" else self._product
-        if self.is_real and np.iscomplexobj(x):
-            return product(x.real) + 1j * product(x.imag)
-        return product(x)
+        if self._kernel == "levels":
+            return self._level_product(x)
+        return self._product(x)
 
     def _shifted_sum(self, x) -> np.ndarray:
         return self._diagonal_matrix() @ x.ravel()
 
     def _level_product(self, x) -> np.ndarray:
         if self._levels is None:
-            table = Symbol(len(self.sizes), None, self.coefficients)
-            self._levels = level_matrices(table, self.sizes)
+            self._levels = level_matrices(Symbol(len(self.sizes), None, self.coefficients),
+                                          self.sizes)
         return kron_sum_product(self._levels, x).ravel()
 
     def _product(self, x) -> np.ndarray:
         mm, axes, khat = self._embedding()
         keep = tuple(slice(0, nl) for nl in self.sizes)
-        if self.is_real:
-            full = np.fft.irfftn(np.fft.rfftn(x, mm, axes) * khat, mm, axes)
-        else:
-            full = np.fft.ifftn(np.fft.fftn(x, mm, axes) * khat, mm, axes)
+        full = np.fft.irfftn(np.fft.rfftn(x, mm, axes) * khat, mm, axes)
         return full[keep].ravel()
 
 
@@ -497,16 +485,16 @@ def assemble_block_g(f: Symbol, n) -> np.ndarray:
 
     Output size is 2 d_n with d_n = prod(n); the 2x2 block sits at the
     innermost (fastest) level, so block (I, J) occupies rows 2I, 2I+1 and
-    columns 2J, 2J+1 and carries [[0, t_{I-J}], [conj(t_{J-I}), 0]].
-    Hermitian by construction, real symmetric for real coefficient tables.
+    columns 2J, 2J+1 and carries [[0, t_{I-J}], [t_{J-I}, 0]], real
+    symmetric by construction.
     """
     sizes = as_sizes(n)
     d_n = total_dim(sizes)
     _guard_capacity(2 * d_n, "2x2-block Toeplitz assembly")
     t1 = ToeplitzOperator(f.coefficients, sizes).dense()
-    out = np.zeros((2 * d_n, 2 * d_n), dtype=t1.dtype)
+    out = np.zeros((2 * d_n, 2 * d_n))
     out[0::2, 1::2] = t1
-    out[1::2, 0::2] = np.conj(t1).T
+    out[1::2, 0::2] = t1.T
     return out
 
 
@@ -534,14 +522,12 @@ def interleaved_block_g(f: Symbol, n) -> np.ndarray:
     _guard_capacity(d_n, "interleaved block assembly")
     if any(m % 2 for m in sizes):
         raise EvenSizeError(f"interleaved block form needs even level sizes, got {sizes}")
-    out = np.zeros((d_n, d_n), dtype=complex)
+    out = np.zeros((d_n, d_n))
     for k, t in f.coefficients.items():
         term = _block_level(k[0], sizes[0])
         for kl, nl in zip(k[1:], sizes[1:]):
             term = np.kron(term, _block_level(kl, nl))
         out += t * term
-    if f.has_real_coefficients:
-        out = out.real
     return out
 
 
@@ -557,12 +543,11 @@ def assemble_hankel(f: Symbol, n, orientation: str = "plus") -> np.ndarray:
     if orientation not in ("plus", "minus"):
         raise ShapeError(f"orientation must be 'plus' or 'minus', got {orientation!r}")
     sign = 1 if orientation == "plus" else -1
-    real = f.has_real_coefficients
-    table = np.zeros(tuple(2 * nl - 1 for nl in sizes), dtype=float if real else complex)
+    table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
     for k, t in f.coefficients.items():
         pos = tuple(sign * kl for kl in k)
         if all(0 <= p <= 2 * (nl - 1) for p, nl in zip(pos, sizes)):
-            table[pos] = complex(t).real if real else t
+            table[pos] = t
     return _dense_lookup(table, sizes, 1)
 
 

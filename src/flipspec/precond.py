@@ -85,17 +85,10 @@ def optimal_circulant(coefficients: dict, n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ParameterError("circulant size must be >= 1")
-    table = {}
-    for k, t in coefficients.items():
-        k = int(k[0]) if isinstance(k, tuple) else int(k)
-        if abs(k) <= n - 1:
-            table[k] = complex(t)
-    c = np.zeros(n, dtype=complex)
-    for j in range(n):
-        c[j] = ((n - j) * table.get(j, 0.0) + j * table.get(j - n, 0.0)) / n
-    if all(v.imag == 0.0 for v in table.values()):
-        return c.real
-    return c
+    pairs = ((int(k[0]) if isinstance(k, tuple) else int(k), t) for k, t in coefficients.items())
+    table = {k: t for k, t in pairs if abs(k) <= n - 1}
+    return np.array([((n - j) * table.get(j, 0.0) + j * table.get(j - n, 0.0)) / n
+                     for j in range(n)])
 
 
 def circulant_abs(c) -> np.ndarray:
@@ -148,8 +141,8 @@ class ToeplitzPreconditioner:
     = lambda_l.  Then P = Q diag(Lambda) Q^T with Q the Kronecker product
     of the Q_l and the eigen-tensor Lambda(k_1, ..., k_d) =
     sum_l lambda_l[k_l].  Building raises SymmetryError unless every level
-    equals its transpose and its flip J A_l J exactly, and NotSPDError
-    unless Lambda is positive.  ``symbol`` is the symbol of the
+    is real and equals its transpose and its flip J A_l J exactly, and
+    NotSPDError unless Lambda is positive.  ``symbol`` is the symbol of the
     preconditioner sequence, the weight that divides |f| in the sample set.
     The vector methods take a vector of length d_n or a (d_n, k) block;
     the instance is immutable and they are reentrant.
@@ -161,9 +154,12 @@ class ToeplitzPreconditioner:
     """
 
     def __init__(self, levels, symbol: Symbol = None):
-        self.levels = tuple(np.asarray(a, dtype=float) for a in levels)
-        if not self.levels:
+        levels = tuple(map(np.asarray, levels))
+        if not levels:
             raise ShapeError("a Kronecker sum needs at least one level")
+        if any(map(np.iscomplexobj, levels)):
+            raise SymmetryError("level matrix is complex, not real symmetric")
+        self.levels = tuple(a.astype(float, copy=False) for a in levels)
         for a in self.levels:
             if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
                 raise ShapeError(f"level matrix has shape {a.shape}, expected a square matrix")
@@ -188,16 +184,14 @@ class ToeplitzPreconditioner:
     def from_symbol(cls, h: Symbol, n) -> "ToeplitzPreconditioner":
         """T_n(h) for a real, even symbol h that is a sum of one-level symbols.
 
-        The levels are ``operators.level_matrices(h, n)``.  A complex table
-        raises SymmetryError, as does t_{-k} != t_k in any bit, through the
-        class's exact A_l == A_l^T.  Raises ParameterError if the table is
-        empty or all zero, or couples two levels.
+        The levels are ``operators.level_matrices(h, n)``.  Raises
+        SymmetryError if t_{-k} != t_k in any bit, through the class's exact
+        A_l == A_l^T, and ParameterError if the table is empty or all zero,
+        or couples two levels.
         """
         levels = level_matrices(h, n)
-        if not any(map(complex, h.coefficients.values())):
+        if not any(h.coefficients.values()):
             raise ParameterError("preconditioner symbol has no coefficients")
-        if np.iscomplexobj(levels[0]):
-            raise SymmetryError("preconditioner symbol has complex coefficients")
         return cls(levels, h)
 
     def _check(self, x) -> np.ndarray:
@@ -304,9 +298,9 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     level, as for ``build_toepfr``'s P = T(f_R), ``_parity_spectrum`` solves
     W at size m_o <= d_n / 2; any other P (``p22``, ``p2beta``, ``circsum``,
     a T(f_R) off by rounding) goes to eigvalsh at size d_n.  Raises
-    ShapeError when f has another level count or is an array, SymmetryError
-    for a complex table, whose Y T is not real symmetric, ParameterError
-    when f is not separable and CapacityError above d_n = 20000.
+    ShapeError when f has another level count or is an array,
+    ParameterError when f is not separable and CapacityError above
+    d_n = 20000.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
@@ -314,8 +308,6 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
         raise ShapeError(f"expected the symbol f, got an array of shape {f.shape}; "
                          "Y T_n(f) is assembled here from f's table")
     levels = level_matrices(f, p.sizes)
-    if np.iscomplexobj(levels[0]):
-        raise SymmetryError("Y T of a complex coefficient table is not real symmetric")
     _guard_capacity(p.dim, "preconditioned spectrum")
     sizes, dim = p.sizes, p.dim
     parity = functools.reduce(np.multiply.outer, p.parities)

@@ -404,7 +404,7 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     hank = np.zeros((2 * m + 2, 2 * m + 2))
     for kk, t in f.coefficients.items():
         hp, _, _, hm = _monomial_blocks(kk[0], m)
-        hank[: m + 1, : m + 1] += complex(t).real * hp
-        hank[m + 1 :, m + 1 :] += complex(t).real * hm
+        hank[: m + 1, : m + 1] += t * hp
+        hank[m + 1 :, m + 1 :] += t * hm
     top, count, tail = _singular_split(singular_values(hank), 1e-8)
     return OddEmbeddingReport(n, deviations, top, count / (2.0 * m + 2.0), tail)

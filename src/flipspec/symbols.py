@@ -1,12 +1,12 @@
 """Generating functions for multilevel Toeplitz matrices.
 
 A symbol is a d-variate function f : [-pi, pi]^d -> C given by a closed-form
-evaluator, a sparse table of Fourier coefficients t_k (k in Z^d), or both.
-The coefficient table is what matrix assembly consumes; the evaluator is what
-grid sampling consumes.  Built-ins cover the experiments shipped with the
-package: a banded two-level symbol, fractional diffusion symbols built from
-shifted Grunwald weights, and a three-level upwind convection-diffusion
-stencil.
+evaluator, a sparse table of real Fourier coefficients t_k (k in Z^d), or
+both.  The coefficient table is what matrix assembly consumes, and a complex
+t_k is refused as it enters; the evaluator is what grid sampling consumes.
+Built-ins cover the experiments shipped with the package: a banded two-level
+symbol, fractional diffusion symbols built from shifted Grunwald weights,
+and a three-level upwind convection-diffusion stencil.
 
 Contents
 --------
@@ -21,7 +21,7 @@ grunwald_coefficients     exact shifted Grunwald weights by recurrence
 fractional_mesh           mesh ratio and time-step shift of the fractional problem
 fractional_symbol         two-level fractional diffusion symbol (with shift)
 convection_diffusion_symbol
-real_part_symbol          (f + conj f)/2, conjugate-symmetric coefficients
+real_part_symbol          (f + conj f)/2, symmetric coefficients (t_k + t_{-k})/2
 p_beta_truncation         four-coefficient band truncation of f_beta
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, DomainError, ParameterError, ShapeError
+from .errors import AliasingError, DomainError, ParameterError, ShapeError, SymmetryError
 
 _DOMAIN_SLACK = 1e-12
 _PRUNE_REL = 1e-14
@@ -56,6 +56,21 @@ def total_dim(n) -> int:
     return math.prod(as_sizes(n))
 
 
+def _check_real_table(coefficients: dict) -> None:
+    # SymmetryError at the first complex t_k, judged by type: 1 + 0j is refused too
+    for k, t in coefficients.items():
+        if isinstance(t, (complex, np.complexfloating)):
+            raise SymmetryError(f"coefficient t_{k} = {t} is complex; tables hold real t_k")
+
+
+def _separable_level(k) -> int:
+    # l for an index k = k_l e_l (0 for k = 0); ParameterError if k couples two levels
+    live = [l for l, kl in enumerate(k) if kl]
+    if len(live) > 1:
+        raise ParameterError(f"coefficient index {k} is not separable across levels")
+    return live[0] if live else 0
+
+
 @dataclass(frozen=True)
 class Symbol:
     """A d-variate generating function.
@@ -69,8 +84,8 @@ class Symbol:
         with broadcastable arrays.  When None, evaluation falls back to the
         trigonometric sum of the coefficient table.
     coefficients : dict
-        Sparse table mapping k tuples to complex t_k.  May be empty for
-        evaluator-only symbols.
+        Sparse table mapping k tuples to real t_k; a complex t_k raises
+        SymmetryError.  May be empty for evaluator-only symbols.
     name : str
         Identifier used in output headers.
     """
@@ -86,6 +101,7 @@ class Symbol:
         for k in self.coefficients:
             if len(k) != self.dims:
                 raise ParameterError(f"coefficient index {k} does not have {self.dims} levels")
+        _check_real_table(self.coefficients)
 
     @property
     def band(self) -> tuple[int, ...]:
@@ -93,10 +109,6 @@ class Symbol:
         if not self.coefficients:
             return (0,) * self.dims
         return tuple(max(abs(k[l]) for k in self.coefficients) for l in range(self.dims))
-
-    @property
-    def has_real_coefficients(self) -> bool:
-        return all(abs(complex(v).imag) == 0.0 for v in self.coefficients.values())
 
     def eval(self, points):
         """Evaluate at one point (length-d sequence) or a batch (N, d) array.
@@ -142,10 +154,7 @@ class Symbol:
         """
         tables = [{} for _ in range(self.dims)]
         for k, t in self.coefficients.items():
-            live = [l for l, kl in enumerate(k) if kl]
-            if len(live) > 1:
-                raise ParameterError(f"coefficient index {k} is not separable across levels")
-            level = live[0] if live else 0
+            level = _separable_level(k)
             tables[level][k[level]] = t
         return tables
 
@@ -244,11 +253,9 @@ def kron_sum_symbol(levels, weights=None, shift=0.0, name="") -> Symbol:
 
 
 def constant_symbol(value, dims=1) -> Symbol:
-    """f identically equal to ``value``."""
-    value = complex(value)
-    coeffs = {(0,) * dims: value.real if value.imag == 0 else value}
+    """f identically equal to the real ``value``."""
     return Symbol(dims, lambda *th: np.full_like(th[0], value, dtype=complex),
-                  coeffs, name=f"constant({value.real:g})")
+                  {(0,) * dims: value}, name=f"constant({value:g})")
 
 
 def laplace1d_symbol() -> Symbol:
@@ -366,24 +373,18 @@ def convection_diffusion_symbol(n1: int, n2: int, n3: int) -> Symbol:
 def real_part_symbol(f: Symbol) -> Symbol:
     """The real part (f + conj f)/2 as a symbol.
 
-    Coefficients t'_k = (t_k + conj(t_{-k}))/2 are conjugate-symmetric by
-    construction (t'_{-k} = conj(t'_k) exactly), so the assembled Toeplitz
-    matrix is Hermitian, and real symmetric for real input tables.
+    For the real table t_k its coefficients are t'_k = (t_k + t_{-k})/2,
+    symmetric by construction (t'_{-k} = t'_k exactly), so the assembled
+    Toeplitz matrix is real symmetric.
     """
     if not f.coefficients:
         raise ParameterError("real_part_symbol needs a coefficient table")
     out = {}
-    for k in f.coefficients:
-        if k in out:
-            continue
+    for k, t in f.coefficients.items():
         mk = tuple(-v for v in k)
-        a = complex(f.coefficients.get(k, 0.0))
-        b = complex(f.coefficients.get(mk, 0.0))
-        out[k] = (a + b.conjugate()) / 2.0
-        out[mk] = (b + a.conjugate()) / 2.0
+        out[k] = out[mk] = (t + f.coefficients.get(mk, 0.0)) / 2.0
     peak = max(abs(v) for v in out.values())
-    out = {k: (v.real if abs(v.imag) == 0.0 else v) for k, v in out.items()
-           if abs(v) >= _PRUNE_REL * peak}
+    out = {k: v for k, v in out.items() if abs(v) >= _PRUNE_REL * peak}
 
     evaluator = None
     if f.evaluator is not None:

@@ -29,22 +29,20 @@ def kron_toeplitz_dense(coefficients, sizes):
 
 
 def shifted_sum(coefficients, sizes, x):
-    """y = T_n x by one slice update y[dst] += t_k x[src] per coefficient.
+    """y = T_n x for a real table by one slice update y[dst] += t_k x[src] per coefficient.
 
     On level l, rows k_l.. of y read rows 0.. of x for k_l >= 0, and rows
     0.. read rows -k_l.. for k_l < 0; coefficients outside the band
     |k_l| <= n_l - 1 touch no entry and are skipped.
     """
     sizes = tuple(int(v) for v in sizes)
-    real = all(complex(t).imag == 0.0 for t in coefficients.values())
-    x = np.asarray(x).reshape(sizes)
-    y = np.zeros(sizes, dtype=np.result_type(x.dtype, float if real else complex))
+    x = np.asarray(x, dtype=float).reshape(sizes)
+    y = np.zeros(sizes)
     for k, t in coefficients.items():
         if any(abs(kl) > nl - 1 for kl, nl in zip(k, sizes)):
             continue
         dst = tuple(slice(max(kl, 0), nl + min(kl, 0)) for kl, nl in zip(k, sizes))
         src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, sizes))
-        t = complex(t).real if real else complex(t)
         y[dst] += t * x[src]
     return y.ravel()
 

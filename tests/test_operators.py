@@ -11,7 +11,8 @@ import pytest
 from conftest import kron_toeplitz_dense, random_banded_table, shifted_sum
 from flipspec import operators as ops
 from flipspec import symbols as sym
-from flipspec.errors import CapacityError, EvenSizeError, ParameterError, ShapeError
+from flipspec.errors import (CapacityError, EvenSizeError, ParameterError, ShapeError,
+                             SymmetryError)
 from flipspec import spectral as sp
 from flipspec.experiments import ExperimentConfig, _flipped_spectrum, experiment_symbol
 
@@ -19,6 +20,34 @@ from flipspec.experiments import ExperimentConfig, _flipped_spectrum, experiment
 def perm_matrix(index_map):
     # y = x[map] as a matrix, P = I[map, :]
     return np.eye(len(index_map))[index_map]
+
+
+@pytest.mark.parametrize("enter, error", [
+    (lambda: sym.Symbol(1, None, {(0,): 2.0, (1,): 0.5j}), SymmetryError),
+    (lambda: sym.Symbol(2, None, {(0, 0): np.complex128(4.0)}), SymmetryError),
+    (lambda: ops.ToeplitzOperator({(0,): 2.0, (1,): 1.0 + 0.0j}, (4,)), SymmetryError),
+    (lambda: ops.ToeplitzOperator({(0,): 2.0, (9,): 1j}, (4,)), SymmetryError),
+    (lambda: sym.constant_symbol(1j), SymmetryError),
+    (lambda: ops.ToeplitzOperator({(0,): 2.0}, (4,)).matvec(np.ones(4, dtype=complex)),
+     ShapeError),
+], ids=["symbol", "symbol_zero_imaginary_part", "operator", "operator_out_of_band",
+        "constant_symbol", "matvec_x"])
+def test_complex_values_are_refused_where_they_enter(enter, error):
+    # a table holds real t_k, checked by type wherever it enters; matvec takes real x
+    with pytest.raises(error, match="complex"):
+        enter()
+
+
+def refuses_complex(coeffs, sizes, x, complex_table, complex_x) -> bool:
+    """Whether the case is complex, after checking that a complex table is
+    refused at construction, or a complex x by matvec on the real table."""
+    if complex_table:
+        with pytest.raises(SymmetryError, match="complex"):
+            ops.ToeplitzOperator(coeffs, sizes)
+    elif complex_x:
+        with pytest.raises(ShapeError, match="complex"):
+            ops.ToeplitzOperator(coeffs, sizes).matvec(x + 1j * x)
+    return complex_table or complex_x
 
 
 class TestDenseAssembly:
@@ -49,10 +78,9 @@ class TestDenseAssembly:
         np.testing.assert_allclose(got, kron_toeplitz_dense(coeffs, sizes), atol=1e-14)
 
     def test_complex_table(self):
-        coeffs = {(0,): 2.0, (1,): 1.0 + 1.0j, (-1,): 0.5j}
-        got = ops.ToeplitzOperator(coeffs, (4,)).dense()
-        np.testing.assert_allclose(got, kron_toeplitz_dense(coeffs, (4,)), atol=1e-14)
-        assert np.iscomplexobj(got)
+        # the refusal names the first complex coefficient
+        with pytest.raises(SymmetryError, match=r"t_\(1,\) = \(1\+1j\) is complex"):
+            ops.ToeplitzOperator({(0,): 2.0, (1,): 1.0 + 1.0j, (-1,): 0.5j}, (4,))
 
     def test_out_of_band_coefficients_are_clipped(self):
         op = ops.ToeplitzOperator({(0,): 2.0, (5,): 1.0}, (3,))
@@ -92,11 +120,9 @@ class TestMatvec:
                                    atol=1e-12 * max(1.0, np.abs(a).max()))
 
     def test_complex_input_and_table(self):
-        rng = np.random.default_rng(18)
-        coeffs = {(0,): 1.0 + 2.0j, (1,): -0.5j, (-2,): 0.25}
-        op = ops.ToeplitzOperator(coeffs, (9,))
-        x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        np.testing.assert_allclose(op.matvec(x), op.dense() @ x, atol=1e-12)
+        x = np.random.default_rng(18).standard_normal(9)
+        assert refuses_complex({(0,): 1.0 + 2.0j, (1,): -0.5j, (-2,): 0.25}, (9,), x, True, False)
+        assert refuses_complex({(0,): 1.0, (-2,): 0.25}, (9,), x, False, True)
 
     def test_real_in_real_out(self):
         op = ops.ToeplitzOperator.from_symbol(sym.laplace1d_symbol(), (8,))
@@ -153,14 +179,14 @@ class TestEmbeddingBoundary:
     @pytest.mark.parametrize("complex_x", [False, True])
     def test_full_band_matches_dense(self, sizes, complex_table, complex_x):
         rng = np.random.default_rng(sum(sizes))
-        op = ops.ToeplitzOperator(full_band_table(rng, sizes, complex_table), sizes)
+        coeffs = full_band_table(rng, sizes, complex_table)
+        x = rng.standard_normal(int(np.prod(sizes)))
+        if refuses_complex(coeffs, sizes, x, complex_table, complex_x):
+            return
+        op = ops.ToeplitzOperator(coeffs, sizes)
         assert op.band == tuple(nl - 1 for nl in sizes)
-        x = rng.standard_normal(op.dim)
-        if complex_x:
-            x = x + 1j * rng.standard_normal(op.dim)
         y = op.matvec(x)
         ref = op.dense() @ x
-        assert np.iscomplexobj(y) == (complex_table or complex_x)
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -249,25 +275,28 @@ class TestShiftedSum:
 
     @pytest.mark.parametrize("complex_x", [False, True])
     def test_complex_table(self, complex_x):
-        rng = np.random.default_rng(34)
+        # the complex table is refused; its real part takes the sum, and
+        # refuses a complex x
         coeffs = {(0,): 2.0 + 1.0j, (1,): -0.5j, (-3,): 0.25 + 0.1j}
-        op = ops.ToeplitzOperator(coeffs, (12,))
+        x = np.random.default_rng(34).standard_normal(12)
+        assert refuses_complex(coeffs, (12,), x, True, complex_x)
+        real = {k: t.real for k, t in coeffs.items()}
+        op = ops.ToeplitzOperator(real, (12,))
         assert takes_sum(op)
-        x = rng.standard_normal(12)
         if complex_x:
-            x = x + 1j * rng.standard_normal(12)
-        assert np.iscomplexobj(op.matvec(x))
-        assert_sum_matches_oracles(op, coeffs, x)
+            assert refuses_complex(real, (12,), x, False, True)
+        else:
+            assert_sum_matches_oracles(op, real, x)
 
     def test_complex_x_on_a_real_table(self):
+        # refused before any kernel is built
         rng = np.random.default_rng(35)
         op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))
         assert takes_sum(op)
         x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        assert_sum_matches_oracles(op, sym.ex1_symbol().coefficients, x)
-        y = op.matvec(x)
-        np.testing.assert_array_equal(y.real, op.matvec(x.real))
-        np.testing.assert_array_equal(y.imag, op.matvec(x.imag))
+        with pytest.raises(ShapeError, match="complex"):
+            op.matvec(x)
+        assert op._diagonals is None and op._kernel_hat is None
 
     def test_coefficients_sharing_a_flat_offset(self):
         # k = (1, -2) and (0, 1) both sit at flat offset 1 on an (8, 3) grid,
@@ -326,13 +355,12 @@ class TestLevelProduct:
     def test_matches_kronecker_oracle(self, sizes, complex_table, complex_x):
         rng = np.random.default_rng(sum(sizes) + 7 * len(sizes))
         coeffs = separable_table(rng, sizes, complex_table)
+        x = rng.standard_normal(int(np.prod(sizes)))
+        if refuses_complex(coeffs, sizes, x, complex_table, complex_x):
+            return
         op = ops.ToeplitzOperator(coeffs, sizes)
         assert op._kernel == "levels"
-        x = rng.standard_normal(op.dim)
-        if complex_x:
-            x = x + 1j * rng.standard_normal(op.dim)
         y = op.matvec(x)
-        assert np.iscomplexobj(y) == (complex_table or complex_x)
         ref = kron_toeplitz_dense(coeffs, sizes) @ x
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
         assert op._kernel_hat is None and op._diagonals is None
@@ -350,15 +378,17 @@ class TestLevelProduct:
     @pytest.mark.parametrize("sizes", [(5, 7), (6, 1), (4, 1, 3)])
     @pytest.mark.parametrize("complex_table", [False, True])
     def test_level_matrices_sum_to_the_kronecker_oracle(self, sizes, complex_table):
-        # t_0 counts once; coefficients past the band, a coupled one and an
-        # imaginary one among them, touch no entry and do not make the levels
-        # complex
+        # t_0 counts once; coefficients past the band, a coupled one among
+        # them, touch no entry; a complex table is refused as the symbol is built
         rng = np.random.default_rng(3 * sum(sizes) + complex_table)
         coeffs = separable_table(rng, sizes, complex_table)
-        far = {tuple(nl for nl in sizes): 1j, (sizes[0],) + (0,) * (len(sizes) - 1): 2j}
+        far = {tuple(nl for nl in sizes): 1.0, (sizes[0],) + (0,) * (len(sizes) - 1): 2.0}
+        if complex_table:
+            with pytest.raises(SymmetryError, match="complex"):
+                sym.Symbol(len(sizes), None, {**coeffs, **far})
+            return
         levels = ops.level_matrices(sym.Symbol(len(sizes), None, {**coeffs, **far}), sizes)
         assert [a.shape for a in levels] == [(nl, nl) for nl in sizes]
-        assert all(np.iscomplexobj(a) == complex_table for a in levels)
         dense = ops.kron_sum_product(levels, np.eye(int(np.prod(sizes))))
         assert np.array_equal(dense, kron_toeplitz_dense(coeffs, sizes))
 

@@ -288,9 +288,14 @@ class TestToeplitzPreconditioner:
             pc.ToeplitzPreconditioner.from_symbol(h, (5,))
 
     def test_rejects_a_complex_table(self):
-        h = sym.Symbol(1, None, {(0,): 3.0, (1,): 1e-17j, (-1,): -1e-17j})
         with pytest.raises(SymmetryError, match="complex"):
+            h = sym.Symbol(1, None, {(0,): 3.0, (1,): 1e-17j, (-1,): -1e-17j})
             pc.ToeplitzPreconditioner.from_symbol(h, (5,))
+
+    def test_rejects_a_complex_level(self):
+        # not cut to its real part, which would set the off-diagonal to 0
+        with pytest.raises(SymmetryError, match="complex"):
+            pc.ToeplitzPreconditioner([[[2, 1j], [1j, 2]], [[3]]])
 
     def test_rejects_a_level_that_is_not_centrosymmetric(self):
         # symmetric, but J A J swaps the diagonal entries

@@ -205,7 +205,7 @@ class TestLambdaSet:
 
     @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
     def test_complex_weight_is_rejected_at_any_scale(self, c):
-        h = sym.constant_symbol(c * (1.0 + 0.1j), 2)
+        h = sym.Symbol(2, lambda *th: np.full_like(th[0], c * (1.0 + 0.1j), dtype=complex))
         with pytest.raises(PoleError, match="real"):
             sp.build_lambda(sym.ex1_symbol(), h, sp.build_gamma((8, 8)))
 

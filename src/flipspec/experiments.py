@@ -108,9 +108,8 @@ class ExperimentConfig:
     def resolved_m(self, sizes) -> int:
         return int(self.M) if self.M is not None else int(sizes[0])
 
-    def header(self, cmd: str, sizes=None) -> str:
-        sizes = sizes if sizes is not None else self.sizes
-        nrep = ",".join(str(v) for v in sizes) if sizes else "-"
+    def header(self, cmd: str) -> str:
+        nrep = ",".join(str(v) for v in self.sizes) if self.sizes else "-"
         mrep = str(self.M) if self.M is not None else "n1"
         return (f"flipspec {__version__} | cmd={cmd} exp={self.exp} n={nrep} "
                 f"alpha={self.alpha:g} beta={self.beta:g} M={mrep} "
@@ -423,23 +422,29 @@ def _suite_oracles(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     rows = []
 
-    worst = 0.0
-    for _ in range(10):
+    def matvec_row(check, draw, product, kernel=None):
+        # worst error of product(op, x) over ten drawn tables, each on the kernel given
+        worst, took = 0.0, True
+        for _ in range(10):
+            op = ToeplitzOperator(*draw())
+            took = took and kernel in (None, op._kernel)
+            x = rng.standard_normal(op.dim)
+            ref = op.dense() @ x
+            err = np.linalg.norm(product(op, x) - ref) / max(np.linalg.norm(ref), 1e-300)
+            worst = max(worst, float(err))
+        rows.append(("oracles", check, took and worst <= 1e-12, f"{worst:.3e}"))
+
+    def full_band():
         d = int(rng.integers(1, 4))
         sizes = tuple(int(rng.integers(2, 9)) for _ in range(d))
         band = tuple(int(rng.integers(0, nl)) for nl in sizes)
-        coeffs = {}
-        for k in np.ndindex(*(2 * q + 1 for q in band)):
-            coeffs[tuple(ki - qi for ki, qi in zip(k, band))] = rng.standard_normal()
-        op = ToeplitzOperator(coeffs, sizes)
-        x = rng.standard_normal(op.dim)
-        ref = op.dense() @ x
-        # the embedding product itself: matvec would send a sparse draw to
-        # the flat diagonals, which direct_matvec_vs_dense checks
-        y = op._product(x.reshape(op.sizes))
-        err = np.linalg.norm(y - ref) / max(np.linalg.norm(ref), 1e-300)
-        worst = max(worst, float(err))
-    rows.append(("oracles", "fft_matvec_vs_dense", worst <= 1e-12, f"{worst:.3e}"))
+        return {tuple(ki - qi for ki, qi in zip(k, band)): rng.standard_normal()
+                for k in np.ndindex(*(2 * q + 1 for q in band))}, sizes
+
+    # the embedding product itself: matvec would send a sparse draw to the
+    # flat diagonals, which direct_matvec_vs_dense checks
+    matvec_row("fft_matvec_vs_dense", full_band,
+               lambda op, x: op._product(x.reshape(op.sizes)))
 
     worst = 0.0
     for n in range(2, 7):
@@ -468,25 +473,18 @@ def _suite_oracles(cfg: ExperimentConfig):
 
     # sparse coupled tables: at most log2(prod n_l) <= log2 M coefficients,
     # drawn anywhere in the band, so the operator takes the flat diagonals
-    worst, summed = 0.0, True
-    for _ in range(10):
+    def sparse():
         d = int(rng.integers(1, 4))
         sizes = tuple(int(rng.integers(3, 9)) for _ in range(d))
         nnz = int(rng.integers(1, int(np.log2(total_dim(sizes))) + 1))
-        coeffs = {tuple(int(rng.integers(1 - nl, nl)) for nl in sizes): rng.standard_normal()
-                  for _ in range(nnz)}
-        op = ToeplitzOperator(coeffs, sizes)
-        summed = summed and op._kernel == "diagonals"
-        x = rng.standard_normal(op.dim)
-        ref = op.dense() @ x
-        err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)
-        worst = max(worst, float(err))
-    rows.append(("oracles", "direct_matvec_vs_dense", summed and worst <= 1e-12, f"{worst:.3e}"))
+        return {tuple(int(rng.integers(1 - nl, nl)) for nl in sizes): rng.standard_normal()
+                for _ in range(nnz)}, sizes
+
+    matvec_row("direct_matvec_vs_dense", sparse, lambda op, x: op.matvec(x), "diagonals")
 
     # separable tables, t_0 plus a full band on each level alone: dense, so the
     # operator takes the level product
-    worst, by_levels = 0.0, True
-    for _ in range(10):
+    def separable():
         d = int(rng.integers(2, 4))
         sizes = tuple(int(rng.integers(3, 9)) for _ in range(d))
         coeffs = {(0,) * d: rng.standard_normal()}
@@ -494,14 +492,9 @@ def _suite_oracles(cfg: ExperimentConfig):
             for k in range(1, nl):
                 for s in (-k, k):
                     coeffs[tuple(s if m == l else 0 for m in range(d))] = rng.standard_normal()
-        op = ToeplitzOperator(coeffs, sizes)
-        by_levels = by_levels and op._kernel == "levels"
-        x = rng.standard_normal(op.dim)
-        ref = op.dense() @ x
-        err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)
-        worst = max(worst, float(err))
-    rows.append(("oracles", "level_matvec_vs_dense", by_levels and worst <= 1e-12,
-                 f"{worst:.3e}"))
+        return coeffs, sizes
+
+    matvec_row("level_matvec_vs_dense", separable, lambda op, x: op.matvec(x), "levels")
 
     # preconditioned spectra assembled from the levels, against eigvalsh of
     # W = Lambda^{-1/2} Q^T Y T Q Lambda^{-1/2} swept from the whole gathered

@@ -33,7 +33,7 @@ pi_apply                  even-size shuffle permutation (Pi_n x, Pi_n^T x)
 flip_map / u_map / pi_map flat index maps behind the appliers
 assemble_block_g          2x2-block Toeplitz of g = [[0, f], [f*, 0]]
 interleaved_block_g       per-level interleaved form of the same symbol
-assemble_hankel           dense multilevel Hankel, plus/minus orientation
+assemble_hankel           dense multilevel Hankel with entry t_{i+j}
 structure_residual        D = Pi U Y T(f) U Pi^T - T(g) with rank/norm split
 """
 
@@ -531,23 +531,20 @@ def interleaved_block_g(f: Symbol, n) -> np.ndarray:
     return out
 
 
-def assemble_hankel(f: Symbol, n, orientation: str = "plus") -> np.ndarray:
-    """Dense multilevel Hankel with entry t_{i+j} (plus) or t_{-(i+j)} (minus).
+def assemble_hankel(f: Symbol, n) -> np.ndarray:
+    """Dense multilevel Hankel with entry t_{i+j}.
 
     Indices are 0-based per level, so the top-left entry is t_0 and the
-    anti-diagonals are constant in the multi-index sum i + j.
+    anti-diagonals are constant in i + j.  The t_{-(i+j)} Hankel is this
+    one of the reflected table t'_k = t_{-k}.
     """
     sizes = as_sizes(n)
     d_n = total_dim(sizes)
     _guard_capacity(d_n, "dense Hankel assembly")
-    if orientation not in ("plus", "minus"):
-        raise ShapeError(f"orientation must be 'plus' or 'minus', got {orientation!r}")
-    sign = 1 if orientation == "plus" else -1
     table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
     for k, t in f.coefficients.items():
-        pos = tuple(sign * kl for kl in k)
-        if all(0 <= p <= 2 * (nl - 1) for p, nl in zip(pos, sizes)):
-            table[pos] = t
+        if all(0 <= kl <= 2 * (nl - 1) for kl, nl in zip(k, sizes)):
+            table[k] = t
     return _dense_lookup(table, sizes, 1)
 
 

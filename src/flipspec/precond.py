@@ -80,13 +80,12 @@ def optimal_circulant(coefficients: dict, n: int) -> np.ndarray:
     """First column of the circulant closest in Frobenius norm to T_n.
 
     c_j = ((n - j) t_j + j t_{j-n}) / n for j = 0..n-1, from a one-level
-    coefficient table (dict k -> t_k or array-like pairs).
+    coefficient table {k: t_k} with integer keys k, as ``Symbol.levels`` gives.
     """
     n = int(n)
     if n < 1:
         raise ParameterError("circulant size must be >= 1")
-    pairs = ((int(k[0]) if isinstance(k, tuple) else int(k), t) for k, t in coefficients.items())
-    table = {k: t for k, t in pairs if abs(k) <= n - 1}
+    table = {k: t for k, t in coefficients.items() if abs(k) <= n - 1}
     return np.array([((n - j) * table.get(j, 0.0) + j * table.get(j - n, 0.0)) / n
                      for j in range(n)])
 

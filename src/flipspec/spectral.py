@@ -10,19 +10,20 @@ supported test functions.
 Contents
 --------
 sym_eigenvalues, singular_values
-GridGamma / build_gamma       half-open first coordinate, |Gamma| = floor(n1/2) n2...nd
-GridDelta / build_delta       full two-level lattice including the endpoints
-LambdaSet / build_lambda      sorted branch samples with provenance
+build_gamma                   (N, d) points of Gamma, N = floor(n1/2) n2...nd
+build_delta                   (N, 2) points of the two-level lattice with its endpoints
+LambdaSet / build_lambda      sorted branch samples over an (N, d) point array
 match_eigenvalues             nearest-sample assignment, deterministic ties
 MatchReport                   assignment arrays + summary statistics
 tent                          compactly supported hat test function
 distribution_discrepancy      sample mean vs. quadrature of the limit integral
-zero_distribution_verdict     rank/norm trend over growing sizes
+zero_distribution_verdict     trend of the fraction above 1e-6 sigma_max over sizes
 odd_embedding_check           odd-size embedding identity, one level
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +38,6 @@ from .operators import (DENSE_CAPACITY, ToeplitzOperator, _panels, _singular_spl
 __all__ = [
     "sym_eigenvalues",
     "singular_values",
-    "GridGamma",
-    "GridDelta",
     "build_gamma",
     "build_delta",
     "LambdaSet",
@@ -57,21 +56,23 @@ __all__ = [
 def sym_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a dense symmetric real matrix, ascending.
 
-    The input must be symmetric within 1e-10 of its Frobenius norm and no
-    larger than the dense capacity guard.  The norms are summed by row
-    panels and an exactly symmetric input goes to eigvalsh as it is, so
-    the footprint is two d_n x d_n arrays, the input and LAPACK's copy.
+    The input must be real (a complex one raises SymmetryError), symmetric
+    within 1e-10 of its Frobenius norm and no larger than the dense capacity
+    guard.  The norms are summed by row panels and an exactly symmetric input
+    goes to eigvalsh as it is, so the footprint is two d_n x d_n arrays.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > DENSE_CAPACITY:
         raise CapacityError(f"matrix size {a.shape[0]} > {DENSE_CAPACITY}")
+    if np.iscomplexobj(a):
+        raise SymmetryError(f"expected a real matrix, got dtype {a.dtype}")
     scale = math.hypot(*(np.linalg.norm(a[r]) for r in _panels(len(a))))
-    skew = math.hypot(*(np.linalg.norm(a[r] - a[:, r].conj().T) for r in _panels(len(a))))
+    skew = math.hypot(*(np.linalg.norm(a[r] - a[:, r].T) for r in _panels(len(a))))
     if skew > 1e-10 * max(scale, 1e-300):
         raise SymmetryError(f"matrix is not symmetric: ||A - A^T|| = {skew:.3e}, ||A|| = {scale:.3e}")
-    return np.linalg.eigvalsh(a if skew == 0.0 else (a + a.conj().T) / 2.0)
+    return np.linalg.eigvalsh(a if skew == 0.0 else (a + a.T) / 2.0)
 
 
 def singular_values(a) -> np.ndarray:
@@ -88,26 +89,18 @@ def singular_values(a) -> np.ndarray:
 # grids and the sample set
 
 
-@dataclass(frozen=True)
-class GridGamma:
-    """Tensor grid on [0, pi]^d; points row-major over the index lattice."""
-    sizes: tuple
-    points: np.ndarray  # (N, d)
+def _lattice(axes) -> np.ndarray:
+    # (N, d) tensor grid of the axes, row-major over the index lattice
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-@dataclass(frozen=True)
-class GridDelta:
-    """Full n1 x n2 tensor grid on [-pi, pi]^2 including the endpoints."""
-    sizes: tuple
-    points: np.ndarray
+def build_gamma(n) -> np.ndarray:
+    """Points of Gamma on [0, pi]^d, an (N, d) array row-major over the index lattice.
 
-
-def build_gamma(n) -> GridGamma:
-    """Grid with theta_1 = pi k / (floor(n1/2) - 1) and theta_j = pi k / (n_j - 1).
-
-    The first coordinate takes floor(n1/2) values, the rest n_j values, so
-    the point count is floor(n1/2) * n2 * ... * nd.  Needs floor(n1/2) >= 2
-    and n_j >= 2 elsewhere.
+    theta_1 = pi k / (floor(n1/2) - 1) takes floor(n1/2) values and
+    theta_j = pi k / (n_j - 1) n_j values, so N = floor(n1/2) n2 ... nd.
+    Needs floor(n1/2) >= 2 and n_j >= 2 elsewhere.
     """
     sizes = as_sizes(n)
     m1 = sizes[0] // 2
@@ -117,21 +110,17 @@ def build_gamma(n) -> GridGamma:
         raise ParameterError(f"level sizes {sizes} too small for the grid (need n_j >= 2)")
     axes = [np.pi * np.arange(m1) / (m1 - 1)]
     axes += [np.pi * np.arange(nj) / (nj - 1) for nj in sizes[1:]]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return GridGamma(sizes, pts)
+    return _lattice(axes)
 
 
-def build_delta(n) -> GridDelta:
-    """Two-level lattice theta_j = -pi + 2 pi k / (n_j - 1), k = 0..n_j-1."""
+def build_delta(n) -> np.ndarray:
+    """Points of the n1 x n2 lattice theta_j = -pi + 2 pi k / (n_j - 1), an (N, 2) array."""
     sizes = as_sizes(n)
     if len(sizes) != 2:
         raise ParameterError(f"delta grid is two-level, got sizes {sizes}")
     if any(nj < 2 for nj in sizes):
         raise ParameterError(f"level sizes {sizes} too small for the grid")
-    axes = [-np.pi + 2.0 * np.pi * np.arange(nj) / (nj - 1) for nj in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return GridDelta(sizes, np.stack([m.ravel() for m in mesh], axis=1))
+    return _lattice([-np.pi + 2.0 * np.pi * np.arange(nj) / (nj - 1) for nj in sizes])
 
 
 @dataclass(frozen=True)
@@ -181,23 +170,22 @@ def _modulus_ratio(f: Symbol, h, pts):
     return fv[keep] / hv[keep], keep
 
 
-def build_lambda(f: Symbol, h, grid) -> LambdaSet:
-    """Branch samples {-|f|/h, +|f|/h} over a grid, sorted with provenance.
+def build_lambda(f: Symbol, h, points) -> LambdaSet:
+    """Branch samples {-|f|/h, +|f|/h} at an (N, d) point array, sorted with provenance.
 
     ``h`` may be None (taken as 1).  A grid point where |f| and h both
     vanish is 0/0, carries no sample (the distribution results hold almost
     everywhere) and is listed in ``dropped``; a point where h alone
     vanishes has no finite sample and raises a pole error naming it.
     """
-    pts = grid.points
-    ratio, keep = _modulus_ratio(f, h, pts)
+    ratio, keep = _modulus_ratio(f, h, points)
     kept = np.flatnonzero(keep)
     values = np.r_[-ratio, ratio]
     branch = np.r_[np.ones(len(kept), dtype=int), np.full(len(kept), 2, dtype=int)]
     pidx = np.r_[kept, kept]
     order = np.lexsort((pidx, branch, values))
     dropped = tuple(int(i) for i in np.flatnonzero(~keep))
-    return LambdaSet(values[order], branch[order], pidx[order], pts, dropped)
+    return LambdaSet(values[order], branch[order], pidx[order], points, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +264,11 @@ class DiscrepancyRow:
 
 def _quad_lattice(d: int):
     p = 128 if d <= 2 else 48
-    axis = np.linspace(-np.pi, np.pi, p)
     step = 2.0 * np.pi / (p - 1)
     w1 = np.full(p, step)
     w1[0] = w1[-1] = step / 2.0
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = w1
-    for _ in range(d - 1):
-        weights = np.multiply.outer(weights, w1)
+    pts = _lattice([np.linspace(-np.pi, np.pi, p)] * d)
+    weights = functools.reduce(np.multiply.outer, [w1] * d)
     return pts, weights.ravel(), p
 
 
@@ -294,9 +278,9 @@ def distribution_discrepancy(eigs, f: Symbol, h, testfns) -> list:
     For each F computes |mean_j F(eig_j) - (2 pi)^-d integral of
     [F(-|f|/h) + F(+|f|/h)] / 2| with a tensor trapezoidal rule on the
     periodic cube (128 points per axis up to two levels, 48 for three).
-    Accepts bare callables or (label, callable) pairs.  A lattice point
-    where |f| and h both vanish drops out of the rule, as it drops out of
-    the sample set.
+    Each test function is a callable, labelled by its ``label`` attribute or
+    else ``F{i}``.  A lattice point where |f| and h both vanish drops out of
+    the rule, as it drops out of the sample set.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
@@ -307,22 +291,18 @@ def distribution_discrepancy(eigs, f: Symbol, h, testfns) -> list:
     norm = (2.0 * np.pi) ** (-f.dims)
 
     rows = []
-    for i, item in enumerate(testfns):
-        if isinstance(item, tuple):
-            label, fn = item
-        else:
-            fn = item
-            label = getattr(fn, "label", f"F{i}")
+    for i, fn in enumerate(testfns):
+        label = getattr(fn, "label", f"F{i}")
         mean = float(np.mean(fn(eigs)))
         integral = float(norm * np.sum(weights * (fn(-ratio) + fn(ratio)) / 2.0))
         rows.append(DiscrepancyRow(label, mean, integral, abs(mean - integral), p))
     return rows
 
 
-def zero_distribution_verdict(matrices, tau: float = 1e-6):
+def zero_distribution_verdict(matrices):
     """Trend report for a family expected to be singular-value distributed as 0.
 
-    For each matrix: fraction of singular values above tau * sigma_max and
+    For each matrix: fraction of singular values above 1e-6 * sigma_max and
     the value at the cut.  PASS means the fractions never increase and the
     last one improved on the first (or hit zero outright).
     """
@@ -332,7 +312,7 @@ def zero_distribution_verdict(matrices, tau: float = 1e-6):
     rows = []
     for a in mats:
         a = np.asarray(a)
-        _, count, at_cut = _singular_split(singular_values(a), tau)
+        _, count, at_cut = _singular_split(singular_values(a), 1e-6)
         rows.append((count / a.shape[0], at_cut))
     fracs = [r[0] for r in rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(fracs, fracs[1:]))
@@ -363,8 +343,8 @@ def _monomial_blocks(k: int, m: int):
     mone = Symbol(1, None, {(-k,): 1.0})
     tp = ToeplitzOperator(one.coefficients, (m + 1,)).dense()
     tm = ToeplitzOperator(mone.coefficients, (m + 1,)).dense()
-    hp = assemble_hankel(one, (m + 1,), "plus")
-    hm = assemble_hankel(mone, (m + 1,), "plus")
+    hp = assemble_hankel(one, (m + 1,))
+    hm = assemble_hankel(mone, (m + 1,))
     return hp, tp, tm, hm
 
 

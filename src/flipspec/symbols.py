@@ -21,7 +21,7 @@ grunwald_coefficients     exact shifted Grunwald weights by recurrence
 fractional_mesh           mesh ratio and time-step shift of the fractional problem
 fractional_symbol         two-level fractional diffusion symbol (with shift)
 convection_diffusion_symbol
-real_part_symbol          (f + conj f)/2, symmetric coefficients (t_k + t_{-k})/2
+real_part_symbol          Re f, symmetric coefficients (t_k + t_{-k})/2
 p_beta_truncation         four-coefficient band truncation of f_beta
 """
 
@@ -371,7 +371,7 @@ def convection_diffusion_symbol(n1: int, n2: int, n3: int) -> Symbol:
 
 
 def real_part_symbol(f: Symbol) -> Symbol:
-    """The real part (f + conj f)/2 as a symbol.
+    """The real part Re f = (f + conj f)/2 as a symbol.
 
     For the real table t_k its coefficients are t'_k = (t_k + t_{-k})/2,
     symmetric by construction (t'_{-k} = t'_k exactly), so the assembled
@@ -388,8 +388,7 @@ def real_part_symbol(f: Symbol) -> Symbol:
 
     evaluator = None
     if f.evaluator is not None:
-        evaluator = lambda *th: (np.asarray(f.evaluator(*th), dtype=complex)
-                                 + np.conj(f.evaluator(*th))) / 2.0
+        evaluator = lambda *th: np.asarray(f.evaluator(*th), dtype=complex).real
     return Symbol(f.dims, evaluator, out, name=f"Re[{f.name or 'f'}]")
 
 

@@ -2,8 +2,9 @@
 
 Every name a module imports is used in that module, no top-level function
 is defined in two modules, every private top-level function is referenced
-somewhere in the package, and the one CSV writer is the only code that
-opens a file.  No linter ships with the package, so
+somewhere in the package, every public top-level function or class is
+referenced in the package or a demo, and the one CSV writer is the only
+code that opens a file.  No linter ships with the package, so
 this scans the source with ``ast``.  ``__init__.py`` is skipped: its
 imports are the package's re-exports.  An ex2 solve and the dense
 ``spectrum``/``match`` path load no scipy module, and an ex3 solve no scipy
@@ -20,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "flipspec").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for p in (ROOT / "src" / "flipspec").glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -62,16 +64,30 @@ def duplicated_functions(sources: dict) -> dict:
     return {name: mods for name, mods in top_level_functions(sources).items() if len(mods) > 1}
 
 
-def unreferenced_private_functions(sources: dict) -> list:
+def referenced_names(sources) -> set:
+    """Every name read through ``ast.Name`` or ``ast.Attribute`` in the sources."""
     referenced = set()
-    for source in sources.values():
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+    return referenced
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    referenced = referenced_names(sources.values())
     return sorted(name for name in top_level_functions(sources)
                   if name.startswith("_") and name not in referenced)
+
+
+def unreached_public_names(sources: dict, demos=()) -> list:
+    """Public top-level functions and classes named nowhere in the sources or the demos."""
+    referenced = referenced_names([*sources.values(), *demos])
+    defined = {node.name for source in sources.values() for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return sorted(name for name in defined if not name.startswith("_") and name not in referenced)
 
 
 def test_scanners_flag_duplicates_and_dead_helpers():
@@ -79,6 +95,14 @@ def test_scanners_flag_duplicates_and_dead_helpers():
                "b": "def f():\n    return a._used\n"}
     assert duplicated_functions(sources) == {"f": ["a", "b"]}
     assert unreferenced_private_functions(sources) == ["_dead"]
+
+
+def test_scanner_flags_unreached_public_names():
+    sources = {"a": "class Used:\n    pass\n\nclass Dead:\n    pass\n\n"
+                    "def g():\n    return Used()\n\ndef _h():\n    pass\n",
+               "b": "def shown():\n    pass\n\ndef hidden():\n    pass\n"}
+    demo = "import b\nb.shown()\n"
+    assert unreached_public_names(sources, [demo]) == ["Dead", "g", "hidden"]
 
 
 def package_sources() -> dict:
@@ -91,6 +115,16 @@ def test_no_function_defined_twice():
 
 def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(package_sources()) == []
+
+
+# flipbench/tracing.py wraps it by name, so it stays until the tracer drops
+# it (ROADMAP items 1 and 7)
+UNREACHED_BUT_TRACED = ["fourier_coefficients"]
+
+
+def test_every_public_name_is_reached_from_the_package_or_a_demo():
+    demos = [p.read_text(encoding="utf-8") for p in DEMOS]
+    assert unreached_public_names(package_sources(), demos) == UNREACHED_BUT_TRACED
 
 
 def open_calls(sources: dict) -> list:

@@ -548,8 +548,11 @@ class TestHankel:
         np.testing.assert_array_equal(h, want)
 
     def test_minus_orientation(self):
-        h = ops.assemble_hankel(sym.laplace1d_symbol(), (3,), orientation="minus")
-        want = np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        # the t_{-(i+j)} Hankel is the t_{i+j} Hankel of the reflected table
+        f = sym.Symbol(1, None, {(0,): 2.0, (1,): -3.0, (-1,): -1.0, (-2,): 5.0})
+        reflected = sym.Symbol(1, None, {(-k,): t for (k,), t in f.coefficients.items()})
+        h = ops.assemble_hankel(reflected, (3,))
+        want = np.array([[2.0, -1.0, 5.0], [-1.0, 5.0, 0.0], [5.0, 0.0, 0.0]])
         np.testing.assert_array_equal(h, want)
 
     def test_two_level_entry_rule(self):
@@ -562,10 +565,6 @@ class TestHankel:
                 k = tuple(a + b for a, b in zip(idx[r], idx[c]))
                 want = coeffs.get(k, 0.0)
                 assert h[r, c] == pytest.approx(want, abs=1e-14)
-
-    def test_orientation_validation(self):
-        with pytest.raises(ShapeError):
-            ops.assemble_hankel(sym.constant_symbol(1.0), (3,), orientation="down")
 
 
 class TestStructureResidual:

@@ -73,11 +73,6 @@ class TestOptimalCirculant:
         np.testing.assert_allclose(pc.optimal_circulant({-1: 1.0}, 4),
                                    [0.0, 0.0, 0.0, 0.75], atol=1e-15)
 
-    def test_tuple_keys_accepted(self):
-        a = pc.optimal_circulant({(1,): 1.0, (0,): 2.0}, 5)
-        b = pc.optimal_circulant({1: 1.0, 0: 2.0}, 5)
-        np.testing.assert_array_equal(a, b)
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_least_squares_minimizer(self, n):
         rng = np.random.default_rng(40 + n)

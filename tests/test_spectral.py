@@ -46,6 +46,10 @@ class TestEigenvalues:
         with pytest.raises(ShapeError):
             sp.sym_eigenvalues(np.ones((2, 3)))
 
+    def test_rejects_a_complex_hermitian_matrix(self):
+        with pytest.raises(SymmetryError, match="real"):
+            sp.sym_eigenvalues(np.array([[1.0, 1j], [-1j, 1.0]]))
+
 
 def symmetric_over_panels(seed):
     # a symmetric matrix spanning several row panels and a partial last one
@@ -112,15 +116,15 @@ class TestSingularValues:
 class TestGrids:
     def test_gamma_small_case(self):
         g = sp.build_gamma((4, 3))
-        assert g.points.shape == (6, 2)
-        np.testing.assert_allclose(sorted(set(g.points[:, 0])), [0.0, np.pi])
-        np.testing.assert_allclose(sorted(set(g.points[:, 1])), [0.0, np.pi / 2, np.pi])
+        assert g.shape == (6, 2)
+        np.testing.assert_allclose(sorted(set(g[:, 0])), [0.0, np.pi])
+        np.testing.assert_allclose(sorted(set(g[:, 1])), [0.0, np.pi / 2, np.pi])
 
     def test_gamma_count_and_range(self):
         g = sp.build_gamma((10, 10))
-        assert g.points.shape == (50, 2)
-        assert g.points[-1, 0] == pytest.approx(np.pi)
-        assert g.points.min() == 0.0
+        assert g.shape == (50, 2)
+        assert g[-1, 0] == pytest.approx(np.pi)
+        assert g.min() == 0.0
 
     def test_gamma_needs_enough_points(self):
         with pytest.raises(ParameterError):
@@ -130,9 +134,9 @@ class TestGrids:
 
     def test_delta_full_lattice(self):
         g = sp.build_delta((5, 4))
-        assert g.points.shape == (20, 2)
-        assert g.points[0, 0] == pytest.approx(-np.pi)
-        assert g.points[-1, 1] == pytest.approx(np.pi)
+        assert g.shape == (20, 2)
+        assert g[0, 0] == pytest.approx(-np.pi)
+        assert g[-1, 1] == pytest.approx(np.pi)
 
     def test_delta_two_level_only(self):
         with pytest.raises(ParameterError):
@@ -172,7 +176,7 @@ class TestLambdaSet:
         f = sym.kron_sum_symbol([sym.laplace1d_symbol()] * 2, weights=(2.0, 2.0))
         lam = sp.build_lambda(f, h, grid)
         assert lam.dropped == (0,)
-        assert len(lam) == 2 * (len(grid.points) - 1)
+        assert len(lam) == 2 * (len(grid) - 1)
         assert 0 not in lam.point_index
         np.testing.assert_allclose(np.abs(lam.values), 2.0, atol=1e-12)
 
@@ -275,7 +279,9 @@ class TestDistribution:
         f = sym.ex1_symbol()
         ya = flipped_dense(f, (5, 5))
         eigs = sp.sym_eigenvalues(ya)
-        rows = sp.distribution_discrepancy(eigs, f, None, [("id", lambda x: x)])
+        identity = lambda x: x
+        identity.label = "id"
+        rows = sp.distribution_discrepancy(eigs, f, None, [identity])
         want = abs(np.trace(ya)) / 25.0
         assert want == pytest.approx(0.16)
         assert rows[0].discrepancy == pytest.approx(want, abs=1e-12)
@@ -292,9 +298,8 @@ class TestDistribution:
     def test_labels_from_functions_and_pairs(self):
         eigs = np.array([0.5])
         rows = sp.distribution_discrepancy(eigs, sym.constant_symbol(1.0, 1), None,
-                                           [sp.tent(0, 1), ("custom", np.cos),
-                                            np.sin])
-        assert [r.label for r in rows] == ["tent(0,1)", "custom", "F2"]
+                                           [sp.tent(0, 1), np.sin])
+        assert [r.label for r in rows] == ["tent(0,1)", "F1"]
 
     def test_empty_spectrum(self):
         with pytest.raises(ParameterError):

@@ -313,6 +313,19 @@ class TestRealPart:
         np.testing.assert_allclose(r.eval(pts), f.eval(pts).real, atol=1e-13)
         assert np.max(np.abs(r.eval(pts).imag)) < 1e-14
 
+    def test_evaluator_calls_the_symbol_once_per_eval(self):
+        f = sym.ex1_symbol()
+        calls = []
+
+        def counted(*th):
+            calls.append(1)
+            return f.evaluator(*th)
+
+        r = sym.real_part_symbol(sym.Symbol(2, counted, f.coefficients))
+        pts = np.random.default_rng(8).uniform(-np.pi, np.pi, size=(25, 2))
+        np.testing.assert_array_equal(r.eval(pts), f.eval(pts).real)
+        assert len(calls) == 1
+
     def test_real_input_table_stays_real(self):
         r = sym.real_part_symbol(sym.ex1_symbol())
         assert r.coefficients.get((1, 0), 0.0) == pytest.approx(0.5)

@@ -17,7 +17,7 @@ from flipspec.symbols import ex1_symbol
 f = ex1_symbol()
 
 for sizes in ((10, 10), (20, 20), (30, 30)):
-    t = ToeplitzOperator(f.coefficients, sizes).dense()
+    t = ToeplitzOperator(f, sizes).dense()
     eigs = sym_eigenvalues(t[flip_map(sizes)])
     lam = build_lambda(f, None, build_gamma(sizes))
     gaps = np.abs(eigs - lam.values)
@@ -30,7 +30,7 @@ for i in (0, 1, 2, eigs.size - 2, eigs.size - 1):
 
 # nearest-sample matching over the full lattice instead of sorted pairing
 sizes = (20, 40)
-t = ToeplitzOperator(f.coefficients, sizes).dense()
+t = ToeplitzOperator(f, sizes).dense()
 eigs = sym_eigenvalues(t[flip_map(sizes)])
 report = match_eigenvalues(eigs, build_lambda(f, None, build_delta(sizes)))
 print(f"match at n={sizes}: mean distance {report.mean_distance:.4f}, "

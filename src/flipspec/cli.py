@@ -2,7 +2,7 @@
 
 Four subcommands over the experiment drivers:
 
-    flipspec spectrum --exp ex1 --n 10,10 [--precond id]
+    flipspec spectrum --exp ex2 --n 10,10 [--precond toepfr]
     flipspec match    --exp ex2 --n 20,40 --alpha 1.8 --beta 1.6
     flipspec table    --exp ex2 [--n 10,10] [--precond toepfr]
     flipspec verify   [--suite ops,oracles] [--sizes 8,16]

@@ -56,7 +56,7 @@ from .symbols import (Symbol, as_sizes, constant_symbol,
                       real_part_symbol, total_dim)
 from .operators import (ToeplitzOperator, _shuffle_conjugate, assemble_block_g,
                         assemble_hankel, flip_apply, interleaved_block_g,
-                        pi_apply, pi_map, structure_residual, u_apply)
+                        pi_apply, pi_map, structure_residual, toeplitz_level, u_apply)
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
                        sym_eigenvalues, tent, zero_distribution_verdict)
@@ -177,7 +177,7 @@ def _flipped_spectrum(f: Symbol, sizes) -> np.ndarray:
     # ToeplitzOperator.flipped_blocks gathers goes through the symmetry gate
     # and eigvalsh, and is let go before the next one is gathered
     eigs = []
-    for block in ToeplitzOperator.from_symbol(f, sizes).flipped_blocks():
+    for block in ToeplitzOperator(f, sizes).flipped_blocks():
         eigs.append(sym_eigenvalues(block))
         del block
     return np.sort(np.concatenate(eigs))
@@ -350,13 +350,13 @@ def _suite_ops(cfg: ExperimentConfig):
     rows.append(("ops", "block_forms_agree_1level", gap == 0.0, f"{gap:g}"))
 
     h = real_part_symbol(ex1_symbol())
-    t = ToeplitzOperator.from_symbol(h, sizes).dense()
+    t = ToeplitzOperator(h, sizes).dense()
     fp = pi_map(sizes)
     gap = float(np.max(np.abs(np.sort(np.linalg.eigvalsh(t[fp][:, fp]))
                               - np.sort(np.linalg.eigvalsh(t)))))
     rows.append(("ops", "permuted_similarity", gap <= 1e-11, f"{gap:.3e}"))
 
-    s = ToeplitzOperator.from_symbol(ex1_symbol(), (6, 6)).flipped_dense()
+    s = ToeplitzOperator(ex1_symbol(), (6, 6)).flipped_dense()
     gap = float(np.max(np.abs(s - s.T)))
     rows.append(("ops", "flipped_symmetry", gap == 0.0, f"{gap:g}"))
     return rows
@@ -410,7 +410,7 @@ def _suite_distribution(cfg: ExperimentConfig):
 def _brute_frobenius_circulant(table: dict, n: int) -> np.ndarray:
     # least-squares argmin over first columns; design matrix is 0/1 since
     # each matrix entry reads exactly one c_j
-    t = ToeplitzOperator({(k,): v for k, v in table.items()}, (n,)).dense()
+    t = toeplitz_level(np.array([table[k] for k in range(1 - n, n)]))
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     design = np.zeros((n * n, n))
     design[np.arange(n * n), idx.ravel()] = 1.0
@@ -438,8 +438,8 @@ def _suite_oracles(cfg: ExperimentConfig):
         d = int(rng.integers(1, 4))
         sizes = tuple(int(rng.integers(2, 9)) for _ in range(d))
         band = tuple(int(rng.integers(0, nl)) for nl in sizes)
-        return {tuple(ki - qi for ki, qi in zip(k, band)): rng.standard_normal()
-                for k in np.ndindex(*(2 * q + 1 for q in band))}, sizes
+        return Symbol(d, None, {tuple(ki - qi for ki, qi in zip(k, band)): rng.standard_normal()
+                                for k in np.ndindex(*(2 * q + 1 for q in band))}), sizes
 
     # the embedding product itself: matvec would send a sparse draw to the
     # flat diagonals, which direct_matvec_vs_dense checks
@@ -477,8 +477,8 @@ def _suite_oracles(cfg: ExperimentConfig):
         d = int(rng.integers(1, 4))
         sizes = tuple(int(rng.integers(3, 9)) for _ in range(d))
         nnz = int(rng.integers(1, int(np.log2(total_dim(sizes))) + 1))
-        return {tuple(int(rng.integers(1 - nl, nl)) for nl in sizes): rng.standard_normal()
-                for _ in range(nnz)}, sizes
+        return Symbol(d, None, {tuple(int(rng.integers(1 - nl, nl)) for nl in sizes):
+                                rng.standard_normal() for _ in range(nnz)}), sizes
 
     matvec_row("direct_matvec_vs_dense", sparse, lambda op, x: op.matvec(x), "diagonals")
 
@@ -492,7 +492,7 @@ def _suite_oracles(cfg: ExperimentConfig):
             for k in range(1, nl):
                 for s in (-k, k):
                     coeffs[tuple(s if m == l else 0 for m in range(d))] = rng.standard_normal()
-        return coeffs, sizes
+        return Symbol(d, None, coeffs), sizes
 
     matvec_row("level_matvec_vs_dense", separable, lambda op, x: op.matvec(x), "levels")
 
@@ -510,7 +510,7 @@ def _suite_oracles(cfg: ExperimentConfig):
             f = experiment_symbol(case, sizes)
             p, _ = build_preconditioner(case, f, sizes)
             scale = np.sqrt(p._inverse)
-            s = ToeplitzOperator.from_symbol(f, sizes).flipped_dense()
+            s = ToeplitzOperator(f, sizes).flipped_dense()
             w = p._into(p._into(s) * scale) * scale
             full = np.linalg.eigvalsh((w + w.T) / 2.0)
             got = preconditioned_spectrum(p, f)
@@ -528,7 +528,7 @@ def _suite_oracles(cfg: ExperimentConfig):
     worst, split = 0.0, True
     for f, sizes in ((ex1_symbol(), (9, 9)), (ex1_symbol(), (10, 10)),
                      (Symbol(3, None, table), (3, 5, 5))):
-        op = ToeplitzOperator.from_symbol(f, sizes)
+        op = ToeplitzOperator(f, sizes)
         full = np.linalg.eigvalsh(op.flipped_dense())
         got = _flipped_spectrum(f, sizes)
         if len(list(op.flipped_blocks())) != 2 or got.shape != full.shape:

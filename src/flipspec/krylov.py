@@ -234,7 +234,7 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     sizes = as_sizes(n)
     if not f.coefficients:
         raise ParameterError("flipped solve needs a symbol with coefficients")
-    op = ToeplitzOperator.from_symbol(f, sizes)
+    op = ToeplitzOperator(f, sizes)
     apply_a = lambda x: op.matvec(x)[::-1]
     rhs = flip_apply(sizes, b)
     pinv = None if preconditioner is None else preconditioner.apply_inverse

@@ -3,7 +3,7 @@
 Multilevel Toeplitz matrices are represented by their sparse table of real
 coefficients t_k and assembled densely only behind an explicit size guard.
 Every matrix and vector here is real: a complex t_k is refused where the
-table enters (``Symbol`` or ``ToeplitzOperator``), a complex x by matvec.
+table enters a ``Symbol``, a complex x by matvec.
 A matvec takes one of three kernels, fixed by the table at construction:
 
 - the flat diagonals, through scipy's DIA matvec, whenever the table stores
@@ -22,7 +22,7 @@ composed through the row-major flat layout (level 1 slowest).
 
 Contents
 --------
-ToeplitzOperator          coefficient table + sizes, dense(), matvec(),
+ToeplitzOperator          Symbol + sizes, dense(), matvec(),
                           flipped_dense() and flipped_blocks() for Y T
 toeplitz_level            dense one-level Toeplitz matrix from t_{1-n}..t_{n-1}
 level_matrices            T_{n_l}(f_l) per level of a separable table, t_0 on level 1
@@ -43,8 +43,8 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, EvenSizeError, ShapeError
-from .symbols import Symbol, _check_real_table, _separable_level, as_sizes, total_dim
+from .errors import CapacityError, EvenSizeError, ParameterError, ShapeError
+from .symbols import Symbol, _separable_level, as_sizes, total_dim
 
 __all__ = [
     "DENSE_CAPACITY",
@@ -298,29 +298,26 @@ def kron_sum_product(levels, x) -> np.ndarray:
 class ToeplitzOperator:
     """Multilevel Toeplitz matrix T_n(f), entry (i, j) = t_{i-j}.
 
-    Holds the real coefficient table clipped to the representable band
-    |k_l| <= n_l - 1 (coefficients outside it cannot touch any entry), and
-    fixes at construction which of the three kernels in the module notes
-    matvec uses, built on the first matvec.  Immutable after construction;
-    matvec is reentrant.
+    Takes a ``Symbol`` f, whose real table was checked as it entered, and
+    one size per level of f (ShapeError otherwise); any other f raises
+    ParameterError.  Holds as ``symbol`` the table of f clipped to the
+    representable band |k_l| <= n_l - 1 (coefficients outside it cannot
+    touch any entry), and fixes at construction which of the three kernels
+    in the module notes matvec uses, built on the first matvec.  Immutable
+    after construction; matvec is reentrant.
     """
 
-    def __init__(self, coefficients: dict, n):
-        self.sizes = as_sizes(n)
+    def __init__(self, f: Symbol, n):
+        if not isinstance(f, Symbol):
+            raise ParameterError(f"T_n(f) takes a Symbol f, got {type(f).__name__}")
+        self.sizes = f.check_sizes(n)
         self.dim = math.prod(self.sizes)
-        d = len(self.sizes)
-        _check_real_table(coefficients)
-        clipped = {}
-        for k, t in coefficients.items():
-            k = tuple(int(v) for v in k)
-            if len(k) != d:
-                raise ShapeError(f"coefficient index {k} does not match {d} levels")
-            if all(abs(kl) <= nl - 1 for kl, nl in zip(k, self.sizes)):
-                clipped[k] = t
-        self.coefficients = clipped
+        clipped = {k: t for k, t in f.coefficients.items()
+                   if all(abs(kl) < nl for kl, nl in zip(k, self.sizes))}
+        self.symbol = Symbol(f.dims, None, clipped)
         # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
         # of every |k_l| <= q_l off the leading n_l x n_l block
-        self._lengths = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.band))
+        self._lengths = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.symbol.band))
         if _sums_directly(len(clipped), self._lengths):
             self._kernel = "diagonals"
         elif _multiplies_by_levels(clipped, self.sizes):
@@ -331,21 +328,10 @@ class ToeplitzOperator:
         self._levels = None
         self._kernel_hat = None
 
-    @classmethod
-    def from_symbol(cls, symbol: Symbol, n) -> "ToeplitzOperator":
-        return cls(symbol.coefficients, symbol.check_sizes(n))
-
-    @property
-    def band(self) -> tuple[int, ...]:
-        if not self.coefficients:
-            return (0,) * len(self.sizes)
-        return tuple(max(abs(k[l]) for k in self.coefficients)
-                     for l in range(len(self.sizes)))
-
     def _table(self) -> np.ndarray:
         # t_k at position k + n - 1, an array of shape (2 n_l - 1)_l
         table = np.zeros(tuple(2 * nl - 1 for nl in self.sizes))
-        for k, t in self.coefficients.items():
+        for k, t in self.symbol.coefficients.items():
             table[tuple(kl + nl - 1 for kl, nl in zip(k, self.sizes))] = t
         return table
 
@@ -418,7 +404,7 @@ class ToeplitzOperator:
 
             strides = np.cumprod((1,) + self.sizes[:0:-1])[::-1]
             rows = {}
-            for k, t in self.coefficients.items():
+            for k, t in self.symbol.coefficients.items():
                 offset = -int(np.dot(k, strides))
                 row = rows.setdefault(offset, np.zeros(self.sizes))
                 src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, self.sizes))
@@ -431,7 +417,7 @@ class ToeplitzOperator:
         if self._kernel_hat is None:
             mm = self._lengths
             kernel = np.zeros(mm)
-            for k, t in self.coefficients.items():
+            for k, t in self.symbol.coefficients.items():
                 kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t
             axes = tuple(range(len(mm)))
             self._kernel_hat = (mm, axes, np.fft.rfftn(kernel, mm, axes))
@@ -465,8 +451,7 @@ class ToeplitzOperator:
 
     def _level_product(self, x) -> np.ndarray:
         if self._levels is None:
-            self._levels = level_matrices(Symbol(len(self.sizes), None, self.coefficients),
-                                          self.sizes)
+            self._levels = level_matrices(self.symbol, self.sizes)
         return kron_sum_product(self._levels, x).ravel()
 
     def _product(self, x) -> np.ndarray:
@@ -491,7 +476,7 @@ def assemble_block_g(f: Symbol, n) -> np.ndarray:
     sizes = as_sizes(n)
     d_n = total_dim(sizes)
     _guard_capacity(2 * d_n, "2x2-block Toeplitz assembly")
-    t1 = ToeplitzOperator(f.coefficients, sizes).dense()
+    t1 = ToeplitzOperator(f, sizes).dense()
     out = np.zeros((2 * d_n, 2 * d_n))
     out[0::2, 1::2] = t1
     out[1::2, 0::2] = t1.T
@@ -578,7 +563,7 @@ def structure_residual(f: Symbol, n):
     d_n = total_dim(sizes)
     _guard_capacity(d_n, "structure residual")
 
-    a = ToeplitzOperator(f.coefficients, sizes).dense()
+    a = ToeplitzOperator(f, sizes).dense()
     d = _shuffle_conjugate(a, sizes) - interleaved_block_g(f, sizes)
 
     _, count, tail = _singular_split(np.linalg.svd(d, compute_uv=False), 1e-8)

@@ -32,8 +32,7 @@ import numpy as np
 from .errors import (CapacityError, ParameterError, PoleError, ShapeError,
                      SymmetryError)
 from .symbols import Symbol, as_sizes
-from .operators import (DENSE_CAPACITY, ToeplitzOperator, _panels, _singular_split,
-                        assemble_hankel, flip_map, u_map)
+from .operators import DENSE_CAPACITY, _panels, _singular_split, flip_map, u_map
 
 __all__ = [
     "sym_eigenvalues",
@@ -338,14 +337,12 @@ class OddEmbeddingReport:
 
 
 def _monomial_blocks(k: int, m: int):
-    # the four (m+1) x (m+1) blocks of the even-size embedding of e^{ik theta}
-    one = Symbol(1, None, {(k,): 1.0})
-    mone = Symbol(1, None, {(-k,): 1.0})
-    tp = ToeplitzOperator(one.coefficients, (m + 1,)).dense()
-    tm = ToeplitzOperator(mone.coefficients, (m + 1,)).dense()
-    hp = assemble_hankel(one, (m + 1,))
-    hm = assemble_hankel(mone, (m + 1,))
-    return hp, tp, tm, hm
+    # the four (m+1) x (m+1) blocks of the even-size embedding of e^{ik theta}:
+    # the Hankel (entry 1 where i + j = +-k) and Toeplitz (i - j = +-k)
+    # matrices of e^{+-ik theta}
+    n = m + 1
+    return (np.eye(n, k=k - n + 1)[::-1], np.eye(n, k=-k), np.eye(n, k=k),
+            np.eye(n, k=-k - n + 1)[::-1])
 
 
 def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
@@ -373,7 +370,7 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
 
     deviations = {}
     for k in sorted(kk[0] for kk in f.coefficients):
-        t = ToeplitzOperator({(k,): 1.0}, (n,)).dense()
+        t = np.eye(n, k=-k)  # the Toeplitz matrix of e^{ik theta}
         lhs = t[fy, :]
         lhs = lhs[fu][:, fu]
         hp, tp, tm, hm = _monomial_blocks(k, m)

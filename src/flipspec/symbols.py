@@ -56,13 +56,6 @@ def total_dim(n) -> int:
     return math.prod(as_sizes(n))
 
 
-def _check_real_table(coefficients: dict) -> None:
-    # SymmetryError at the first complex t_k, judged by type: 1 + 0j is refused too
-    for k, t in coefficients.items():
-        if isinstance(t, (complex, np.complexfloating)):
-            raise SymmetryError(f"coefficient t_{k} = {t} is complex; tables hold real t_k")
-
-
 def _separable_level(k) -> int:
     # l for an index k = k_l e_l (0 for k = 0); ParameterError if k couples two levels
     live = [l for l, kl in enumerate(k) if kl]
@@ -98,10 +91,12 @@ class Symbol:
     def __post_init__(self):
         if self.dims < 1:
             raise ParameterError("symbol needs dims >= 1")
-        for k in self.coefficients:
+        for k, t in self.coefficients.items():
             if len(k) != self.dims:
                 raise ParameterError(f"coefficient index {k} does not have {self.dims} levels")
-        _check_real_table(self.coefficients)
+            # judged by type: 1 + 0j is refused too
+            if isinstance(t, (complex, np.complexfloating)):
+                raise SymmetryError(f"coefficient t_{k} = {t} is complex; tables hold real t_k")
 
     @property
     def band(self) -> tuple[int, ...]:

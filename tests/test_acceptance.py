@@ -27,7 +27,7 @@ def _report(num, label, ok, detail):
 
 
 def _flipped_dense(f, sizes):
-    t = ops.ToeplitzOperator(f.coefficients, sizes).dense()
+    t = ops.ToeplitzOperator(f, sizes).dense()
     return t[ops.flip_map(sizes)]
 
 
@@ -195,7 +195,7 @@ def test_acceptance_7_oracle_equivalences():
         coeffs = {tuple(int(ki) - qi for ki, qi in zip(k, band)):
                   float(rng.standard_normal())
                   for k in np.ndindex(*(2 * q + 1 for q in band))}
-        op = ops.ToeplitzOperator(coeffs, sizes)
+        op = ops.ToeplitzOperator(sym.Symbol(d, None, coeffs), sizes)
         x = rng.standard_normal(op.dim)
         ref = op.dense() @ x
         err = np.linalg.norm(op.matvec(x) - ref) / max(np.linalg.norm(ref), 1e-300)

@@ -119,7 +119,7 @@ class TestMinres:
     def test_preconditioner_object_protocol(self):
         p = pc.build_circulant_kron_sum(sym.laplace1d_symbol(), (8,))
         f = sym.Symbol(1, None, {(0,): 2.5, (1,): -1.0, (-1,): -1.0})
-        op = ops.ToeplitzOperator.from_symbol(f, (8,))
+        op = ops.ToeplitzOperator(f, (8,))
         b = np.ones(8)
         r = kv.minres(op.matvec, p.apply_inverse, b)
         assert r.converged
@@ -195,7 +195,7 @@ class TestStoppingRule:
         b = np.ones(64)
         r = kv.flipped_solve(f, n, b)
         assert r.converged
-        op = ops.ToeplitzOperator.from_symbol(f, n)
+        op = ops.ToeplitzOperator(f, n)
         lhs = ops.flip_apply(n, op.matvec(r.solution))
         relres = np.linalg.norm(ops.flip_apply(n, b) - lhs) / np.linalg.norm(b)
         assert relres < r.config.rel_tolerance
@@ -214,7 +214,7 @@ class TestFlippedSolve:
         b = rng.standard_normal(36)
         r = kv.flipped_solve(f, n, b)
         assert r.converged
-        op = ops.ToeplitzOperator.from_symbol(f, n)
+        op = ops.ToeplitzOperator(f, n)
         err = np.linalg.norm(op.matvec(r.solution) - b) / np.linalg.norm(b)
         assert err <= 10.0 * r.config.rel_tolerance
 

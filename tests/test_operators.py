@@ -25,15 +25,12 @@ def perm_matrix(index_map):
 @pytest.mark.parametrize("enter, error", [
     (lambda: sym.Symbol(1, None, {(0,): 2.0, (1,): 0.5j}), SymmetryError),
     (lambda: sym.Symbol(2, None, {(0, 0): np.complex128(4.0)}), SymmetryError),
-    (lambda: ops.ToeplitzOperator({(0,): 2.0, (1,): 1.0 + 0.0j}, (4,)), SymmetryError),
-    (lambda: ops.ToeplitzOperator({(0,): 2.0, (9,): 1j}, (4,)), SymmetryError),
     (lambda: sym.constant_symbol(1j), SymmetryError),
-    (lambda: ops.ToeplitzOperator({(0,): 2.0}, (4,)).matvec(np.ones(4, dtype=complex)),
+    (lambda: ops.ToeplitzOperator(sym.constant_symbol(2.0), (4,)).matvec(np.ones(4, dtype=complex)),
      ShapeError),
-], ids=["symbol", "symbol_zero_imaginary_part", "operator", "operator_out_of_band",
-        "constant_symbol", "matvec_x"])
+], ids=["symbol", "symbol_zero_imaginary_part", "constant_symbol", "matvec_x"])
 def test_complex_values_are_refused_where_they_enter(enter, error):
-    # a table holds real t_k, checked by type wherever it enters; matvec takes real x
+    # a table holds real t_k, checked by type as it enters a Symbol; matvec takes real x
     with pytest.raises(error, match="complex"):
         enter()
 
@@ -43,16 +40,16 @@ def refuses_complex(coeffs, sizes, x, complex_table, complex_x) -> bool:
     refused at construction, or a complex x by matvec on the real table."""
     if complex_table:
         with pytest.raises(SymmetryError, match="complex"):
-            ops.ToeplitzOperator(coeffs, sizes)
+            ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes)
     elif complex_x:
         with pytest.raises(ShapeError, match="complex"):
-            ops.ToeplitzOperator(coeffs, sizes).matvec(x + 1j * x)
+            ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes).matvec(x + 1j * x)
     return complex_table or complex_x
 
 
 class TestDenseAssembly:
     def test_ex1_two_by_two(self):
-        op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (2, 2))
+        op = ops.ToeplitzOperator(sym.ex1_symbol(), (2, 2))
         want = np.array([
             [4.0, 0.0, 0.0, 0.0],
             [1.0, 4.0, 0.0, 0.0],
@@ -62,11 +59,11 @@ class TestDenseAssembly:
         np.testing.assert_array_equal(op.dense(), want)
 
     def test_constant_symbol_gives_identity_multiple(self):
-        op = ops.ToeplitzOperator({(0, 0): 3.0}, (3, 4))
+        op = ops.ToeplitzOperator(sym.Symbol(2, None, {(0, 0): 3.0}), (3, 4))
         np.testing.assert_array_equal(op.dense(), 3.0 * np.eye(12))
 
     def test_laplace_tridiagonal(self):
-        op = ops.ToeplitzOperator.from_symbol(sym.laplace1d_symbol(), (5,))
+        op = ops.ToeplitzOperator(sym.laplace1d_symbol(), (5,))
         want = 2.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)
         np.testing.assert_array_equal(op.dense(), want)
 
@@ -74,37 +71,44 @@ class TestDenseAssembly:
     def test_matches_kronecker_assembly(self, d, seed):
         rng = np.random.default_rng(seed)
         coeffs, sizes = random_banded_table(rng, d, max_size=6)
-        got = ops.ToeplitzOperator(coeffs, sizes).dense()
+        got = ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes).dense()
         np.testing.assert_allclose(got, kron_toeplitz_dense(coeffs, sizes), atol=1e-14)
 
     def test_complex_table(self):
         # the refusal names the first complex coefficient
         with pytest.raises(SymmetryError, match=r"t_\(1,\) = \(1\+1j\) is complex"):
-            ops.ToeplitzOperator({(0,): 2.0, (1,): 1.0 + 1.0j, (-1,): 0.5j}, (4,))
+            ops.ToeplitzOperator(sym.Symbol(1, None, {(0,): 2.0, (1,): 1.0 + 1.0j, (-1,): 0.5j}),
+                                 (4,))
 
     def test_out_of_band_coefficients_are_clipped(self):
-        op = ops.ToeplitzOperator({(0,): 2.0, (5,): 1.0}, (3,))
-        assert op.band == (0,)
+        op = ops.ToeplitzOperator(sym.Symbol(1, None, {(0,): 2.0, (5,): 1.0}), (3,))
+        assert op.symbol.band == (0,)
         np.testing.assert_array_equal(op.dense(), 2.0 * np.eye(3))
 
     def test_capacity_guard(self):
-        op = ops.ToeplitzOperator({(0, 0): 1.0}, (150, 150))
+        op = ops.ToeplitzOperator(sym.Symbol(2, None, {(0, 0): 1.0}), (150, 150))
         with pytest.raises(CapacityError):
             op.dense()
 
-    def test_from_symbol_level_mismatch(self):
+    def test_symbol_level_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (4,))
+            ops.ToeplitzOperator(sym.ex1_symbol(), (4,))
+
+    @pytest.mark.parametrize("table", [{(0,): 2.0, (1,): -1.0}, np.array([-1.0, 2.0, -1.0])])
+    def test_takes_only_a_symbol(self, table):
+        # a bare table is refused with a typed error before anything reads it
+        with pytest.raises(ParameterError, match="takes a Symbol"):
+            ops.ToeplitzOperator(table, (4,))
 
 
 class TestMatvec:
     def test_identity(self):
-        op = ops.ToeplitzOperator({(0,): 1.0}, (6,))
+        op = ops.ToeplitzOperator(sym.Symbol(1, None, {(0,): 1.0}), (6,))
         x = np.arange(6.0)
         np.testing.assert_allclose(op.matvec(x), x, atol=1e-13)
 
     def test_ex1_ones(self):
-        op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (2, 2))
+        op = ops.ToeplitzOperator(sym.ex1_symbol(), (2, 2))
         np.testing.assert_allclose(op.matvec(np.ones(4)), [4.0, 5.0, 5.0, 6.0],
                                    atol=1e-12)
 
@@ -113,7 +117,7 @@ class TestMatvec:
     def test_matches_dense_product(self, d, seed):
         rng = np.random.default_rng(seed)
         coeffs, sizes = random_banded_table(rng, d, max_size=7)
-        op = ops.ToeplitzOperator(coeffs, sizes)
+        op = ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes)
         a = op.dense()
         x = rng.standard_normal(op.dim)
         np.testing.assert_allclose(op.matvec(x), a @ x,
@@ -125,11 +129,11 @@ class TestMatvec:
         assert refuses_complex({(0,): 1.0, (-2,): 0.25}, (9,), x, False, True)
 
     def test_real_in_real_out(self):
-        op = ops.ToeplitzOperator.from_symbol(sym.laplace1d_symbol(), (8,))
+        op = ops.ToeplitzOperator(sym.laplace1d_symbol(), (8,))
         assert not np.iscomplexobj(op.matvec(np.ones(8)))
 
     def test_length_check(self):
-        op = ops.ToeplitzOperator({(0,): 1.0}, (6,))
+        op = ops.ToeplitzOperator(sym.Symbol(1, None, {(0,): 1.0}), (6,))
         with pytest.raises(ShapeError):
             op.matvec(np.ones(5))
 
@@ -168,8 +172,8 @@ class TestEmbeddingBoundary:
             five_smooth_at_least(v) for v in range(1, 4097)]
 
     def test_zero_slack_lengths(self):
-        op = ops.ToeplitzOperator(full_band_table(np.random.default_rng(0), (5, 13, 41), False),
-                                  (5, 13, 41))
+        coeffs = full_band_table(np.random.default_rng(0), (5, 13, 41), False)
+        op = ops.ToeplitzOperator(sym.Symbol(3, None, coeffs), (5, 13, 41))
         assert op._embedding()[0] == (9, 25, 81)
 
     @pytest.mark.parametrize("sizes", [(5,), (13,), (41,), (11,), (17,),
@@ -183,8 +187,8 @@ class TestEmbeddingBoundary:
         x = rng.standard_normal(int(np.prod(sizes)))
         if refuses_complex(coeffs, sizes, x, complex_table, complex_x):
             return
-        op = ops.ToeplitzOperator(coeffs, sizes)
-        assert op.band == tuple(nl - 1 for nl in sizes)
+        op = ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes)
+        assert op.symbol.band == tuple(nl - 1 for nl in sizes)
         y = op.matvec(x)
         ref = op.dense() @ x
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -197,11 +201,11 @@ def stencil_table(rng, d):
 
 
 def takes_sum(op):
-    return ops._sums_directly(len(op.coefficients), op._lengths)
+    return ops._sums_directly(len(op.symbol.coefficients), op._lengths)
 
 
 def assert_matches_oracle(op, x):
-    ref = kron_toeplitz_dense(op.coefficients, op.sizes) @ x
+    ref = kron_toeplitz_dense(op.symbol.coefficients, op.sizes) @ x
     assert np.linalg.norm(op.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -227,7 +231,7 @@ class TestShiftedSum:
     def test_full_stencils(self, d, sizes, direct):
         rng = np.random.default_rng(sum(sizes))
         coeffs = stencil_table(rng, d)
-        op = ops.ToeplitzOperator(coeffs, sizes)
+        op = ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes)
         assert takes_sum(op) == direct
         x = rng.standard_normal(op.dim)
         if direct:
@@ -241,7 +245,7 @@ class TestShiftedSum:
         rng = np.random.default_rng(30)
         coeffs = {(0, 0, 0): 6.0, (1, 1, 0): -1.0, (-1, 0, 1): -0.5, (0, -1, -1): -1.5,
                   (1, -1, 1): 0.25, (-1, 1, -1): 0.75, (0, 2, 0): -0.1}
-        op = ops.ToeplitzOperator(coeffs, (6, 7, 8))
+        op = ops.ToeplitzOperator(sym.Symbol(3, None, coeffs), (6, 7, 8))
         assert takes_sum(op)
         x = rng.standard_normal(op.dim)
         assert_sum_matches_oracles(op, coeffs, x)
@@ -249,7 +253,7 @@ class TestShiftedSum:
     def test_one_sided_table(self):
         rng = np.random.default_rng(31)
         coeffs = {(0, 0): 3.0, (1, 0): -1.0, (0, 1): -0.5, (1, 1): 0.25, (2, 0): 0.125}
-        op = ops.ToeplitzOperator(coeffs, (9, 10))
+        op = ops.ToeplitzOperator(sym.Symbol(2, None, coeffs), (9, 10))
         assert takes_sum(op)
         x = rng.standard_normal(op.dim)
         assert_sum_matches_oracles(op, coeffs, x)
@@ -257,8 +261,8 @@ class TestShiftedSum:
     def test_coefficients_at_the_band_edge(self):
         rng = np.random.default_rng(32)
         coeffs = {(0, 0): 2.0, (4, 0): -1.0, (-4, 5): 0.5, (0, -5): 0.25}
-        op = ops.ToeplitzOperator(coeffs, (5, 6))
-        assert op.band == (4, 5)
+        op = ops.ToeplitzOperator(sym.Symbol(2, None, coeffs), (5, 6))
+        assert op.symbol.band == (4, 5)
         assert takes_sum(op)
         x = rng.standard_normal(op.dim)
         assert_sum_matches_oracles(op, coeffs, x)
@@ -267,8 +271,8 @@ class TestShiftedSum:
         rng = np.random.default_rng(33)
         coeffs = {(0, 0, 0): 4.0, (0, 1, 0): -1.0, (0, -1, 2): 0.5, (0, 0, -6): 0.25,
                   (1, 0, 0): 9.0}  # k_1 = 1 cannot touch a size-1 level
-        op = ops.ToeplitzOperator(coeffs, (1, 12, 7))
-        assert len(op.coefficients) == 4
+        op = ops.ToeplitzOperator(sym.Symbol(3, None, coeffs), (1, 12, 7))
+        assert len(op.symbol.coefficients) == 4
         assert takes_sum(op)
         x = rng.standard_normal(op.dim)
         assert_sum_matches_oracles(op, coeffs, x)
@@ -281,7 +285,7 @@ class TestShiftedSum:
         x = np.random.default_rng(34).standard_normal(12)
         assert refuses_complex(coeffs, (12,), x, True, complex_x)
         real = {k: t.real for k, t in coeffs.items()}
-        op = ops.ToeplitzOperator(real, (12,))
+        op = ops.ToeplitzOperator(sym.Symbol(1, None, real), (12,))
         assert takes_sum(op)
         if complex_x:
             assert refuses_complex(real, (12,), x, False, True)
@@ -291,7 +295,7 @@ class TestShiftedSum:
     def test_complex_x_on_a_real_table(self):
         # refused before any kernel is built
         rng = np.random.default_rng(35)
-        op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))
+        op = ops.ToeplitzOperator(sym.ex1_symbol(), (8, 9))
         assert takes_sum(op)
         x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         with pytest.raises(ShapeError, match="complex"):
@@ -303,7 +307,7 @@ class TestShiftedSum:
         # and (-1, 2), (0, -1) at -1; they share one diagonal each
         rng = np.random.default_rng(37)
         coeffs = {(0, 0): 2.0, (1, -2): 0.5, (0, 1): -1.0, (-1, 2): 0.25, (0, -1): 0.75}
-        op = ops.ToeplitzOperator(coeffs, (8, 3))
+        op = ops.ToeplitzOperator(sym.Symbol(2, None, coeffs), (8, 3))
         assert takes_sum(op)
         x = rng.standard_normal(op.dim)
         assert_sum_matches_oracles(op, coeffs, x)
@@ -311,11 +315,12 @@ class TestShiftedSum:
 
     def test_sum_builds_no_fft_kernel(self):
         x = np.ones(8 * 9)
-        op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))
+        op = ops.ToeplitzOperator(sym.ex1_symbol(), (8, 9))
         assert op._diagonals is None
         op.matvec(x)
         assert op._kernel_hat is None and op._diagonals is not None
-        dense = ops.ToeplitzOperator(stencil_table(np.random.default_rng(36), 2), (8, 9))
+        stencil = sym.Symbol(2, None, stencil_table(np.random.default_rng(36), 2))
+        dense = ops.ToeplitzOperator(stencil, (8, 9))
         dense.matvec(x)
         assert dense._kernel_hat is not None and dense._diagonals is None
 
@@ -324,7 +329,7 @@ def test_scipy_sparse_loads_on_the_first_sparse_matvec():
     # importing flipspec and dense assembly stay free of scipy.sparse
     script = ("import sys, numpy as np\n"
               "from flipspec import operators as ops, symbols as sym\n"
-              "op = ops.ToeplitzOperator.from_symbol(sym.ex1_symbol(), (8, 9))\n"
+              "op = ops.ToeplitzOperator(sym.ex1_symbol(), (8, 9))\n"
               "op.dense()\n"
               "assert 'scipy.sparse' not in sys.modules\n"
               "op.matvec(np.ones(72))\n"
@@ -358,7 +363,7 @@ class TestLevelProduct:
         x = rng.standard_normal(int(np.prod(sizes)))
         if refuses_complex(coeffs, sizes, x, complex_table, complex_x):
             return
-        op = ops.ToeplitzOperator(coeffs, sizes)
+        op = ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes)
         assert op._kernel == "levels"
         y = op.matvec(x)
         ref = kron_toeplitz_dense(coeffs, sizes) @ x
@@ -401,10 +406,10 @@ class TestLevelProduct:
 
 
 def test_crossover_sends_large_separable_tables_to_the_fft():
-    coeffs = {(0, 0): 4.0, **{(k, 0): -1.0 for k in (-1, 1, 2)},
-              **{(0, k): 0.5 for k in range(-20, 21) if k}}
-    assert ops.ToeplitzOperator(coeffs, (64, ops._LEVEL_CROSSOVER - 65))._kernel == "levels"
-    assert ops.ToeplitzOperator(coeffs, (64, ops._LEVEL_CROSSOVER - 64))._kernel == "fft"
+    f = sym.Symbol(2, None, {(0, 0): 4.0, **{(k, 0): -1.0 for k in (-1, 1, 2)},
+                             **{(0, k): 0.5 for k in range(-20, 21) if k}})
+    assert ops.ToeplitzOperator(f, (64, ops._LEVEL_CROSSOVER - 65))._kernel == "levels"
+    assert ops.ToeplitzOperator(f, (64, ops._LEVEL_CROSSOVER - 64))._kernel == "fft"
 
 
 @pytest.mark.parametrize("exp,sizes,direct", [
@@ -415,7 +420,7 @@ def test_crossover_sends_large_separable_tables_to_the_fft():
 def test_shipped_symbols_take_their_path(exp, sizes, direct):
     # direct: the flat diagonals; otherwise (ex2) the level product
     f = experiment_symbol(ExperimentConfig(exp=exp, sizes=sizes), sizes)
-    op = ops.ToeplitzOperator.from_symbol(f, sizes)
+    op = ops.ToeplitzOperator(f, sizes)
     assert takes_sum(op) == direct
     assert op._kernel == ("diagonals" if direct else "levels")
     if not direct:
@@ -425,8 +430,8 @@ def test_shipped_symbols_take_their_path(exp, sizes, direct):
 
 def test_non_separable_and_one_level_tables_keep_the_fft():
     custom = experiment_symbol(ExperimentConfig(exp="custom", sizes=(64,)), (64,))
-    for op in (ops.ToeplitzOperator(stencil_table(np.random.default_rng(38), 2), (8, 9)),
-               ops.ToeplitzOperator.from_symbol(custom, (64,))):
+    stencil = sym.Symbol(2, None, stencil_table(np.random.default_rng(38), 2))
+    for op in (ops.ToeplitzOperator(stencil, (8, 9)), ops.ToeplitzOperator(custom, (64,))):
         assert op._kernel == "fft"
         op.matvec(np.ones(op.dim))
         assert op._kernel_hat is not None and op._levels is None
@@ -603,7 +608,7 @@ class TestStructureResidual:
 def test_flipped_toeplitz_is_exactly_symmetric():
     rng = np.random.default_rng(23)
     coeffs, sizes = random_banded_table(rng, 2, max_size=6)
-    a = ops.ToeplitzOperator(coeffs, sizes).dense()
+    a = ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes).dense()
     ya = a[ops.flip_map(sizes), :]
     np.testing.assert_array_equal(ya, ya.T)
 
@@ -616,7 +621,7 @@ def test_flipped_dense_matches_kronecker_assembly(exp, sizes):
     assert d_n % 2 and d_n > ops._PANEL_ROWS and d_n // 2 % ops._PANEL_ROWS
     f = experiment_symbol(ExperimentConfig(exp=exp), sizes)
     want = kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes), :]
-    got = ops.ToeplitzOperator.from_symbol(f, sizes).flipped_dense()
+    got = ops.ToeplitzOperator(f, sizes).flipped_dense()
     np.testing.assert_array_equal(got, want)
 
 
@@ -665,7 +670,7 @@ class TestExchangeSplit:
                                       "ex2-equal-orders"])
     def test_matches_eigvalsh_of_the_kronecker_assembly(self, case):
         f, sizes = split_case(case)
-        blocks = list(ops.ToeplitzOperator.from_symbol(f, sizes).flipped_blocks())
+        blocks = list(ops.ToeplitzOperator(f, sizes).flipped_blocks())
         assert len(blocks) == 2
         want = np.linalg.eigvalsh(kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes)])
         got = _flipped_spectrum(f, sizes)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import tridiag_laplacian_eigs
+from conftest import kron_toeplitz_dense, tridiag_laplacian_eigs
 from flipspec import operators as ops
 from flipspec import spectral as sp
 from flipspec import symbols as sym
 from flipspec.errors import ParameterError, PoleError, ShapeError, SymmetryError
+from flipspec.experiments import (ExperimentConfig, _flipped_spectrum, build_preconditioner,
+                                  experiment_symbol)
+from flipspec.precond import preconditioned_spectrum
 
 
 def flip_matrix(n):
@@ -15,7 +18,7 @@ def flip_matrix(n):
 
 
 def flipped_dense(f, n):
-    a = ops.ToeplitzOperator.from_symbol(f, n).dense()
+    a = ops.ToeplitzOperator(f, n).dense()
     return a[ops.flip_map(n), :]
 
 
@@ -27,7 +30,7 @@ class TestEigenvalues:
         assert np.sum(eigs10 < 0) == 5 and np.sum(eigs10 > 0) == 5
 
     def test_tridiagonal_closed_form(self):
-        a = ops.ToeplitzOperator.from_symbol(sym.laplace1d_symbol(), (4,)).dense()
+        a = ops.ToeplitzOperator(sym.laplace1d_symbol(), (4,)).dense()
         np.testing.assert_allclose(sp.sym_eigenvalues(a),
                                    np.sort(tridiag_laplacian_eigs(4)), atol=1e-13)
 
@@ -359,6 +362,20 @@ class TestOddEmbedding:
         assert r.exact
         assert 0.0 < r.correction_rank_fraction < 1.0
 
+    @pytest.mark.parametrize("m", range(6))
+    def test_monomial_blocks_are_the_assembled_matrices(self, m):
+        # the closed forms bit for bit against the assembled Hankel and
+        # Toeplitz matrices of e^{+-ik theta}, every |k| <= 2m + 2, so out
+        # of both bands too: an offset error the closed forms share with
+        # the left side of the check shows here
+        size = (m + 1,)
+        for k in range(-2 * m - 2, 2 * m + 3):
+            plus, minus = sym.Symbol(1, None, {(k,): 1.0}), sym.Symbol(1, None, {(-k,): 1.0})
+            want = (ops.assemble_hankel(plus, size), ops.ToeplitzOperator(plus, size).dense(),
+                    ops.ToeplitzOperator(minus, size).dense(), ops.assemble_hankel(minus, size))
+            for got, ref in zip(sp._monomial_blocks(k, m), want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
     def test_rejects_even_size(self):
         with pytest.raises(ParameterError):
             sp.odd_embedding_check(sym.laplace1d_symbol(), 8)
@@ -366,3 +383,49 @@ class TestOddEmbedding:
     def test_one_level_only(self):
         with pytest.raises(ParameterError):
             sp.odd_embedding_check(sym.ex1_symbol(), 5)
+
+
+class TestFiniteSizeFacts:
+    """Two facts exact at every n, on every dense spectrum path shipped.
+
+    S = T_n(f_R) is SPD for every shipped symbol, and with K = T_n(f) - S,
+    Y S Y = S and Y K Y = -K.  In an orthonormal basis of Y's +-1
+    eigenspaces Y T is [[S+, C], [C^T, -S-]] with S+ and S- SPD, a
+    quasi-definite matrix.  Inertia: Y T has exactly ceil(d_n/2) positive
+    and floor(d_n/2) negative eigenvalues, and so has every preconditioned
+    W, congruent to Y T for SPD P (Sylvester).  Gap: for P = S every
+    |lambda(W)| >= 1, so by Ostrowski min |lambda(Y T)| >= lambda_min(S).
+    """
+
+    # the exchange-block split (ex1 20^2), Y T gathered whole, the half-size
+    # toepfr split and W assembled from the levels
+    CASES = [("ex1", (20, 20), "none"), ("ex1", (21, 20), "none"),
+             ("ex2", (17, 23), "none"), ("ex2", (17, 23), "toepfr"), ("ex2", (17, 23), "p2beta"),
+             ("ex2", (20, 20), "p22"), ("ex3", (7, 8, 9), "none"), ("ex3", (7, 8, 9), "circsum"),
+             ("ex3", (7, 7, 7), "toepfr"), ("custom", (301,), "none"), ("custom", (301,), "toepfr")]
+
+    @staticmethod
+    def spectrum(exp, sizes, precond):
+        cfg = ExperimentConfig(exp=exp, sizes=sizes, precond=precond)
+        f = experiment_symbol(cfg, sizes)
+        p, _ = build_preconditioner(cfg, f, sizes)
+        return f, _flipped_spectrum(f, sizes) if p is None else preconditioned_spectrum(p, f)
+
+    @pytest.mark.parametrize("exp,sizes,precond", CASES)
+    def test_inertia(self, exp, sizes, precond):
+        _, eigs = self.spectrum(exp, sizes, precond)
+        d_n = int(np.prod(sizes))
+        assert eigs.size == d_n
+        assert np.count_nonzero(eigs > 0) == (d_n + 1) // 2
+        assert np.count_nonzero(eigs < 0) == d_n // 2
+
+    @pytest.mark.parametrize("exp,sizes", [c[:2] for c in CASES if c[2] == "none"])
+    def test_gap(self, exp, sizes):
+        # two eigensolves, each within d_n eps ||.|| (backward error, p(n) = n),
+        # and ||S|| <= ||T|| = max |lambda(Y T)|: the slack is 2 d_n eps max |lambda|
+        f, eigs = self.spectrum(exp, sizes, "none")
+        s = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, sizes)
+        floor = np.linalg.eigvalsh(s)[0]
+        slack = 2 * eigs.size * np.finfo(float).eps * np.abs(eigs).max()
+        assert floor > 0.0
+        assert np.abs(eigs).min() >= floor - slack

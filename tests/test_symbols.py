@@ -108,7 +108,7 @@ class TestKronSumSymbol:
                 one = kron_toeplitz_dense({(k,): t for k, t in tab.items()}, (n,))
                 term = np.kron(term, w * one if m == l else np.eye(n))
             want = want + term
-        np.testing.assert_allclose(ops.ToeplitzOperator.from_symbol(f, sizes).dense(), want,
+        np.testing.assert_allclose(ops.ToeplitzOperator(f, sizes).dense(), want,
                                    atol=1e-13)
         pts = np.random.default_rng(70 + d).uniform(-np.pi, np.pi, size=(30, d))
         direct = shift + sum(w * lev.eval(pts[:, [l]])

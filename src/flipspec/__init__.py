@@ -10,7 +10,7 @@ preconditioned MINRES.  The ``flipspec`` command line exposes the shipped
 experiments; the submodules are the library surface:
 
 symbols      generating functions and their Fourier coefficients
-operators    Toeplitz/Hankel assembly, flip/shuffle index maps, residuals
+operators    Toeplitz matvec, Y T and Hankel gathers, flip/shuffle maps, residuals
 spectral     grids, sample sets, matching, distribution discrepancies
 precond      Kronecker-sum preconditioners (Toeplitz and circulant levels)
 krylov       preconditioned MINRES with the true-residual stopping rule
@@ -27,10 +27,9 @@ from .symbols import (Symbol, fourier_coefficients, kron_sum_symbol, constant_sy
                       grunwald_coefficients, fractional_mesh, fractional_symbol,
                       convection_diffusion_symbol, real_part_symbol,
                       p_beta_truncation)
-from .operators import (ToeplitzOperator, flip_apply, u_apply, pi_apply,
-                        flip_map, u_map, pi_map, assemble_block_g,
-                        interleaved_block_g, assemble_hankel,
-                        structure_residual)
+from .operators import (ToeplitzOperator, flipped_dense, flipped_blocks, flip_apply,
+                        u_apply, pi_apply, flip_map, u_map, pi_map, assemble_block_g,
+                        interleaved_block_g, assemble_hankel, structure_residual)
 from .spectral import (sym_eigenvalues, singular_values, build_gamma,
                        build_delta, build_lambda, match_eigenvalues, tent,
                        distribution_discrepancy, zero_distribution_verdict,

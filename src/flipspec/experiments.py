@@ -17,18 +17,19 @@ only in the sampling grid and the files they write.
 
 Exchange symmetry of the unpreconditioned spectrum
 --------------------------------------------------
-Every dense spectrum gathers Y T straight from the coefficient table, a
-Hankel lookup of the table reversed on every level, into the array it is
-solved in.  When two levels l, m have n_l = n_m and the table is exactly
-invariant under exchanging k_l and k_m (ex1's 4 + e^{i t1} + e^{i t2} at
-n_1 = n_2, ex2 at alpha = beta), the level exchange S commutes with T and
-with Y, so Y T splits into a symmetric-tensor and an antisymmetric-tensor
-block of sizes d_n (n_l + 1) / 2 n_l and d_n (n_l - 1) / 2 n_l
-(Fässler & Stiefel, 1992).  The check is exact equality of the table and
-its transposed levels, with no tolerance; without such a pair the one
-block is the whole Y T.  ``_flipped_spectrum`` solves the blocks one at a
-time, each through the symmetry gate of ``sym_eigenvalues``, and it has no
-option: ``spectrum``, ``match`` and ``verify``'s distribution rows all take it.
+Every dense spectrum gathers Y T straight from the symbol with
+``operators.flipped_blocks``, a Hankel lookup of the table reversed on
+every level, into the arrays it is solved in.  When two levels l, m have
+n_l = n_m and the table is exactly invariant under exchanging k_l and k_m
+(ex1's 4 + e^{i t1} + e^{i t2} at n_1 = n_2, ex2 at alpha = beta), the
+level exchange S commutes with T and with Y, so Y T splits into a
+symmetric-tensor and an antisymmetric-tensor block of sizes
+d_n (n_l + 1) / 2 n_l and d_n (n_l - 1) / 2 n_l (Fässler & Stiefel, 1992).
+The check is exact equality of the table and its transposed levels, with
+no tolerance; without such a pair the one block is the whole Y T.
+``_flipped_spectrum`` solves the blocks one at a time, each through the
+symmetry gate of ``sym_eigenvalues``, and it has no option: ``spectrum``,
+``match`` and ``verify``'s distribution rows all take it.
 Preconditioned spectra are assembled from the levels (``preconditioned_spectrum``).
 
 Contents
@@ -54,9 +55,10 @@ from .symbols import (Symbol, as_sizes, constant_symbol,
                       convection_diffusion_symbol, ex1_symbol,
                       fractional_symbol, grunwald_symbol,
                       real_part_symbol, total_dim)
-from .operators import (ToeplitzOperator, _shuffle_conjugate, assemble_block_g,
-                        assemble_hankel, flip_apply, interleaved_block_g,
-                        pi_apply, pi_map, structure_residual, toeplitz_level, u_apply)
+from .operators import (ToeplitzOperator, _fft_kernel, _shuffle_conjugate, assemble_block_g,
+                        assemble_hankel, flip_apply, flipped_blocks, flipped_dense,
+                        interleaved_block_g, pi_apply, pi_map, structure_residual,
+                        toeplitz_level, u_apply)
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
                        sym_eigenvalues, tent, zero_distribution_verdict)
@@ -174,10 +176,10 @@ def size_ladder(cfg: ExperimentConfig):
 
 def _flipped_spectrum(f: Symbol, sizes) -> np.ndarray:
     # eigenvalues of Y_n T_n(f), ascending: each block that
-    # ToeplitzOperator.flipped_blocks gathers goes through the symmetry gate
-    # and eigvalsh, and is let go before the next one is gathered
+    # operators.flipped_blocks gathers goes through the symmetry gate and
+    # eigvalsh, and is let go before the next one is gathered
     eigs = []
-    for block in ToeplitzOperator(f, sizes).flipped_blocks():
+    for block in flipped_blocks(f, sizes):
         eigs.append(sym_eigenvalues(block))
         del block
     return np.sort(np.concatenate(eigs))
@@ -339,7 +341,7 @@ def _suite_ops(cfg: ExperimentConfig):
     gap = float(np.max(np.abs(pi_apply(sizes, pi_apply(sizes, x), transposed=True) - x)))
     rows.append(("ops", "pi_orthogonal", gap == 0.0, f"{gap:g}"))
 
-    conj = _shuffle_conjugate(np.eye(d_n), sizes)
+    conj = _shuffle_conjugate(np.eye(d_n)[::-1], sizes)  # Y T(1) = Y
     target = interleaved_block_g(constant_symbol(1.0, 2), sizes)
     gap = float(np.max(np.abs(conj - target)))
     rows.append(("ops", "shuffle_identity_f1", gap == 0.0, f"{gap:g}"))
@@ -356,7 +358,7 @@ def _suite_ops(cfg: ExperimentConfig):
                               - np.sort(np.linalg.eigvalsh(t)))))
     rows.append(("ops", "permuted_similarity", gap <= 1e-11, f"{gap:.3e}"))
 
-    s = ToeplitzOperator(ex1_symbol(), (6, 6)).flipped_dense()
+    s = flipped_dense(ex1_symbol(), (6, 6))
     gap = float(np.max(np.abs(s - s.T)))
     rows.append(("ops", "flipped_symmetry", gap == 0.0, f"{gap:g}"))
     return rows
@@ -427,7 +429,7 @@ def _suite_oracles(cfg: ExperimentConfig):
         worst, took = 0.0, True
         for _ in range(10):
             op = ToeplitzOperator(*draw())
-            took = took and kernel in (None, op._kernel)
+            took = took and kernel in (None, op.kernel)
             x = rng.standard_normal(op.dim)
             ref = op.dense() @ x
             err = np.linalg.norm(product(op, x) - ref) / max(np.linalg.norm(ref), 1e-300)
@@ -444,7 +446,7 @@ def _suite_oracles(cfg: ExperimentConfig):
     # the embedding product itself: matvec would send a sparse draw to the
     # flat diagonals, which direct_matvec_vs_dense checks
     matvec_row("fft_matvec_vs_dense", full_band,
-               lambda op, x: op._product(x.reshape(op.sizes)))
+               lambda op, x: _fft_kernel(op.symbol, op.sizes)(x))
 
     worst = 0.0
     for n in range(2, 7):
@@ -510,7 +512,7 @@ def _suite_oracles(cfg: ExperimentConfig):
             f = experiment_symbol(case, sizes)
             p, _ = build_preconditioner(case, f, sizes)
             scale = np.sqrt(p._inverse)
-            s = ToeplitzOperator(f, sizes).flipped_dense()
+            s = flipped_dense(f, sizes)
             w = p._into(p._into(s) * scale) * scale
             full = np.linalg.eigvalsh((w + w.T) / 2.0)
             got = preconditioned_spectrum(p, f)
@@ -528,10 +530,9 @@ def _suite_oracles(cfg: ExperimentConfig):
     worst, split = 0.0, True
     for f, sizes in ((ex1_symbol(), (9, 9)), (ex1_symbol(), (10, 10)),
                      (Symbol(3, None, table), (3, 5, 5))):
-        op = ToeplitzOperator(f, sizes)
-        full = np.linalg.eigvalsh(op.flipped_dense())
+        full = np.linalg.eigvalsh(flipped_dense(f, sizes))
         got = _flipped_spectrum(f, sizes)
-        if len(list(op.flipped_blocks())) != 2 or got.shape != full.shape:
+        if len(list(flipped_blocks(f, sizes))) != 2 or got.shape != full.shape:
             split = False
             continue
         worst = max(worst, float(np.max(np.abs(got - full)) / np.max(np.abs(full))))

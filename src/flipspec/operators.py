@@ -8,22 +8,25 @@ A matvec takes one of three kernels, fixed by the table at construction:
 
 - the flat diagonals, through scipy's DIA matvec, whenever the table stores
   at most log2 M coefficients, M the size of the circulant embedding below;
-  kept as one length-d_n vector per stored coefficient;
+  kept as one length-d_n vector per stored coefficient, added in the
+  table's order, O(nnz d_n);
 - the level product, for a dense table on two or more levels that is
   separable (every index has at most one nonzero component) while
   sum_l n_l < 4096: T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I with one
-  GEMM per level, on dense n_l x n_l level matrices;
+  GEMM per level, on dense n_l x n_l level matrices, O(d_n sum_l n_l);
 - otherwise the circulant embedding of each level at the least 5-smooth
-  length >= n_l + q_l, through a real FFT pair.
+  length >= n_l + q_l, through a real FFT pair, O(d_n log d_n).
 
-Each kernel is built on the first matvec.  The flip, shuffle and half-flip
-operators are never materialized: they act as per-level index permutations
-composed through the row-major flat layout (level 1 slowest).
+The operator builds its one kernel with it.  Spectra build no operator:
+``flipped_dense`` and ``flipped_blocks`` gather Y T from the symbol.  The
+flip, shuffle and half-flip operators are never materialized: they act as
+per-level index permutations composed through the row-major flat layout
+(level 1 slowest).
 
 Contents
 --------
-ToeplitzOperator          Symbol + sizes, dense(), matvec(),
-                          flipped_dense() and flipped_blocks() for Y T
+ToeplitzOperator          Symbol + sizes, kernel, matvec(), dense()
+flipped_dense / _blocks   Y T gathered from a symbol, whole or as exchange blocks
 toeplitz_level            dense one-level Toeplitz matrix from t_{1-n}..t_{n-1}
 level_matrices            T_{n_l}(f_l) per level of a separable table, t_0 on level 1
 kron_sum_product          sum_l (I (x) A_l (x) I) x, one GEMM per level
@@ -49,6 +52,8 @@ from .symbols import Symbol, _separable_level, as_sizes, total_dim
 __all__ = [
     "DENSE_CAPACITY",
     "ToeplitzOperator",
+    "flipped_dense",
+    "flipped_blocks",
     "toeplitz_level",
     "level_matrices",
     "kron_sum_product",
@@ -180,10 +185,16 @@ def _smooth_len(v: int) -> int:
     return best
 
 
-def _sums_directly(nterms: int, lengths) -> bool:
+def _embedding_lengths(f: Symbol, sizes) -> tuple:
+    # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
+    # of every |k_l| <= q_l off the leading n_l x n_l block
+    return tuple(_smooth_len(nl + ql) for nl, ql in zip(sizes, f.band))
+
+
+def _sums_directly(f: Symbol, sizes) -> bool:
     # the diagonals make one pass over d_n per stored coefficient,
     # the real FFT pair about log2 M passes over the M-point embedding
-    return nterms <= math.log2(math.prod(lengths))
+    return len(f.coefficients) <= math.log2(math.prod(_embedding_lengths(f, sizes)))
 
 
 # Level sizes summing to this or more go to the FFT: the level GEMMs make
@@ -214,16 +225,12 @@ def _lookup_keys(table, sizes) -> np.ndarray:
     return sum(s * il for s, il in zip(strides, levels))
 
 
-def _dense_lookup(table, sizes, sign: int) -> np.ndarray:
-    # entry (i, j) = table[i - j + n - 1] (sign -1, Toeplitz) or table[i + j]
-    # (sign +1, Hankel), level by level, gathered one row panel at a time
-    # into the output; the last key is the code of n - 1
-    key = _lookup_keys(table, sizes)
-    rowkey = key if sign > 0 else key + key[-1]
-    colkey = sign * key
+def _dense_lookup(table, rowkey, colkey) -> np.ndarray:
+    # entry (i, j) = table[rowkey_i + colkey_j] on the flat table (the Hankel lookup
+    # for rowkey = colkey = _lookup_keys), gathered one row panel at a time
     flat = table.ravel()
-    out = np.empty((key.size, key.size), dtype=table.dtype)
-    for rows in _panels(key.size):  # keys are in range; "clip" lets take write out unbuffered
+    out = np.empty((rowkey.size, colkey.size), dtype=table.dtype)
+    for rows in _panels(rowkey.size):  # keys are in range; "clip" lets take write out unbuffered
         np.take(flat, rowkey[rows, None] + colkey, out=out[rows], mode="clip")
     return out
 
@@ -295,170 +302,145 @@ def kron_sum_product(levels, x) -> np.ndarray:
     return y.reshape(rows.shape).T.reshape(np.shape(x))
 
 
-class ToeplitzOperator:
-    """Multilevel Toeplitz matrix T_n(f), entry (i, j) = t_{i-j}.
+def _in_band(f: Symbol, n):
+    # the checked sizes and f clipped to |k_l| <= n_l - 1, outside which a
+    # coefficient touches no entry; any f but a Symbol raises ParameterError
+    if not isinstance(f, Symbol):
+        raise ParameterError(f"T_n(f) takes a Symbol f, got {type(f).__name__}")
+    sizes = f.check_sizes(n)
+    clipped = {k: t for k, t in f.coefficients.items()
+               if all(abs(kl) < nl for kl, nl in zip(k, sizes))}
+    return sizes, Symbol(f.dims, None, clipped)
 
-    Takes a ``Symbol`` f, whose real table was checked as it entered, and
-    one size per level of f (ShapeError otherwise); any other f raises
-    ParameterError.  Holds as ``symbol`` the table of f clipped to the
-    representable band |k_l| <= n_l - 1 (coefficients outside it cannot
-    touch any entry), and fixes at construction which of the three kernels
-    in the module notes matvec uses, built on the first matvec.  Immutable
-    after construction; matvec is reentrant.
+
+def _flipped_lookup(f: Symbol, n):
+    # the checked sizes, the in-band table of f reversed on every level (Y T
+    # has entry (i, j) = t_{n-1-i-j} levelwise) and its lookup keys
+    sizes, f = _in_band(f, n)
+    _guard_capacity(math.prod(sizes), "dense Toeplitz assembly")
+    table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
+    for k, t in f.coefficients.items():
+        table[tuple(nl - 1 - kl for kl, nl in zip(k, sizes))] = t
+    return sizes, table, _lookup_keys(table, sizes)
+
+
+def flipped_dense(f: Symbol, n) -> np.ndarray:
+    """Y_n T_n(f), gathered as a Hankel lookup of the table reversed on every level.
+
+    Entry (i, j) is t_{n-1-i-j} levelwise, the row d_n - 1 - i of
+    T_n(f), gathered by row panels into the one d_n x d_n array built.
+    f and n as for ``ToeplitzOperator``.  Guarded at d_n <= 20000.
+    """
+    _, table, key = _flipped_lookup(f, n)
+    return _dense_lookup(table, key, key)
+
+
+def flipped_blocks(f: Symbol, n):
+    """Y_n T_n(f) as the blocks that hold its spectrum, yielded one at a time.
+
+    With no exchange symmetry the one block is ``flipped_dense(f, n)``.  A
+    level pair (l, m) with n_l = n_m whose table is exactly invariant
+    under exchanging k_l and k_m (checked by equality, first such pair)
+    makes the level exchange S commute with T and with Y, so Y T is
+    orthogonally similar to diag(B+, B-), gathered from the same lookup
+    A[i, j] = t_{n-1-i-j}:
+
+        B+ = D (A[R+, R+] + A[R+, S R+]) D,  R+ = {i : i_l <= i_m},
+        B- = A[R-, R-] - A[R-, S R-],        R- = {i : i_l < i_m},
+
+    with D = 1/sqrt(2) where i_l = i_m and 1 elsewhere: the symmetric-
+    and antisymmetric-tensor blocks, of sizes d_n (n_l + 1) / 2 n_l and
+    d_n (n_l - 1) / 2 n_l.  Guarded at d_n <= 20000.
+    """
+    sizes, table, key = _flipped_lookup(f, n)
+    pair = next(((l, m) for l in range(table.ndim) for m in range(l + 1, table.ndim)
+                 if sizes[l] == sizes[m] and np.array_equal(table, table.swapaxes(l, m))), None)
+    if pair is None:
+        yield _dense_lookup(table, key, key)
+        return
+    l, m = pair
+    partner = key.reshape(sizes).swapaxes(l, m).ravel()
+    il, im = np.indices(sizes).reshape(len(sizes), -1)[[l, m]]
+    for combine, rows in ((np.add, np.flatnonzero(il <= im)),
+                          (np.subtract, np.flatnonzero(il < im))):
+        weight = np.where(il[rows] == im[rows], np.sqrt(0.5), 1.0)
+        yield _exchange_block(table.ravel(), key[rows], partner[rows], combine, weight)
+
+
+def _diagonal_kernel(f: Symbol, sizes):
+    # y_i collects t_k x_{i-s_k}, s_k = sum_l k_l stride_l on the flat
+    # layout, so coefficient k is the diagonal at offset -s_k; scipy
+    # stores it by column j, t_k where j_l + k_l stays inside every level
+    # and 0 where a level would wrap.  Two coefficients share an offset
+    # only if they differ by n_l or more on some level; a column then
+    # reads at most one of them, so they share one diagonal.
+    from scipy.sparse import dia_matrix
+
+    dim = math.prod(sizes)
+    strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
+    rows = {}
+    for k, t in f.coefficients.items():
+        offset = -int(np.dot(k, strides))
+        row = rows.setdefault(offset, np.zeros(sizes))
+        src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, sizes))
+        row[src] = t
+    data = np.array([row.ravel() for row in rows.values()]).reshape(len(rows), dim)
+    return dia_matrix((data, list(rows)), shape=(dim, dim)).dot
+
+
+def _level_kernel(f: Symbol, sizes):
+    levels = level_matrices(f, sizes)
+    return lambda x: kron_sum_product(levels, x)
+
+
+def _fft_kernel(f: Symbol, sizes):
+    mm = _embedding_lengths(f, sizes)
+    kernel = np.zeros(mm)
+    for k, t in f.coefficients.items():
+        kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t
+    axes = tuple(range(len(mm)))
+    khat = np.fft.rfftn(kernel, mm, axes)
+    keep = tuple(slice(0, nl) for nl in sizes)
+    return lambda x: np.fft.irfftn(np.fft.rfftn(x.reshape(sizes), mm, axes) * khat,
+                                   mm, axes)[keep].ravel()
+
+
+class ToeplitzOperator:
+    """Multilevel Toeplitz matrix T_n(f), entry (i, j) = t_{i-j}, as a matvec.
+
+    Takes a ``Symbol`` f and one size per level of f (ShapeError otherwise);
+    any other f raises ParameterError.  Holds as ``symbol`` f clipped to
+    |k_l| <= n_l - 1, and builds at construction the one kernel of the
+    module notes that the table picks, named by ``kernel``: "diagonals",
+    "levels" or "fft".  Immutable; matvec is reentrant.
     """
 
     def __init__(self, f: Symbol, n):
-        if not isinstance(f, Symbol):
-            raise ParameterError(f"T_n(f) takes a Symbol f, got {type(f).__name__}")
-        self.sizes = f.check_sizes(n)
+        self.sizes, self.symbol = _in_band(f, n)
         self.dim = math.prod(self.sizes)
-        clipped = {k: t for k, t in f.coefficients.items()
-                   if all(abs(kl) < nl for kl, nl in zip(k, self.sizes))}
-        self.symbol = Symbol(f.dims, None, clipped)
-        # per-level circulant length m_l >= n_l + q_l keeps the wrap-around
-        # of every |k_l| <= q_l off the leading n_l x n_l block
-        self._lengths = tuple(_smooth_len(nl + ql) for nl, ql in zip(self.sizes, self.symbol.band))
-        if _sums_directly(len(clipped), self._lengths):
-            self._kernel = "diagonals"
-        elif _multiplies_by_levels(clipped, self.sizes):
-            self._kernel = "levels"
+        if _sums_directly(self.symbol, self.sizes):
+            self.kernel, build = "diagonals", _diagonal_kernel
+        elif _multiplies_by_levels(self.symbol.coefficients, self.sizes):
+            self.kernel, build = "levels", _level_kernel
         else:
-            self._kernel = "fft"
-        self._diagonals = None
-        self._levels = None
-        self._kernel_hat = None
-
-    def _table(self) -> np.ndarray:
-        # t_k at position k + n - 1, an array of shape (2 n_l - 1)_l
-        table = np.zeros(tuple(2 * nl - 1 for nl in self.sizes))
-        for k, t in self.symbol.coefficients.items():
-            table[tuple(kl + nl - 1 for kl, nl in zip(k, self.sizes))] = t
-        return table
+            self.kernel, build = "fft", _fft_kernel
+        self._apply = build(self.symbol, self.sizes)
 
     def dense(self) -> np.ndarray:
         """Materialize the d_n x d_n matrix.  Guarded at d_n <= 20000.
 
-        Gathered by row panels, so it is the one d_n x d_n array built; a
-        spectrum of it adds one more, LAPACK's copy inside eigvalsh.
+        T = Y (Y T): the Hankel lookup of ``flipped_dense`` with the row
+        keys reversed, gathered by row panels into the one array built.
         """
-        _guard_capacity(self.dim, "dense Toeplitz assembly")
-        return _dense_lookup(self._table(), self.sizes, -1)
-
-    def _flipped_table(self) -> np.ndarray:
-        # t_{n-1-m} at position m: Y T has entry (i, j) = t_{n-1-i-j} levelwise
-        _guard_capacity(self.dim, "dense flipped assembly")
-        return self._table()[(slice(None, None, -1),) * len(self.sizes)]
-
-    def flipped_dense(self) -> np.ndarray:
-        """Y_n T_n(f), gathered as a Hankel lookup of the table reversed on every level.
-
-        Entry (i, j) is t_{n-1-i-j} levelwise, the row d_n - 1 - i of
-        ``dense()``; gathered by row panels straight into the one d_n x d_n
-        array built.  Guarded at d_n <= 20000.
-        """
-        return _dense_lookup(self._flipped_table(), self.sizes, 1)
-
-    def flipped_blocks(self):
-        """Y_n T_n(f) as the blocks that hold its spectrum, yielded one at a time.
-
-        With no exchange symmetry the one block is ``flipped_dense()``.  A
-        level pair (l, m) with n_l = n_m whose table is exactly invariant
-        under exchanging k_l and k_m (checked by equality, first such pair)
-        makes the level exchange S commute with T and with Y, so Y T is
-        orthogonally similar to diag(B+, B-), gathered from the same lookup
-        A[i, j] = t_{n-1-i-j}:
-
-            B+ = D (A[R+, R+] + A[R+, S R+]) D,  R+ = {i : i_l <= i_m},
-            B- = A[R-, R-] - A[R-, S R-],        R- = {i : i_l < i_m},
-
-        with D = 1/sqrt(2) where i_l = i_m and 1 elsewhere: the symmetric-
-        and antisymmetric-tensor blocks, of sizes d_n (n_l + 1) / 2 n_l and
-        d_n (n_l - 1) / 2 n_l.  Guarded at d_n <= 20000.
-        """
-        table = self._flipped_table()
-        pair = next(((l, m) for l in range(table.ndim) for m in range(l + 1, table.ndim)
-                     if self.sizes[l] == self.sizes[m]
-                     and np.array_equal(table, table.swapaxes(l, m))), None)
-        if pair is None:
-            yield _dense_lookup(table, self.sizes, 1)
-            return
-        l, m = pair
-        flat, key = table.ravel(), _lookup_keys(table, self.sizes)
-        partner = key.reshape(self.sizes).swapaxes(l, m).ravel()
-        levels = np.unravel_index(np.arange(self.dim), self.sizes)
-        il, im = levels[l], levels[m]
-        for combine, rows in ((np.add, np.flatnonzero(il <= im)),
-                              (np.subtract, np.flatnonzero(il < im))):
-            weight = np.where(il[rows] == im[rows], np.sqrt(0.5), 1.0)
-            yield _exchange_block(flat, key[rows], partner[rows], combine, weight)
-
-    def _diagonal_matrix(self):
-        # y_i collects t_k x_{i-s_k}, s_k = sum_l k_l stride_l on the flat
-        # layout, so coefficient k is the diagonal at offset -s_k; scipy
-        # stores it by column j, t_k where j_l + k_l stays inside every level
-        # and 0 where a level would wrap.  Two coefficients share an offset
-        # only if they differ by n_l or more on some level; a column then
-        # reads at most one of them, so they share one diagonal.
-        if self._diagonals is None:
-            from scipy.sparse import dia_matrix
-
-            strides = np.cumprod((1,) + self.sizes[:0:-1])[::-1]
-            rows = {}
-            for k, t in self.symbol.coefficients.items():
-                offset = -int(np.dot(k, strides))
-                row = rows.setdefault(offset, np.zeros(self.sizes))
-                src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, self.sizes))
-                row[src] = t
-            data = np.array([row.ravel() for row in rows.values()]).reshape(len(rows), self.dim)
-            self._diagonals = dia_matrix((data, list(rows)), shape=(self.dim, self.dim))
-        return self._diagonals
-
-    def _embedding(self):
-        if self._kernel_hat is None:
-            mm = self._lengths
-            kernel = np.zeros(mm)
-            for k, t in self.symbol.coefficients.items():
-                kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t
-            axes = tuple(range(len(mm)))
-            self._kernel_hat = (mm, axes, np.fft.rfftn(kernel, mm, axes))
-        return self._kernel_hat
+        _, table, key = _flipped_lookup(self.symbol, self.sizes)
+        return _dense_lookup(table, key[::-1], key)
 
     def matvec(self, x) -> np.ndarray:
-        """y = T_n(f) x for a real x; a complex x raises ShapeError.
-
-        A sparse table is applied as flat diagonals through scipy's DIA
-        matvec, built on first use: coefficient k is the diagonal at offset
-        -sum_l k_l stride_l, zero on the rows where a level would wrap, and
-        the diagonals are added in the table's order, O(nnz d_n).
-        A dense separable table on two or more levels with sum_l n_l < 4096
-        is applied as sum_l (I (x) T_{n_l}(f_l) (x) I) x on the levels of
-        ``level_matrices``, O(d_n sum_l n_l).  Any other dense table goes
-        through the per-level circulant embedding and a real FFT pair,
-        O(d_n log d_n).
-        """
+        """y = T_n(f) x for a real x by the one kernel built; a complex x raises ShapeError."""
         x = _check_length(x, self.dim)
         if np.iscomplexobj(x):
             raise ShapeError("T_n(f) multiplies real vectors, got a complex one")
-        x = x.reshape(self.sizes)
-        if self._kernel == "diagonals":
-            return self._shifted_sum(x)
-        if self._kernel == "levels":
-            return self._level_product(x)
-        return self._product(x)
-
-    def _shifted_sum(self, x) -> np.ndarray:
-        return self._diagonal_matrix() @ x.ravel()
-
-    def _level_product(self, x) -> np.ndarray:
-        if self._levels is None:
-            self._levels = level_matrices(self.symbol, self.sizes)
-        return kron_sum_product(self._levels, x).ravel()
-
-    def _product(self, x) -> np.ndarray:
-        mm, axes, khat = self._embedding()
-        keep = tuple(slice(0, nl) for nl in self.sizes)
-        full = np.fft.irfftn(np.fft.rfftn(x, mm, axes) * khat, mm, axes)
-        return full[keep].ravel()
+        return self._apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +455,9 @@ def assemble_block_g(f: Symbol, n) -> np.ndarray:
     columns 2J, 2J+1 and carries [[0, t_{I-J}], [t_{J-I}, 0]], real
     symmetric by construction.
     """
-    sizes = as_sizes(n)
-    d_n = total_dim(sizes)
+    d_n = total_dim(n)
     _guard_capacity(2 * d_n, "2x2-block Toeplitz assembly")
-    t1 = ToeplitzOperator(f, sizes).dense()
+    t1 = flipped_dense(f, n)[::-1]  # T = Y (Y T)
     out = np.zeros((2 * d_n, 2 * d_n))
     out[0::2, 1::2] = t1
     out[1::2, 0::2] = t1.T
@@ -524,13 +505,13 @@ def assemble_hankel(f: Symbol, n) -> np.ndarray:
     one of the reflected table t'_k = t_{-k}.
     """
     sizes = as_sizes(n)
-    d_n = total_dim(sizes)
-    _guard_capacity(d_n, "dense Hankel assembly")
+    _guard_capacity(total_dim(sizes), "dense Hankel assembly")
     table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
     for k, t in f.coefficients.items():
         if all(0 <= kl <= 2 * (nl - 1) for kl, nl in zip(k, sizes)):
             table[k] = t
-    return _dense_lookup(table, sizes, 1)
+    key = _lookup_keys(table, sizes)
+    return _dense_lookup(table, key, key)
 
 
 def _singular_split(svals, rel: float):
@@ -542,10 +523,10 @@ def _singular_split(svals, rel: float):
     return top, count, tail
 
 
-def _shuffle_conjugate(a, sizes) -> np.ndarray:
-    # Pi U Y a U Pi^T for a dense d_n x d_n matrix a, by row and column gathers
+def _shuffle_conjugate(ya, sizes) -> np.ndarray:
+    # Pi U (Y a) U Pi^T for a dense d_n x d_n matrix Y a, by row and column gathers
     fu, fp = u_map(sizes), pi_map(sizes)
-    return a[flip_map(sizes), :][fu][:, fu][fp][:, fp]
+    return ya[fu][:, fu][fp][:, fp]
 
 
 def structure_residual(f: Symbol, n):
@@ -557,14 +538,8 @@ def structure_residual(f: Symbol, n):
     count isolates the low-rank part of the residual, the tail the
     small-norm part; both shrink as the sizes grow.  Even sizes only.
     """
-    sizes = as_sizes(n)
-    if any(m % 2 for m in sizes):
-        raise EvenSizeError(f"structure residual needs even level sizes, got {sizes}")
-    d_n = total_dim(sizes)
-    _guard_capacity(d_n, "structure residual")
-
-    a = ToeplitzOperator(f, sizes).dense()
-    d = _shuffle_conjugate(a, sizes) - interleaved_block_g(f, sizes)
-
+    if any(m % 2 for m in as_sizes(n)):
+        raise EvenSizeError(f"structure residual needs even level sizes, got {n}")
+    d = _shuffle_conjugate(flipped_dense(f, n), n) - interleaved_block_g(f, n)
     _, count, tail = _singular_split(np.linalg.svd(d, compute_uv=False), 1e-8)
-    return d, count / (2.0 * d_n), tail
+    return d, count / (2.0 * len(d)), tail

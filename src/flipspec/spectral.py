@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (CapacityError, ParameterError, PoleError, ShapeError,
                      SymmetryError)
 from .symbols import Symbol, as_sizes
-from .operators import DENSE_CAPACITY, _panels, _singular_split, flip_map, u_map
+from .operators import DENSE_CAPACITY, _panels, _singular_split, u_map
 
 __all__ = [
     "sym_eigenvalues",
@@ -365,14 +365,12 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
         raise ParameterError("needs a coefficient table")
     m = n // 2
     keep = np.r_[np.arange(m + 1), np.arange(m + 2, 2 * m + 2)]
-    fy = flip_map((n,))
     fu = u_map((n,))
 
     deviations = {}
     for k in sorted(kk[0] for kk in f.coefficients):
-        t = np.eye(n, k=-k)  # the Toeplitz matrix of e^{ik theta}
-        lhs = t[fy, :]
-        lhs = lhs[fu][:, fu]
+        # U Y T U, T = np.eye(n, k=-k) the Toeplitz matrix of e^{ik theta}
+        lhs = np.eye(n, k=-k)[::-1][fu][:, fu]
         hp, tp, tm, hm = _monomial_blocks(k, m)
         big = np.block([[hp, tp], [tm, hm]])
         rhs = big[np.ix_(keep, keep)]

@@ -41,9 +41,10 @@ _PRUNE_REL = 1e-14
 
 def as_sizes(n) -> tuple[int, ...]:
     """Validate and normalize a multi-index of level sizes to a tuple."""
-    if np.isscalar(n):
-        n = (n,)
+    n = (n,) if np.isscalar(n) else tuple(n)
     sizes = tuple(int(v) for v in n)
+    if sizes != n:
+        raise ParameterError(f"level sizes must be integers, got {n}")
     if len(sizes) < 1:
         raise ParameterError("multi-index needs at least one level")
     if any(v < 1 for v in sizes):
@@ -77,8 +78,9 @@ class Symbol:
         with broadcastable arrays.  When None, evaluation falls back to the
         trigonometric sum of the coefficient table.
     coefficients : dict
-        Sparse table mapping k tuples to real t_k; a complex t_k raises
-        SymmetryError.  May be empty for evaluator-only symbols.
+        Sparse table mapping k tuples of ints (or numpy integers) to real
+        t_k; a complex t_k raises SymmetryError, any other index component
+        ParameterError.  May be empty for evaluator-only symbols.
     name : str
         Identifier used in output headers.
     """
@@ -91,19 +93,27 @@ class Symbol:
     def __post_init__(self):
         if self.dims < 1:
             raise ParameterError("symbol needs dims >= 1")
-        for k, t in self.coefficients.items():
-            if len(k) != self.dims:
-                raise ParameterError(f"coefficient index {k} does not have {self.dims} levels")
-            # judged by type: 1 + 0j is refused too
-            if isinstance(t, (complex, np.complexfloating)):
-                raise SymmetryError(f"coefficient t_{k} = {t} is complex; tables hold real t_k")
+        # each check is one pass over the table into a set (a loop over the
+        # keys costs as much again); the entry at fault is found only to name it
+        keys = self.coefficients.keys()
+        if set(map(len, keys)) - {self.dims}:
+            k = next(k for k in keys if len(k) != self.dims)
+            raise ParameterError(f"coefficient index {k} does not have {self.dims} levels")
+        kinds = {type(v) for k in keys for v in k}
+        if not all(issubclass(tp, (int, np.integer)) for tp in kinds):
+            raise ParameterError(f"coefficient indices must be integers, got types {kinds}")
+        # judged by type: 1 + 0j is refused too
+        if any(issubclass(tp, (complex, np.complexfloating))
+               for tp in set(map(type, self.coefficients.values()))):
+            k, t = next((k, t) for k, t in self.coefficients.items() if np.iscomplexobj(t))
+            raise SymmetryError(f"coefficient t_{k} = {t} is complex; tables hold real t_k")
 
     @property
     def band(self) -> tuple[int, ...]:
         """Per-level half-bandwidth: largest |k_l| with t_k stored."""
         if not self.coefficients:
             return (0,) * self.dims
-        return tuple(max(abs(k[l]) for k in self.coefficients) for l in range(self.dims))
+        return tuple(int(max(abs(k[l]) for k in self.coefficients)) for l in range(self.dims))
 
     def eval(self, points):
         """Evaluate at one point (length-d sequence) or a batch (N, d) array.

@@ -2,8 +2,9 @@
 
 Every name a module imports is used in that module, no top-level function
 is defined in two modules, every private top-level function is referenced
-somewhere in the package, every public top-level function or class is
-referenced in the package or a demo, and the one CSV writer is the only
+somewhere in the package, every public top-level function or class, and
+every public method or property of such a class, is referenced in the
+package or a demo, and the one CSV writer is the only
 code that opens a file.  No linter ships with the package, so
 this scans the source with ``ast``.  ``__init__.py`` is skipped: its
 imports are the package's re-exports.  An ex2 solve and the dense
@@ -82,12 +83,22 @@ def unreferenced_private_functions(sources: dict) -> list:
                   if name.startswith("_") and name not in referenced)
 
 
+def public_definitions(source: str):
+    """(qualified name, name) of each public top-level function and class,
+    and of each public method and property of those classes."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
 def unreached_public_names(sources: dict, demos=()) -> list:
-    """Public top-level functions and classes named nowhere in the sources or the demos."""
+    """Public definitions (``public_definitions``) named nowhere in the sources or the demos."""
     referenced = referenced_names([*sources.values(), *demos])
-    defined = {node.name for source in sources.values() for node in ast.parse(source).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    return sorted(name for name in defined if not name.startswith("_") and name not in referenced)
+    return sorted(qualified for source in sources.values()
+                  for qualified, name in public_definitions(source) if name not in referenced)
 
 
 def test_scanners_flag_duplicates_and_dead_helpers():
@@ -105,6 +116,16 @@ def test_scanner_flags_unreached_public_names():
     assert unreached_public_names(sources, [demo]) == ["Dead", "g", "hidden"]
 
 
+def test_scanner_flags_unreached_methods_and_properties():
+    sources = {"a": "class C:\n    def used(self):\n        return self.size\n\n"
+                    "    @property\n    def size(self):\n        return 1\n\n"
+                    "    def dead(self):\n        pass\n\n    def _private(self):\n        pass\n\n"
+                    "    def __len__(self):\n        return 1\n\n"
+                    "class _Hidden:\n    def never(self):\n        pass\n",
+               "b": "import a\na.C().used()\n"}
+    assert unreached_public_names(sources) == ["C.dead"]
+
+
 def package_sources() -> dict:
     return {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
 
@@ -117,9 +138,10 @@ def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(package_sources()) == []
 
 
-# flipbench/tracing.py wraps it by name, so it stays until the tracer drops
-# it (ROADMAP items 1 and 7)
-UNREACHED_BUT_TRACED = ["fourier_coefficients"]
+# flipbench/tracing.py wraps these by name, so they stay until the tracer
+# drops them (ROADMAP items 1 and 7)
+UNREACHED_BUT_TRACED = ["ToeplitzPreconditioner.apply_inverse_sqrt", "flip_map",
+                        "fourier_coefficients"]
 
 
 def test_every_public_name_is_reached_from_the_package_or_a_demo():

@@ -174,7 +174,7 @@ class TestEmbeddingBoundary:
     def test_zero_slack_lengths(self):
         coeffs = full_band_table(np.random.default_rng(0), (5, 13, 41), False)
         op = ops.ToeplitzOperator(sym.Symbol(3, None, coeffs), (5, 13, 41))
-        assert op._embedding()[0] == (9, 25, 81)
+        assert ops._embedding_lengths(op.symbol, op.sizes) == (9, 25, 81)
 
     @pytest.mark.parametrize("sizes", [(5,), (13,), (41,), (11,), (17,),
                                        (5, 13), (41, 11), (17, 5),
@@ -201,7 +201,7 @@ def stencil_table(rng, d):
 
 
 def takes_sum(op):
-    return ops._sums_directly(len(op.symbol.coefficients), op._lengths)
+    return ops._sums_directly(op.symbol, op.sizes)
 
 
 def assert_matches_oracle(op, x):
@@ -238,8 +238,10 @@ class TestShiftedSum:
             assert_sum_matches_oracles(op, coeffs, x)
         else:
             assert_matches_oracle(op, x)
+        assert op.kernel == ("diagonals" if direct else "fft")
         # the diagonal form itself, whichever path the rule picks
-        assert np.array_equal(op._shifted_sum(x.reshape(sizes)), shifted_sum(coeffs, sizes, x))
+        assert np.array_equal(ops._diagonal_kernel(op.symbol, sizes)(x),
+                              shifted_sum(coeffs, sizes, x))
 
     def test_coupled_three_level_table(self):
         rng = np.random.default_rng(30)
@@ -293,14 +295,12 @@ class TestShiftedSum:
             assert_sum_matches_oracles(op, real, x)
 
     def test_complex_x_on_a_real_table(self):
-        # refused before any kernel is built
         rng = np.random.default_rng(35)
         op = ops.ToeplitzOperator(sym.ex1_symbol(), (8, 9))
         assert takes_sum(op)
         x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         with pytest.raises(ShapeError, match="complex"):
             op.matvec(x)
-        assert op._diagonals is None and op._kernel_hat is None
 
     def test_coefficients_sharing_a_flat_offset(self):
         # k = (1, -2) and (0, 1) both sit at flat offset 1 on an (8, 3) grid,
@@ -311,28 +311,23 @@ class TestShiftedSum:
         assert takes_sum(op)
         x = rng.standard_normal(op.dim)
         assert_sum_matches_oracles(op, coeffs, x)
-        assert len(op._diagonal_matrix().offsets) == 3
+        assert len(ops._diagonal_kernel(op.symbol, op.sizes).__self__.offsets) == 3
 
     def test_sum_builds_no_fft_kernel(self):
-        x = np.ones(8 * 9)
         op = ops.ToeplitzOperator(sym.ex1_symbol(), (8, 9))
-        assert op._diagonals is None
-        op.matvec(x)
-        assert op._kernel_hat is None and op._diagonals is not None
+        assert op.kernel == "diagonals"
         stencil = sym.Symbol(2, None, stencil_table(np.random.default_rng(36), 2))
-        dense = ops.ToeplitzOperator(stencil, (8, 9))
-        dense.matvec(x)
-        assert dense._kernel_hat is not None and dense._diagonals is None
+        assert ops.ToeplitzOperator(stencil, (8, 9)).kernel == "fft"
 
 
-def test_scipy_sparse_loads_on_the_first_sparse_matvec():
-    # importing flipspec and dense assembly stay free of scipy.sparse
+def test_scipy_sparse_loads_with_a_sparse_table_operator():
+    # importing flipspec and the dense gathers of Y T stay free of scipy.sparse
     script = ("import sys, numpy as np\n"
               "from flipspec import operators as ops, symbols as sym\n"
-              "op = ops.ToeplitzOperator(sym.ex1_symbol(), (8, 9))\n"
-              "op.dense()\n"
+              "ops.flipped_dense(sym.ex1_symbol(), (8, 9))\n"
+              "list(ops.flipped_blocks(sym.ex1_symbol(), (8, 8)))\n"
               "assert 'scipy.sparse' not in sys.modules\n"
-              "op.matvec(np.ones(72))\n"
+              "ops.ToeplitzOperator(sym.ex1_symbol(), (8, 9))\n"
               "assert 'scipy.sparse' in sys.modules\n")
     src = str(Path(ops.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": src})
@@ -364,11 +359,10 @@ class TestLevelProduct:
         if refuses_complex(coeffs, sizes, x, complex_table, complex_x):
             return
         op = ops.ToeplitzOperator(sym.Symbol(len(sizes), None, coeffs), sizes)
-        assert op._kernel == "levels"
+        assert op.kernel == "levels"
         y = op.matvec(x)
         ref = kron_toeplitz_dense(coeffs, sizes) @ x
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert op._kernel_hat is None and op._diagonals is None
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_level_builder_entry_rule(self, n):
@@ -408,8 +402,8 @@ class TestLevelProduct:
 def test_crossover_sends_large_separable_tables_to_the_fft():
     f = sym.Symbol(2, None, {(0, 0): 4.0, **{(k, 0): -1.0 for k in (-1, 1, 2)},
                              **{(0, k): 0.5 for k in range(-20, 21) if k}})
-    assert ops.ToeplitzOperator(f, (64, ops._LEVEL_CROSSOVER - 65))._kernel == "levels"
-    assert ops.ToeplitzOperator(f, (64, ops._LEVEL_CROSSOVER - 64))._kernel == "fft"
+    assert ops.ToeplitzOperator(f, (64, ops._LEVEL_CROSSOVER - 65)).kernel == "levels"
+    assert ops.ToeplitzOperator(f, (64, ops._LEVEL_CROSSOVER - 64)).kernel == "fft"
 
 
 @pytest.mark.parametrize("exp,sizes,direct", [
@@ -422,19 +416,14 @@ def test_shipped_symbols_take_their_path(exp, sizes, direct):
     f = experiment_symbol(ExperimentConfig(exp=exp, sizes=sizes), sizes)
     op = ops.ToeplitzOperator(f, sizes)
     assert takes_sum(op) == direct
-    assert op._kernel == ("diagonals" if direct else "levels")
-    if not direct:
-        op.matvec(np.ones(op.dim))
-        assert op._kernel_hat is None and op._diagonals is None
+    assert op.kernel == ("diagonals" if direct else "levels")
 
 
 def test_non_separable_and_one_level_tables_keep_the_fft():
     custom = experiment_symbol(ExperimentConfig(exp="custom", sizes=(64,)), (64,))
     stencil = sym.Symbol(2, None, stencil_table(np.random.default_rng(38), 2))
     for op in (ops.ToeplitzOperator(stencil, (8, 9)), ops.ToeplitzOperator(custom, (64,))):
-        assert op._kernel == "fft"
-        op.matvec(np.ones(op.dim))
-        assert op._kernel_hat is not None and op._levels is None
+        assert op.kernel == "fft"
 
 
 class TestIndexMaps:
@@ -621,7 +610,7 @@ def test_flipped_dense_matches_kronecker_assembly(exp, sizes):
     assert d_n % 2 and d_n > ops._PANEL_ROWS and d_n // 2 % ops._PANEL_ROWS
     f = experiment_symbol(ExperimentConfig(exp=exp), sizes)
     want = kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes), :]
-    got = ops.ToeplitzOperator(f, sizes).flipped_dense()
+    got = ops.flipped_dense(f, sizes)
     np.testing.assert_array_equal(got, want)
 
 
@@ -670,7 +659,7 @@ class TestExchangeSplit:
                                       "ex2-equal-orders"])
     def test_matches_eigvalsh_of_the_kronecker_assembly(self, case):
         f, sizes = split_case(case)
-        blocks = list(ops.ToeplitzOperator(f, sizes).flipped_blocks())
+        blocks = list(ops.flipped_blocks(f, sizes))
         assert len(blocks) == 2
         want = np.linalg.eigvalsh(kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes)])
         got = _flipped_spectrum(f, sizes)

@@ -577,7 +577,7 @@ def experiment_case(exp, precond, sizes):
     cfg = ExperimentConfig(exp=exp, precond=precond)
     f = experiment_symbol(cfg, sizes)
     p, _ = build_preconditioner(cfg, f, sizes)
-    return p, f, ops.ToeplitzOperator(f, sizes).flipped_dense()
+    return p, f, ops.flipped_dense(f, sizes)
 
 
 class TestParitySpectrum:

@@ -39,6 +39,29 @@ class TestSymbolBasics:
         with pytest.raises(ParameterError):
             sym.Symbol(2, None, {(1,): 1.0})
 
+    @pytest.mark.parametrize("index", [(0.5,), ("1",), (1.0,), (np.float64(2.0),)],
+                             ids=["half", "str", "float", "np_float"])
+    def test_non_integer_index_is_refused(self, index):
+        with pytest.raises(ParameterError, match="integers"):
+            sym.Symbol(1, None, {index: 1.0, (0,): 2.0})
+
+    @pytest.mark.parametrize("coupled,sizes,kernel", [(False, (3, 2), "levels"),
+                                                      (True, (3, 2), "fft"),
+                                                      (True, (40, 40), "diagonals")])
+    def test_numpy_integer_index_is_accepted(self, coupled, sizes, kernel):
+        # the same operator as the int table, on each kernel
+        table = {(k, 0): 0.5 ** abs(k) for k in range(-2, 3)}
+        if coupled:
+            table.update({(1, 1): 0.25, (-1, -1): 0.25})
+        f = sym.Symbol(2, None, {(np.int64(k[0]), np.int8(k[1])): t for k, t in table.items()})
+        assert all(type(q) is int for q in f.band)
+        op = ops.ToeplitzOperator(f, sizes)
+        ref = ops.ToeplitzOperator(sym.Symbol(2, None, table), sizes)
+        assert op.kernel == ref.kernel == kernel
+        x = np.linspace(-1.0, 1.0, op.dim)
+        assert np.array_equal(op.matvec(x), ref.matvec(x))
+        assert np.array_equal(op.dense(), ref.dense())
+
     def test_trig_sum_matches_evaluator_on_complete_table(self):
         # ex1 stores its full table, so the closed form and the plain
         # trigonometric sum are the same function
@@ -57,6 +80,14 @@ class TestSymbolBasics:
         assert sym.total_dim((3, 4, 2)) == 24
         with pytest.raises(ParameterError):
             sym.as_sizes((3, 0))
+
+    def test_as_sizes_refuses_a_non_integral_size(self):
+        assert sym.as_sizes(10) == sym.as_sizes(np.int64(10)) == sym.as_sizes((10.0,)) == (10,)
+        for n in (4.7, (10.5, 3)):
+            with pytest.raises(ParameterError, match="integers"):
+                sym.as_sizes(n)
+        with pytest.raises(ParameterError, match="integers"):
+            ops.ToeplitzOperator(sym.ex1_symbol(), (4.7, 4.2))
 
 
 class TestFourierCoefficients:

@@ -70,7 +70,7 @@ __all__ = [
     "structure_residual",
 ]
 
-# A spectrum holds two d_n x d_n arrays, one of them LAPACK's: 6.4 GB at the cap.
+# A spectrum holds two d_n x d_n arrays, one LAPACK's: 6.4 GB at the cap (the toepfr split 1.6).
 DENSE_CAPACITY = 20000
 # Row or column panel height of the dense passes that need no d_n x d_n temporary.
 _PANEL_ROWS = 32
@@ -275,12 +275,11 @@ def level_matrices(f: Symbol, sizes) -> list:
     unless there is one size per level, ParameterError when an in-band index
     has two nonzero components.
     """
-    sizes = f.check_sizes(sizes)
+    sizes, f = _in_band(f, sizes)
     cols = [np.zeros(2 * nl - 1) for nl in sizes]
     for k, t in f.coefficients.items():
-        if all(abs(kl) < nl for kl, nl in zip(k, sizes)):
-            l = _separable_level(k)
-            cols[l][k[l] + sizes[l] - 1] = t
+        l = _separable_level(k)
+        cols[l][k[l] + sizes[l] - 1] = t
     return [toeplitz_level(col) for col in cols]
 
 
@@ -303,14 +302,15 @@ def kron_sum_product(levels, x) -> np.ndarray:
 
 
 def _in_band(f: Symbol, n):
-    # the checked sizes and f clipped to |k_l| <= n_l - 1, outside which a
-    # coefficient touches no entry; any f but a Symbol raises ParameterError
+    # the checked sizes and f, or f clipped to |k_l| <= n_l - 1 if it reaches past (a
+    # coefficient there touches no entry); any f but a Symbol raises ParameterError
     if not isinstance(f, Symbol):
         raise ParameterError(f"T_n(f) takes a Symbol f, got {type(f).__name__}")
     sizes = f.check_sizes(n)
-    clipped = {k: t for k, t in f.coefficients.items()
-               if all(abs(kl) < nl for kl, nl in zip(k, sizes))}
-    return sizes, Symbol(f.dims, None, clipped)
+    if all(b < nl for b, nl in zip(f.band, sizes)):
+        return sizes, f
+    return sizes, Symbol(f.dims, None, {k: t for k, t in f.coefficients.items()
+                                        if all(abs(kl) < nl for kl, nl in zip(k, sizes))})
 
 
 def _flipped_lookup(f: Symbol, n):

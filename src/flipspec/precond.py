@@ -48,8 +48,8 @@ the singular values of B, plus m_e - m_o (0 or 1) eigenvalues +1.  This is
 the finite-n form of the paper's +-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).
 That part of G_l is D_l diag(lambda_l) if and only if (T_l + T_l^T) / 2 =
 A_l, so ``preconditioned_spectrum`` solves at half size exactly when that
-holds bit for bit on every level, with no tolerance; a P equal to T(f_R)
-only up to rounding solves at size d_n.
+holds bit for bit on every level, with no tolerance, from B and then
+I + B^T B alone; a P equal to T(f_R) only up to rounding solves at size d_n.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ def _parity_eigh(a):
     lam[even:], v = np.linalg.eigh(a11 - a12j)
     np.divide(u[:m], math.sqrt(2.0), out=q[:m, :even])
     np.divide(v, math.sqrt(2.0), out=q[:m, even:])
-    parity = np.ones(n)
-    parity[even:] = -1.0
+    parity = np.where(np.arange(n) < even, 1.0, -1.0)
     np.multiply(q[:m][::-1], parity, out=q[n - m:])
     if n % 2:
         q[m, :even], q[m, even:] = u[m], 0.0
@@ -291,15 +290,13 @@ def _laplacian_variant(name, level2: Symbol, alpha, beta, n1, n2, M, include_shi
 def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     """Eigenvalues of P^{-1} S for S = Y T_n(f) and SPD P, ascending; takes the symbol.
 
-    P^{-1} S is similar to the symmetric W of the module notes, whose terms
-    are added from T_l = ``level_matrices(f, P.sizes)`` into one zeroed
-    d_n x d_n array.  When (T_l + T_l^T) / 2 == A_l bit for bit on every
-    level, as for ``build_toepfr``'s P = T(f_R), ``_parity_spectrum`` solves
-    W at size m_o <= d_n / 2; any other P (``p22``, ``p2beta``, ``circsum``,
-    a T(f_R) off by rounding) goes to eigvalsh at size d_n.  Raises
-    ShapeError when f has another level count or is an array,
-    ParameterError when f is not separable and CapacityError above
-    d_n = 20000.
+    P^{-1} S is similar to the symmetric W of the module notes, built from
+    T_l = ``level_matrices(f, P.sizes)``.  If (T_l + T_l^T) / 2 == A_l bit for bit on
+    every level, as for P = T(f_R), ``_parity_spectrum`` solves at size m_o <= d_n / 2
+    from B = W[even, odd] alone; any other P (``p22``, ``p2beta``, ``circsum``, a
+    T(f_R) off by rounding) builds W for eigvalsh at size d_n.  Raises ShapeError when
+    f has another level count or is an array, ParameterError when f is not separable
+    and CapacityError above d_n = 20000.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
@@ -308,45 +305,48 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
                          "Y T_n(f) is assembled here from f's table")
     levels = level_matrices(f, p.sizes)
     _guard_capacity(p.dim, "preconditioned spectrum")
-    sizes, dim = p.sizes, p.dim
-    parity = functools.reduce(np.multiply.outer, p.parities)
-    scale = np.sqrt(p._inverse).reshape(sizes)
-    w = np.zeros((dim, dim))
-    steps = [math.prod(sizes[l + 1:]) * w.itemsize for l in range(len(sizes))]
+    if all(np.array_equal((t_l + t_l.T) / 2.0, a) for t_l, a in zip(levels, p.levels)):
+        even = functools.reduce(np.multiply.outer, p.parities).ravel() > 0.0
+        return _parity_spectrum(_level_block(p, levels, even, ~even))
+    every = np.ones(p.dim, bool)
+    return np.linalg.eigvalsh(_level_block(p, levels, every, every), UPLO="L")
+
+
+def _level_block(p, levels, rows, cols) -> np.ndarray:
+    # W[rows][:, cols] for masks over the flat index, its terms added level by level into
+    # one zeroed array: term l joins the i and j that agree off level l, valued
+    # (G_l[i_l, j_l] (Lambda^{-1/2} D D_l)(i)) Lambda^{-1/2}(j), D = D_1 (x) ... (x) D_d
+    scale = np.sqrt(p._inverse)
+    left = scale * functools.reduce(np.multiply.outer, p.parities).ravel()
+    at_row, at_col = np.cumsum(rows) - 1, np.cumsum(cols) - 1
+    block = np.zeros((np.count_nonzero(rows), np.count_nonzero(cols)))
     for l, (q, t_l, par) in enumerate(zip(p.bases, levels, p.parities)):
         g = q.T @ t_l[::-1] @ q
         g = (g + g.T) / 2.0
-        # term l on the entries (i, j) that agree off level l, viewed as an
-        # array (i off l, i_l, j_l); the product of D_m over m != l is D(i) D_l(i_l)
-        rest = [m for m in range(len(sizes)) if m != l]
-        block = np.ndarray([sizes[m] for m in rest] + [sizes[l]] * 2, float, w, 0,
-                           [(dim + 1) * steps[m] for m in rest] + [dim * steps[l], steps[l]])
-        row = np.moveaxis(scale * parity, l, -1) * par
-        block += g * row[..., :, None] * np.moveaxis(scale, l, -1)[..., None, :]
-    if all(np.array_equal((t_l + t_l.T) / 2.0, a) for t_l, a in zip(levels, p.levels)):
-        return _parity_spectrum(w, parity.ravel() > 0.0)
-    return np.linalg.eigvalsh(w, UPLO="L")
+        rest = [np.moveaxis(a.reshape(p.sizes), l, -1).reshape(-1, len(par))  # (i off l, i_l)
+                for a in (rows, cols, left, scale, at_row, at_col)]
+        pattern, lefts, scales, row_at, col_at = np.hstack(rest[:2]), *rest[2:]
+        for key in {row.tobytes(): row for row in pattern}.values():  # each distinct pattern
+            k, i, j = (pattern == key).all(axis=1), key[:len(par)], key[len(par):]
+            term = g[np.ix_(i, j)] * (lefts[k][:, i] * par[i])[:, :, None]
+            block[row_at[k][:, i, None], col_at[k][:, None, j]] += term * scales[k][:, None, j]
+    return block
 
 
-def _parity_spectrum(w, even) -> np.ndarray:
-    """Eigenvalues of W = [[I, B], [B^T, -I]], ``even`` marking the Y-even columns of Q.
+def _parity_spectrum(b) -> np.ndarray:
+    """Eigenvalues of W = [[I, B], [B^T, -I]] from B = W[even, odd] alone.
 
-    B = W[even, odd] and then I + B^T B are written over the head of W's
-    buffer.  B^T B is the smaller side: a centrosymmetric level has
-    ceil(n_l / 2) even and floor(n_l / 2) odd eigenvectors, so m_e >= m_o.
+    I + B^T B gets its own array and B is let go before the eigensolve: about
+    half of one d_n x d_n array is held.  B^T B is the smaller side, as m_e >= m_o:
+    a centrosymmetric level has ceil(n_l / 2) even, floor(n_l / 2) odd eigenvectors.
     """
-    rows, cols = np.flatnonzero(even), np.flatnonzero(~even)
-    m_e, m_o = len(rows), len(cols)
-    # row a of B lands before row rows[a] >= a of W, which is read first
-    flat = w.reshape(-1)
-    b = flat[:m_e * m_o].reshape(m_e, m_o)
-    for a, i in enumerate(rows):
-        b[a] = w[i, cols]
+    m_e, m_o = b.shape
     # the lower triangle of B^T B by 128 columns: one whole product grows BLAS's
     # packing buffers for the rest of the process (4.4 MB against 1 MB at ex2 50^2)
-    gram = flat[m_e * m_o:m_e * m_o + m_o * m_o].reshape(m_o, m_o)
+    gram = np.zeros((m_o, m_o))
     for c in range(0, m_o, 128):
         np.matmul(b[:, c:].T, b[:, c:c + 128], out=gram[c:, c:c + 128])
+    del b
     gram.reshape(-1)[::m_o + 1] += 1.0
     root = np.sqrt(np.linalg.eigvalsh(gram))
     return np.sort(np.concatenate((-root, np.ones(m_e - m_o), root)))

@@ -38,12 +38,15 @@ class TestSpectrum:
         assert len(read_rows(tmp_path / "overlay.csv")) == 100
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            rc = main(["spectrum", "--exp", "ex1", "--n", "8,8", "--out", str(out)])
-            assert rc == 0
-        for name in ("eigs.csv", "lambda.csv", "overlay.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        # the plain spectrum, the parity split and the whole-W eigensolve
+        for case, args in enumerate((["--exp", "ex1"], ["--exp", "ex2", "--precond", "toepfr"],
+                                     ["--exp", "ex2", "--precond", "p2beta"])):
+            a, b = tmp_path / f"{case}a", tmp_path / f"{case}b"
+            for out in (a, b):
+                rc = main(["spectrum", *args, "--n", "8,8", "--out", str(out)])
+                assert rc == 0
+            for name in ("eigs.csv", "lambda.csv", "overlay.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_one_level_custom_experiment(self, tmp_path):
         rc = main(["spectrum", "--exp", "custom", "--n", "32", "--alpha", "1.5",

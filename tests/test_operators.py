@@ -84,6 +84,18 @@ class TestDenseAssembly:
         op = ops.ToeplitzOperator(sym.Symbol(1, None, {(0,): 2.0, (5,): 1.0}), (3,))
         assert op.symbol.band == (0,)
         np.testing.assert_array_equal(op.dense(), 2.0 * np.eye(3))
+        # only the keys with |k_l| <= n_l - 1 on every level stay, in table order
+        table = {(2, 0): 0.5, (0, 0): 4.0, (0, 3): 9.0, (-1, 1): -1.0, (-2, -2): 0.25}
+        op = ops.ToeplitzOperator(sym.Symbol(2, None, table), (3, 3))
+        assert list(op.symbol.coefficients.items()) == [((2, 0), 0.5), ((0, 0), 4.0),
+                                                        ((-1, 1), -1.0), ((-2, -2), 0.25)]
+
+    @pytest.mark.parametrize("exp,sizes", [("ex1", (8, 8)), ("ex2", (40, 40)),
+                                           ("ex3", (5, 4, 3))])
+    def test_an_in_band_table_is_not_copied(self, exp, sizes):
+        # every |k_l| <= n_l - 1 already, so the operator keeps f itself
+        f = experiment_symbol(ExperimentConfig(exp=exp), sizes)
+        assert ops.ToeplitzOperator(f, sizes).symbol is f
 
     def test_capacity_guard(self):
         op = ops.ToeplitzOperator(sym.Symbol(2, None, {(0, 0): 1.0}), (150, 150))

@@ -5,6 +5,8 @@ Every reference matrix below is assembled densely from the conftest oracles
 from the preconditioner under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -602,6 +604,21 @@ class TestParitySpectrum:
         want = np.sort(np.einsum("ij,ij->j", vecs, w @ vecs))
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("exp,sizes", [("ex2", (30, 30)), ("ex2", (31, 30)),
+                                           ("ex3", (9, 10, 8))])
+    def test_holds_no_d_n_square_array(self, exp, sizes):
+        # only B (m_e x m_o) and I + B^T B (m_o x m_o) are allocated, about
+        # d_n^2 / 2 doubles, never W itself.  The one-level custom family is
+        # left out: its level matrices alone are d_n x d_n
+        p, f, _ = experiment_case(exp, "toepfr", sizes)
+        tracemalloc.start()
+        try:
+            pc.preconditioned_spectrum(p, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 8 * p.dim**2
 
     @pytest.mark.parametrize("exp,precond,sizes,half", [
         ("ex2", "toepfr", (16, 16), True),

@@ -409,10 +409,10 @@ def _suite_distribution(cfg: ExperimentConfig):
     return rows
 
 
-def _brute_frobenius_circulant(table: dict, n: int) -> np.ndarray:
-    # least-squares argmin over first columns; design matrix is 0/1 since
-    # each matrix entry reads exactly one c_j
-    t = toeplitz_level(np.array([table[k] for k in range(1 - n, n)]))
+def _brute_frobenius_circulant(v, n: int) -> np.ndarray:
+    # least-squares argmin over first columns for v = t_{1-n}..t_{n-1}; design
+    # matrix is 0/1 since each matrix entry reads exactly one c_j
+    t = toeplitz_level(v)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     design = np.zeros((n * n, n))
     design[np.arange(n * n), idx.ravel()] = 1.0
@@ -450,8 +450,8 @@ def _suite_oracles(cfg: ExperimentConfig):
 
     worst = 0.0
     for n in range(2, 7):
-        table = {k: float(rng.standard_normal()) for k in range(-(n - 1), n)}
-        gap = np.max(np.abs(optimal_circulant(table, n) - _brute_frobenius_circulant(table, n)))
+        v = np.array([rng.standard_normal() for _ in range(2 * n - 1)])
+        gap = np.max(np.abs(optimal_circulant(v, n) - _brute_frobenius_circulant(v, n)))
         worst = max(worst, float(gap))
     rows.append(("oracles", "optimal_circulant_frobenius", worst <= 1e-10, f"{worst:.3e}"))
 

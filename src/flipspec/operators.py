@@ -8,8 +8,8 @@ A matvec takes one of three kernels, fixed by the table at construction:
 
 - the flat diagonals, through scipy's DIA matvec, whenever the table stores
   at most log2 M coefficients, M the size of the circulant embedding below;
-  kept as one length-d_n vector per stored coefficient, added in the
-  table's order, O(nnz d_n);
+  kept as one length-d_n vector per stored coefficient, added in
+  ``Symbol.pairs`` order, O(nnz d_n);
 - the level product, for a dense table on two or more levels that is
   separable (every index has at most one nonzero component) while
   sum_l n_l < 4096: T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I with one
@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, EvenSizeError, ParameterError, ShapeError
-from .symbols import Symbol, _separable_level, as_sizes, total_dim
+from .symbols import Symbol, as_sizes, total_dim
 
 __all__ = [
     "DENSE_CAPACITY",
@@ -128,19 +128,11 @@ def pi_map(n, transposed: bool = False) -> np.ndarray:
     that, gathering even and odd slots back into contiguous halves.
     """
     sizes = as_sizes(n)
-    maps = []
-    for m in sizes:
-        if m % 2:
-            raise EvenSizeError(f"shuffle permutation needs even level sizes, got {m}")
-        half = m // 2
-        if transposed:
-            maps.append(np.r_[np.arange(0, m, 2), np.arange(1, m, 2)])
-        else:
-            fwd = np.empty(m, dtype=int)
-            fwd[0::2] = np.arange(half)
-            fwd[1::2] = half + np.arange(half)
-            maps.append(fwd)
-    return flat_map(maps, sizes)
+    if any(m % 2 for m in sizes):
+        raise EvenSizeError(f"shuffle permutation needs even level sizes, got {sizes}")
+    # the transpose gathers even slots then odd ones; Pi is its inverse permutation
+    maps = [np.r_[np.arange(0, m, 2), np.arange(1, m, 2)] for m in sizes]
+    return flat_map(maps if transposed else [np.argsort(g) for g in maps], sizes)
 
 
 def flip_apply(n, x):
@@ -207,12 +199,10 @@ def _sums_directly(f: Symbol, sizes) -> bool:
 _LEVEL_CROSSOVER = 4096
 
 
-def _multiplies_by_levels(indices, sizes) -> bool:
-    # a separable table, every index with at most one nonzero component, is
-    # a sum of one-level tables, T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I; on
-    # one level the product would be a memory-bound GEMV
-    return (len(sizes) > 1 and sum(sizes) < _LEVEL_CROSSOVER
-            and all(sum(map(bool, k)) <= 1 for k in indices))
+def _multiplies_by_levels(f: Symbol, sizes) -> bool:
+    # a separable table is a sum of one-level tables, T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I;
+    # on one level the product would be a memory-bound GEMV
+    return len(sizes) > 1 and sum(sizes) < _LEVEL_CROSSOVER and not isinstance(f.table, dict)
 
 
 def _lookup_keys(table, sizes) -> np.ndarray:
@@ -269,7 +259,7 @@ def toeplitz_level(t) -> np.ndarray:
 
 
 def level_matrices(f: Symbol, sizes) -> list:
-    """T_{n_l}(f_l) for each level table (``Symbol.levels``) of a separable f.
+    """T_{n_l}(f_l) for each level vector (``Symbol.levels``) of a separable f.
 
     Only coefficients with every |k_l| < n_l are read.  Raises ShapeError
     unless there is one size per level, ParameterError when an in-band index
@@ -277,9 +267,8 @@ def level_matrices(f: Symbol, sizes) -> list:
     """
     sizes, f = _in_band(f, sizes)
     cols = [np.zeros(2 * nl - 1) for nl in sizes]
-    for k, t in f.coefficients.items():
-        l = _separable_level(k)
-        cols[l][k[l] + sizes[l] - 1] = t
+    for col, v, nl in zip(cols, f.levels(), sizes):
+        col[nl - 1 - v.size // 2:nl + v.size // 2] = v
     return [toeplitz_level(col) for col in cols]
 
 
@@ -309,7 +298,7 @@ def _in_band(f: Symbol, n):
     sizes = f.check_sizes(n)
     if all(b < nl for b, nl in zip(f.band, sizes)):
         return sizes, f
-    return sizes, Symbol(f.dims, None, {k: t for k, t in f.coefficients.items()
+    return sizes, Symbol(f.dims, None, {k: t for k, t in f.pairs()
                                         if all(abs(kl) < nl for kl, nl in zip(k, sizes))})
 
 
@@ -319,7 +308,7 @@ def _flipped_lookup(f: Symbol, n):
     sizes, f = _in_band(f, n)
     _guard_capacity(math.prod(sizes), "dense Toeplitz assembly")
     table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
-    for k, t in f.coefficients.items():
+    for k, t in f.pairs():
         table[tuple(nl - 1 - kl for kl, nl in zip(k, sizes))] = t
     return sizes, table, _lookup_keys(table, sizes)
 
@@ -379,7 +368,7 @@ def _diagonal_kernel(f: Symbol, sizes):
     dim = math.prod(sizes)
     strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
     rows = {}
-    for k, t in f.coefficients.items():
+    for k, t in f.pairs():
         offset = -int(np.dot(k, strides))
         row = rows.setdefault(offset, np.zeros(sizes))
         src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, sizes))
@@ -396,7 +385,7 @@ def _level_kernel(f: Symbol, sizes):
 def _fft_kernel(f: Symbol, sizes):
     mm = _embedding_lengths(f, sizes)
     kernel = np.zeros(mm)
-    for k, t in f.coefficients.items():
+    for k, t in f.pairs():
         kernel[tuple(kl % ml for kl, ml in zip(k, mm))] = t
     axes = tuple(range(len(mm)))
     khat = np.fft.rfftn(kernel, mm, axes)
@@ -420,7 +409,7 @@ class ToeplitzOperator:
         self.dim = math.prod(self.sizes)
         if _sums_directly(self.symbol, self.sizes):
             self.kernel, build = "diagonals", _diagonal_kernel
-        elif _multiplies_by_levels(self.symbol.coefficients, self.sizes):
+        elif _multiplies_by_levels(self.symbol, self.sizes):
             self.kernel, build = "levels", _level_kernel
         else:
             self.kernel, build = "fft", _fft_kernel
@@ -489,7 +478,7 @@ def interleaved_block_g(f: Symbol, n) -> np.ndarray:
     if any(m % 2 for m in sizes):
         raise EvenSizeError(f"interleaved block form needs even level sizes, got {sizes}")
     out = np.zeros((d_n, d_n))
-    for k, t in f.coefficients.items():
+    for k, t in f.pairs():
         term = _block_level(k[0], sizes[0])
         for kl, nl in zip(k[1:], sizes[1:]):
             term = np.kron(term, _block_level(kl, nl))
@@ -507,7 +496,7 @@ def assemble_hankel(f: Symbol, n) -> np.ndarray:
     sizes = as_sizes(n)
     _guard_capacity(total_dim(sizes), "dense Hankel assembly")
     table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
-    for k, t in f.coefficients.items():
+    for k, t in f.pairs():
         if all(0 <= kl <= 2 * (nl - 1) for kl, nl in zip(k, sizes)):
             table[k] = t
     key = _lookup_keys(table, sizes)

@@ -1,7 +1,7 @@
 """Preconditioners for the flipped multilevel Toeplitz systems.
 
 Every preconditioner here is a Kronecker sum P = sum_l I (x) A_l (x) I of
-real symmetric matrices A_l, one per level table of a separable symbol
+real symmetric matrices A_l, one per level vector of a separable symbol
 (``Symbol.levels``).  Structured Toeplitz preconditioners take
 A_l = T_{n_l}(h_l): the symmetric part T(f_R), the two-level Laplacian
 variant built from 2 - 2 cos theta on both levels, and the tetra-diagonal
@@ -76,18 +76,19 @@ __all__ = [
 ]
 
 
-def optimal_circulant(coefficients: dict, n: int) -> np.ndarray:
+def optimal_circulant(v, n: int) -> np.ndarray:
     """First column of the circulant closest in Frobenius norm to T_n.
 
-    c_j = ((n - j) t_j + j t_{j-n}) / n for j = 0..n-1, from a one-level
-    coefficient table {k: t_k} with integer keys k, as ``Symbol.levels`` gives.
+    c_j = ((n - j) t_j + j t_{j-n}) / n for j = 0..n-1, from a level vector
+    v[q + k] = t_k as ``Symbol.levels`` gives; no t_k with |k| >= n is read.
     """
     n = int(n)
     if n < 1:
         raise ParameterError("circulant size must be >= 1")
-    table = {k: t for k, t in coefficients.items() if abs(k) <= n - 1}
-    return np.array([((n - j) * table.get(j, 0.0) + j * table.get(j - n, 0.0)) / n
-                     for j in range(n)])
+    q, m = len(v) // 2, min(len(v) // 2, n - 1)
+    t = np.zeros(2 * n)  # t[n + k] = t_k for |k| <= n - 1, and t_{-n} = 0
+    t[n - m:n + m + 1] = v[q - m:q + m + 1]
+    return ((n - np.arange(n)) * t[n:] + np.arange(n) * t[:n]) / n
 
 
 def circulant_abs(c) -> np.ndarray:
@@ -99,35 +100,29 @@ def circulant_abs(c) -> np.ndarray:
     return np.abs(np.fft.fft(np.asarray(c)))
 
 
-def _level_modulus(table: dict) -> Symbol:
-    # |f_l| for one level's table {k: t_k}, summed from the table
-    level = Symbol(1, None, {(k,): t for k, t in table.items()})
-    return Symbol(1, lambda t: np.abs(level.eval(np.reshape(t, (-1, 1)))))
-
-
 def _parity_eigh(a):
-    # (lambda, Q, parity) of a centrosymmetric level from its even and odd
-    # halves (module notes), even columns first; the bottom rows are the top
-    # ones reversed and multiplied by the parity, so J Q = Q diag(parity)
-    # holds bit for bit
-    n = len(a)
+    # (lambda, Q, parity) per level of a stack of centrosymmetric levels of one
+    # size, from their even and odd halves (module notes), even columns first;
+    # the bottom rows are the top ones reversed and multiplied by the parity,
+    # so J Q = Q diag(parity) holds bit for bit
+    k, n = a.shape[:2]
     m, even = n // 2, (n + 1) // 2
-    a11, a12j = a[:m, :m], a[:m, ::-1][:, :m]
-    half = np.empty((even, even))
-    np.add(a11, a12j, out=half[:m, :m])
+    a11, a12j = a[:, :m, :m], a[:, :m, ::-1][:, :, :m]
+    half = np.empty((k, even, even))
+    np.add(a11, a12j, out=half[:, :m, :m])
     if n % 2:
-        half[m, :m] = half[:m, m] = math.sqrt(2.0) * a[m, :m]
-        half[m, m] = a[m, m]
-    lam, q = np.empty(n), np.empty((n, n))
-    lam[:even], u = np.linalg.eigh(half)
-    lam[even:], v = np.linalg.eigh(a11 - a12j)
-    np.divide(u[:m], math.sqrt(2.0), out=q[:m, :even])
-    np.divide(v, math.sqrt(2.0), out=q[:m, even:])
+        half[:, m, :m] = half[:, :m, m] = math.sqrt(2.0) * a[:, m, :m]
+        half[:, m, m] = a[:, m, m]
+    lam, q = np.empty((k, n)), np.empty((k, n, n))
+    lam[:, :even], u = np.linalg.eigh(half)
+    lam[:, even:], v = np.linalg.eigh(a11 - a12j)
+    np.divide(u[:, :m], math.sqrt(2.0), out=q[:, :m, :even])
+    np.divide(v, math.sqrt(2.0), out=q[:, :m, even:])
     parity = np.where(np.arange(n) < even, 1.0, -1.0)
-    np.multiply(q[:m][::-1], parity, out=q[n - m:])
+    np.multiply(q[:, :m][:, ::-1], parity, out=q[:, n - m:])
     if n % 2:
-        q[m, :even], q[m, even:] = u[m], 0.0
-    return lam, q, parity
+        q[:, m, :even], q[:, m, even:] = u[:, m], 0.0
+    return [(lam[i], q[i].copy(), parity) for i in range(k)]
 
 
 class ToeplitzPreconditioner:
@@ -168,7 +163,10 @@ class ToeplitzPreconditioner:
         self.sizes = tuple(a.shape[0] for a in self.levels)
         self.dim = math.prod(self.sizes)
         self.symbol = symbol
-        self.eigenvalues, self.bases, self.parities = zip(*map(_parity_eigh, self.levels))
+        # the levels of one size are diagonalized as one stack, taken back in level order
+        stacks = {n: iter(_parity_eigh(np.stack([a for a in self.levels if len(a) == n])))
+                  for n in set(self.sizes)}
+        self.eigenvalues, self.bases, self.parities = zip(*(next(stacks[n]) for n in self.sizes))
         tensor = functools.reduce(np.add.outer, self.eigenvalues)
         low, peak = float(tensor.min()), float(tensor.max())
         if not low > 1e-14 * abs(peak):
@@ -184,11 +182,10 @@ class ToeplitzPreconditioner:
 
         The levels are ``operators.level_matrices(h, n)``.  Raises
         SymmetryError if t_{-k} != t_k in any bit, through the class's exact
-        A_l == A_l^T, and ParameterError if the table is empty or all zero,
-        or couples two levels.
+        A_l == A_l^T, and ParameterError if every level is zero or the table couples levels.
         """
         levels = level_matrices(h, n)
-        if not any(h.coefficients.values()):
+        if not any(a.any() for a in levels):
             raise ParameterError("preconditioner symbol has no coefficients")
         return cls(levels, h)
 
@@ -237,16 +234,18 @@ def build_circulant_kron_sum(f: Symbol, n) -> ToeplitzPreconditioner:
 
     C_l is the Frobenius-optimal circulant of the level's Toeplitz factor,
     and |C_l| = (C_l^T C_l)^{1/2} is a symmetric circulant.  The weight
-    symbol is the sum of the level moduli.
+    symbol is sum_l |f_l(theta_l)|, each f_l summed from its level vector.
     """
     sizes = f.check_sizes(n)
-    tables = f.levels()
+    vectors = f.levels()
     # a symmetric circulant is the symmetric Toeplitz matrix of its first column c
-    cols = (np.fft.ifft(circulant_abs(optimal_circulant(tab, nl))).real
-            for tab, nl in zip(tables, sizes))
+    cols = (np.fft.ifft(circulant_abs(optimal_circulant(v, nl))).real
+            for v, nl in zip(vectors, sizes))
     levels = [toeplitz_level(np.concatenate((c[:0:-1], c))) for c in cols]
-    weight = kron_sum_symbol([_level_modulus(tab) for tab in tables], name="sum_of_level_moduli")
-    return ToeplitzPreconditioner(levels, weight)
+    tables = [Symbol(1, None, [v]) for v in vectors]
+    level_abs = lambda t, th: np.abs(t.eval(np.reshape(th, (-1, 1)))).reshape(np.shape(th))
+    moduli = lambda *theta: functools.reduce(np.add, map(level_abs, tables, theta))
+    return ToeplitzPreconditioner(levels, Symbol(f.dims, moduli, name="sum_of_level_moduli"))
 
 
 def build_toepfr(f: Symbol, n) -> ToeplitzPreconditioner:

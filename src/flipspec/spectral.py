@@ -368,7 +368,7 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     fu = u_map((n,))
 
     deviations = {}
-    for k in sorted(kk[0] for kk in f.coefficients):
+    for k in sorted(kk[0] for kk, _ in f.pairs()):
         # U Y T U, T = np.eye(n, k=-k) the Toeplitz matrix of e^{ik theta}
         lhs = np.eye(n, k=-k)[::-1][fu][:, fu]
         hp, tp, tm, hm = _monomial_blocks(k, m)
@@ -377,7 +377,7 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
         deviations[k] = float(np.max(np.abs(lhs - rhs)))
 
     hank = np.zeros((2 * m + 2, 2 * m + 2))
-    for kk, t in f.coefficients.items():
+    for kk, t in f.pairs():
         hp, _, _, hm = _monomial_blocks(kk[0], m)
         hank[: m + 1, : m + 1] += t * hp
         hank[m + 1 :, m + 1 :] += t * hm

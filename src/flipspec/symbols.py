@@ -1,18 +1,17 @@
 """Generating functions for multilevel Toeplitz matrices.
 
 A symbol is a d-variate function f : [-pi, pi]^d -> C given by a closed-form
-evaluator, a sparse table of real Fourier coefficients t_k (k in Z^d), or
-both.  The coefficient table is what matrix assembly consumes, and a complex
-t_k is refused as it enters; the evaluator is what grid sampling consumes.
-Built-ins cover the experiments shipped with the package: a banded two-level
-symbol, fractional diffusion symbols built from shifted Grunwald weights,
-and a three-level upwind convection-diffusion stencil.
+evaluator, a table of real Fourier coefficients t_k (k in Z^d), one vector
+per level when separable and a dict otherwise, or both.  Matrix assembly
+reads the table (a complex t_k is refused as it enters), grid sampling the
+evaluator.  Built-ins: a banded two-level symbol, fractional diffusion symbols
+from shifted Grunwald weights, a three-level upwind convection-diffusion stencil.
 
 Contents
 --------
 as_sizes / total_dim      multi-index helpers (validated size tuples)
-Symbol                    evaluator + coefficients + band, check_sizes(n),
-                          levels() (one table per level of a Kronecker sum)
+Symbol                    evaluator + table (level vectors or a dict), pairs(),
+                          band, check_sizes(n), levels()
 fourier_coefficients      coefficient extraction by tensor FFT
 kron_sum_symbol           sum_l w_l f_l(theta_l) + shift from one-level symbols
 constant_symbol, laplace1d_symbol, ex1_symbol
@@ -28,6 +27,7 @@ p_beta_truncation         four-coefficient band truncation of f_beta
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -57,15 +57,7 @@ def total_dim(n) -> int:
     return math.prod(as_sizes(n))
 
 
-def _separable_level(k) -> int:
-    # l for an index k = k_l e_l (0 for k = 0); ParameterError if k couples two levels
-    live = [l for l, kl in enumerate(k) if kl]
-    if len(live) > 1:
-        raise ParameterError(f"coefficient index {k} is not separable across levels")
-    return live[0] if live else 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """A d-variate generating function.
 
@@ -77,43 +69,79 @@ class Symbol:
         Vectorized closed form, called as ``evaluator(theta_1, ..., theta_d)``
         with broadcastable arrays.  When None, evaluation falls back to the
         trigonometric sum of the coefficient table.
-    coefficients : dict
-        Sparse table mapping k tuples of ints (or numpy integers) to real
-        t_k; a complex t_k raises SymmetryError, any other index component
-        ParameterError.  May be empty for evaluator-only symbols.
+    table : dict or sequence of arrays
+        Real t_k, as a dict mapping k tuples of ints (or numpy integers) to
+        t_k, empty for an evaluator-only symbol, or as d odd-length level
+        vectors v_l[q_l + k] = t_{k e_l}, t_0 on level 1 and 0 mid-vector on
+        the others.  A separable dict (every k = k_l e_l) is stored as level
+        vectors, its zeros dropped: only a table that couples levels stays a
+        dict.  A complex t_k raises SymmetryError, a malformed table
+        ParameterError.  ``pairs()`` yields (k, t_k): a dict in its order,
+        vectors level by level, |k| ascending, +k before -k, zeros left out.
     name : str
         Identifier used in output headers.
     """
 
     dims: int
     evaluator: object = None
-    coefficients: dict = field(default_factory=dict)
+    table: object = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
         if self.dims < 1:
             raise ParameterError("symbol needs dims >= 1")
-        # each check is one pass over the table into a set (a loop over the
-        # keys costs as much again); the entry at fault is found only to name it
-        keys = self.coefficients.keys()
-        if set(map(len, keys)) - {self.dims}:
-            k = next(k for k in keys if len(k) != self.dims)
-            raise ParameterError(f"coefficient index {k} does not have {self.dims} levels")
-        kinds = {type(v) for k in keys for v in k}
-        if not all(issubclass(tp, (int, np.integer)) for tp in kinds):
-            raise ParameterError(f"coefficient indices must be integers, got types {kinds}")
-        # judged by type: 1 + 0j is refused too
-        if any(issubclass(tp, (complex, np.complexfloating))
-               for tp in set(map(type, self.coefficients.values()))):
-            k, t = next((k, t) for k, t in self.coefficients.items() if np.iscomplexobj(t))
-            raise SymmetryError(f"coefficient t_{k} = {t} is complex; tables hold real t_k")
+        vectors = self.table
+        if isinstance(vectors, dict):
+            # each check is one pass over the table into a set (a loop over the
+            # keys costs as much again); the entry at fault is found only to name it
+            keys = vectors.keys()
+            if set(map(len, keys)) - {self.dims}:
+                k = next(k for k in keys if len(k) != self.dims)
+                raise ParameterError(f"coefficient index {k} does not have {self.dims} levels")
+            kinds = {type(v) for k in keys for v in k}
+            if not all(issubclass(tp, (int, np.integer)) for tp in kinds):
+                raise ParameterError(f"coefficient indices must be integers, got types {kinds}")
+            # judged by type: 1 + 0j is refused too
+            if any(issubclass(tp, (complex, np.complexfloating))
+                   for tp in set(map(type, vectors.values()))):
+                k, t = next((k, t) for k, t in vectors.items() if np.iscomplexobj(t))
+                raise SymmetryError(f"coefficient t_{k} = {t} is complex; tables hold real t_k")
+            if any(sum(map(bool, k)) > 1 for k in keys):
+                return
+            band = [max((abs(k[l]) for k in keys), default=0) for l in range(self.dims)]
+            vectors = [np.zeros(2 * q + 1) for q in band]
+            for k, t in self.table.items():
+                l = next((l for l, kl in enumerate(k) if kl), 0)
+                vectors[l][band[l] + k[l]] = t
+        if any(map(np.iscomplexobj, vectors)):
+            raise SymmetryError("level vector is complex; tables hold real t_k")
+        vectors = tuple(np.asarray(v, dtype=float) for v in vectors)
+        if (len(vectors) != self.dims or any(v.ndim != 1 or v.size % 2 == 0 for v in vectors)
+                or any(v[v.size // 2] for v in vectors[1:])):
+            raise ParameterError(f"expected {self.dims} odd-length level vectors, t_0 on level 1")
+        object.__setattr__(self, "table", vectors)
+
+    @property
+    def coefficients(self) -> dict:
+        """The table as {k: t_k}, in ``pairs()`` order."""
+        return dict(self.pairs())
+
+    def pairs(self):
+        """(k, t_k) for every stored coefficient, in the order of the class notes."""
+        if isinstance(self.table, dict):
+            yield from self.table.items()
+            return
+        for l, v in enumerate(self.table):
+            ks = np.flatnonzero(v) - v.size // 2
+            for k in ks[np.lexsort((-ks, abs(ks)))].tolist():  # |k| ascending, +k first
+                yield (0,) * l + (k,) + (0,) * (self.dims - 1 - l), float(v[v.size // 2 + k])
 
     @property
     def band(self) -> tuple[int, ...]:
-        """Per-level half-bandwidth: largest |k_l| with t_k stored."""
-        if not self.coefficients:
-            return (0,) * self.dims
-        return tuple(int(max(abs(k[l]) for k in self.coefficients)) for l in range(self.dims))
+        """Per-level half-bandwidth: largest |k_l| stored, q_l for level vectors."""
+        if isinstance(self.table, dict):  # a coupled table, so not empty
+            return tuple(int(max(abs(k[l]) for k in self.table)) for l in range(self.dims))
+        return tuple(v.size // 2 for v in self.table)
 
     def eval(self, points):
         """Evaluate at one point (length-d sequence) or a batch (N, d) array.
@@ -136,12 +164,8 @@ class Symbol:
             vals = np.broadcast_to(vals, (pts.shape[0],)).copy()
         else:
             vals = np.zeros(pts.shape[0], dtype=complex)
-            for k, t in self.coefficients.items():
-                phase = np.zeros(pts.shape[0])
-                for kl, c in zip(k, coords):
-                    if kl:
-                        phase = phase + kl * c
-                vals += t * np.exp(1j * phase)
+            for k, t in self.pairs():
+                vals += t * np.exp(1j * sum(kl * c for kl, c in zip(k, coords) if kl))
         return vals[0] if single else vals
 
     def check_sizes(self, n) -> tuple[int, ...]:
@@ -151,17 +175,11 @@ class Symbol:
             raise ShapeError(f"symbol has {self.dims} levels, sizes {sizes} have {len(sizes)}")
         return sizes
 
-    def levels(self) -> list:
-        """One table {k: t_k} per level of a Kronecker-sum coefficient table.
-
-        The entry at k e_l goes to level l; t_0 is booked on level 1.
-        Raises ParameterError if an index has two nonzero components.
-        """
-        tables = [{} for _ in range(self.dims)]
-        for k, t in self.coefficients.items():
-            level = _separable_level(k)
-            tables[level][k[level]] = t
-        return tables
+    def levels(self) -> tuple:
+        """The level vectors v_l (class notes); ParameterError if the table couples levels."""
+        if isinstance(self.table, dict):
+            raise ParameterError("the table couples levels: it is not separable across levels")
+        return self.table
 
 
 def _next_pow2(v: int) -> int:
@@ -210,47 +228,37 @@ def fourier_coefficients(symbol: Symbol, band, m=None) -> dict:
     samples = symbol.eval(pts).reshape(mm)
     that = np.fft.fftn(samples) / math.prod(mm)
 
-    out = {}
-    ranges = [range(-ql, ql + 1) for ql in q]
-    idx = np.meshgrid(*ranges, indexing="ij")
-    flat_ks = np.stack([a.ravel() for a in idx], axis=1)
-    for krow in flat_ks:
-        k = tuple(int(v) for v in krow)
-        out[k] = complex(that[tuple(kl % ml for kl, ml in zip(k, mm))])
-    peak = max(abs(v) for v in out.values()) if out else 0.0
-    if peak > 0.0:
-        out = {k: v for k, v in out.items() if abs(v) >= _PRUNE_REL * peak}
-    return out
+    out = {k: complex(that[k]) for k in itertools.product(*(range(-ql, ql + 1) for ql in q))}
+    peak = max(map(abs, out.values()))
+    return {k: v for k, v in out.items() if abs(v) >= _PRUNE_REL * peak} if peak else out
 
 
 def kron_sum_symbol(levels, weights=None, shift=0.0, name="") -> Symbol:
     """f(theta) = sum_l w_l f_l(theta_l) + shift for one-level symbols f_l.
 
-    The table holds w_l t_k of level l at the index k e_l, with the shift
-    added at the origin; the evaluator sums the weighted level values, each
-    level evaluated as its own ``eval`` does (closed form or table).
-    Weights default to 1.
+    The level vectors hold w_l t_k of level l; every level's w_l t_0, then
+    the shift, is added to level 1's t_0 in turn.  The evaluator sums the
+    weighted level values, each level evaluated as its own ``eval`` does
+    (closed form or table).  Weights default to 1.
     """
     levels = tuple(levels)
     weights = (1.0,) * len(levels) if weights is None else tuple(weights)
     if not levels or len(weights) != len(levels) or any(f.dims != 1 for f in levels):
         raise ParameterError("a Kronecker sum needs one weight per one-level symbol")
-    d = len(levels)
-    coeffs = {}
-    for l, (f, w) in enumerate(zip(levels, weights)):
-        for (k,), t in f.coefficients.items():
-            key = (0,) * l + (k,) + (0,) * (d - 1 - l)
-            coeffs[key] = coeffs.get(key, 0.0) + w * t
+    vectors = [w * f.levels()[0] for f, w in zip(levels, weights)]
+    first = vectors[0]
+    for v in vectors[1:]:
+        first[first.size // 2] += v[v.size // 2]
+        v[v.size // 2] = 0.0
     if shift:
-        origin = (0,) * d
-        coeffs[origin] = coeffs.get(origin, 0.0) + shift
+        first[first.size // 2] += shift
 
     def evaluator(*theta):
         vals = (w * f.eval(np.reshape(th, (-1, 1))).reshape(np.shape(th))
                 for f, w, th in zip(levels, weights, theta))
         return functools.reduce(np.add, vals) + shift
 
-    return Symbol(d, evaluator, coeffs, name=name)
+    return Symbol(len(levels), evaluator, vectors, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +274,13 @@ def constant_symbol(value, dims=1) -> Symbol:
 def laplace1d_symbol() -> Symbol:
     """f(theta) = 2 - 2 cos(theta), the one-level Laplacian stencil."""
     return Symbol(1, lambda t: 2.0 - 2.0 * np.cos(t) + 0j,
-                  {(0,): 2.0, (1,): -1.0, (-1,): -1.0}, name="laplace1d")
+                  [np.array([-1.0, 2.0, -1.0])], name="laplace1d")
 
 
 def ex1_symbol() -> Symbol:
     """Two-level banded example f(t1, t2) = 4 + e^{i t1} + e^{i t2}."""
     return Symbol(2, lambda t1, t2: 4.0 + np.exp(1j * t1) + np.exp(1j * t2),
-                  {(0, 0): 4.0, (1, 0): 1.0, (0, 1): 1.0}, name="ex1")
+                  [np.array([0.0, 4.0, 1.0]), np.array([0.0, 0.0, 1.0])], name="ex1")
 
 
 def _check_order(name: str, value) -> float:
@@ -302,8 +310,11 @@ def grunwald_symbol(gamma: float, band=None) -> Symbol:
         bracket = (2.0 - g * (1.0 - np.exp(-1j * theta))) / 2.0
         return -bracket * power
 
-    table = {} if band is None else {(k,): t for k, t in grunwald_coefficients(g, band).items()}
-    return Symbol(1, evaluator, table, name=f"grunwald({g:g})")
+    if band is None:
+        return Symbol(1, evaluator, name=f"grunwald({g:g})")
+    t = np.fromiter(grunwald_coefficients(g, band).values(), float)  # t_{-1}, ..., t_q
+    return Symbol(1, evaluator, [np.concatenate((np.zeros(t.size - 3), t))],
+                  name=f"grunwald({g:g})")
 
 
 def grunwald_coefficients(gamma: float, band: int) -> dict:
@@ -318,8 +329,8 @@ def grunwald_coefficients(gamma: float, band: int) -> dict:
     c = [0.0, 1.0]  # c[j + 1] holds c_j, from c_{-1} = 0
     for j in range(1, band + 2):
         c.append(c[-1] * (j - 1 - g) / j)
-    return {k: -((2.0 - g) / 2.0 * c[k + 1] + g / 2.0 * c[k + 2])
-            for k in range(-1, band + 1)}
+    a, b = (2.0 - g) / 2.0, g / 2.0
+    return {k: -(a * c[k + 1] + b * c[k + 2]) for k in range(-1, band + 1)}
 
 
 def fractional_mesh(alpha: float, beta: float, n1: int, n2: int, M: int,
@@ -369,9 +380,9 @@ def convection_diffusion_symbol(n1: int, n2: int, n3: int) -> Symbol:
         raise ParameterError("level sizes must be positive")
     hx, hy, hz = 1.0 / (n1 + 1), 1.0 / (n2 + 1), 1.0 / (n3 + 1)
     a = 6.0 + 2.0 * hx + hy + 1.5 * hz
-    levels = (Symbol(1, None, {(0,): a, (1,): -1.0 - 2.0 * hx, (-1,): -1.0}),
-              Symbol(1, None, {(1,): -1.0 - hy, (-1,): -1.0}),
-              Symbol(1, None, {(1,): -1.0 - 1.5 * hz, (-1,): -1.0}))
+    levels = (Symbol(1, None, [np.array([-1.0, a, -1.0 - 2.0 * hx])]),
+              Symbol(1, None, [np.array([-1.0, 0.0, -1.0 - hy])]),
+              Symbol(1, None, [np.array([-1.0, 0.0, -1.0 - 1.5 * hz])]))
     return kron_sum_symbol(levels, name=f"convdiff(n1={n1},n2={n2},n3={n3})")
 
 
@@ -380,20 +391,21 @@ def real_part_symbol(f: Symbol) -> Symbol:
 
     For the real table t_k its coefficients are t'_k = (t_k + t_{-k})/2,
     symmetric by construction (t'_{-k} = t'_k exactly), so the assembled
-    Toeplitz matrix is real symmetric.
+    Toeplitz matrix is real symmetric; a level vector v becomes (v + v[::-1])/2.
+    Entries below 1e-14 of the largest are dropped, and the band with them.
+    Raises ParameterError unless the table is separable with a nonzero t_k.
     """
-    if not f.coefficients:
-        raise ParameterError("real_part_symbol needs a coefficient table")
-    out = {}
-    for k, t in f.coefficients.items():
-        mk = tuple(-v for v in k)
-        out[k] = out[mk] = (t + f.coefficients.get(mk, 0.0)) / 2.0
-    peak = max(abs(v) for v in out.values())
-    out = {k: v for k, v in out.items() if abs(v) >= _PRUNE_REL * peak}
+    out = [(v + v[::-1]) / 2.0 for v in f.levels()]
+    peak = max(abs(v).max() for v in out)
+    if not peak:
+        raise ParameterError("real_part_symbol needs a coefficient table with a nonzero t_k")
+    for l, v in enumerate(out):
+        v[abs(v) < _PRUNE_REL * peak] = 0.0
+        z = (v != 0).argmax() if v.any() else v.size // 2  # the band shrinks to the kept entries
+        out[l] = v[z:v.size - z]
 
-    evaluator = None
-    if f.evaluator is not None:
-        evaluator = lambda *th: np.asarray(f.evaluator(*th), dtype=complex).real
+    evaluator = (None if f.evaluator is None
+                 else lambda *th: np.asarray(f.evaluator(*th), dtype=complex).real)
     return Symbol(f.dims, evaluator, out, name=f"Re[{f.name or 'f'}]")
 
 
@@ -404,4 +416,4 @@ def p_beta_truncation(beta: float) -> Symbol:
     does), which is what makes its real part usable as a preconditioner
     factor.
     """
-    return Symbol(1, None, grunwald_symbol(beta, band=2).coefficients, name=f"p_beta({beta:g})")
+    return Symbol(1, None, grunwald_symbol(beta, band=2).table, name=f"p_beta({beta:g})")

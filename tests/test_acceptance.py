@@ -204,7 +204,7 @@ def test_acceptance_7_oracle_equivalences():
     worst_circ = 0.0
     for n in range(2, 7):
         table = {k: float(rng.standard_normal()) for k in range(-(n - 1), n)}
-        gap = np.max(np.abs(optimal_circulant(table, n)
+        gap = np.max(np.abs(optimal_circulant(np.array(list(table.values())), n)
                             - brute_frobenius_circulant(table, n)))
         worst_circ = max(worst_circ, float(gap))
 

@@ -64,32 +64,32 @@ def fractional_variant_dense(level2, alpha, beta, n1, n2, M):
 
 class TestOptimalCirculant:
     def test_laplacian_column(self):
-        c = pc.optimal_circulant({0: 2.0, 1: -1.0, -1: -1.0}, 3)
+        c = pc.optimal_circulant(np.array([-1.0, 2.0, -1.0]), 3)
         np.testing.assert_allclose(c, [2.0, -2.0 / 3.0, -2.0 / 3.0], atol=1e-15)
 
     def test_diagonal_table(self):
-        np.testing.assert_array_equal(pc.optimal_circulant({0: 5.0}, 4),
+        np.testing.assert_array_equal(pc.optimal_circulant(np.array([5.0]), 4),
                                       [5.0, 0.0, 0.0, 0.0])
 
     def test_subdiagonal_wraps(self):
-        np.testing.assert_allclose(pc.optimal_circulant({-1: 1.0}, 4),
+        np.testing.assert_allclose(pc.optimal_circulant(np.array([1.0, 0.0, 0.0]), 4),
                                    [0.0, 0.0, 0.0, 0.75], atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_least_squares_minimizer(self, n):
         rng = np.random.default_rng(40 + n)
         table = {k: float(rng.standard_normal()) for k in range(-(n - 1), n)}
-        got = pc.optimal_circulant(table, n)
+        got = pc.optimal_circulant(np.array(list(table.values())), n)
         want = brute_frobenius_circulant(table, n)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_out_of_range_keys_ignored(self):
-        a = pc.optimal_circulant({0: 1.0, 7: 9.0}, 3)
+        a = pc.optimal_circulant(np.r_[np.zeros(7), 1.0, np.zeros(6), 9.0], 3)
         np.testing.assert_array_equal(a, [1.0, 0.0, 0.0])
 
     def test_size_validation(self):
         with pytest.raises(ParameterError):
-            pc.optimal_circulant({0: 1.0}, 0)
+            pc.optimal_circulant(np.array([1.0]), 0)
 
 
 class TestCirculantAbs:
@@ -429,8 +429,7 @@ def test_levels_are_the_gathered_first_columns(exp, precond, sizes):
         cols = [np.fft.ifft(pc.circulant_abs(pc.optimal_circulant(tab, n))).real
                 for tab, n in zip(f.levels(), sizes)]
     else:
-        cols = [np.real([tab.get(j, 0.0) for j in range(n)])
-                for tab, n in zip(p.symbol.levels(), sizes)]
+        cols = [np.pad(v, n)[v.size // 2 + n:][:n] for v, n in zip(p.symbol.levels(), sizes)]
     for a, col in zip(p.levels, cols):
         i = np.arange(len(col))
         assert np.array_equal(a, col[np.abs(i[:, None] - i)])

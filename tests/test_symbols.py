@@ -74,6 +74,62 @@ class TestSymbolBasics:
         f = sym.Symbol(1, None, {(0,): 2.0, (1,): -1.0, (-1,): -1.0})
         assert f.eval((np.pi,)) == pytest.approx(4.0)
 
+    def test_pairs_read_level_vectors_in_order(self):
+        # level by level, |k| ascending, +k before -k, zeros left out
+        f = sym.Symbol(2, None, [np.array([0.0, -1.0, 4.0, 1.0, 0.5]), np.array([3.0, 0.0, 2.0])])
+        assert list(f.pairs()) == [((0, 0), 4.0), ((1, 0), 1.0), ((-1, 0), -1.0), ((2, 0), 0.5),
+                                   ((0, 1), 2.0), ((0, -1), 3.0)]
+        assert f.band == (2, 1) and f.levels() is f.table
+        assert f.coefficients == dict(f.pairs())
+
+    def test_a_separable_dict_is_stored_as_level_vectors(self):
+        # only a table that couples levels stays a dict
+        f = sym.Symbol(2, None, {(0, 1): 2.0, (-1, 0): -1.0, (0, 0): 4.0})
+        assert [v.tolist() for v in f.levels()] == [[-1.0, 4.0, 0.0], [0.0, 0.0, 2.0]]
+        coupled = {(1, 1): 2.0, (0, 0): 4.0}
+        g = sym.Symbol(2, None, coupled)
+        assert g.table is coupled and list(g.pairs()) == list(coupled.items())
+        with pytest.raises(ParameterError, match="couples levels"):
+            g.levels()
+
+    @pytest.mark.parametrize("vectors", [
+        [np.array([1.0, 2.0])],                                   # even length
+        [np.array([4.0]), np.array([1.0])],                       # t_0 on level 2
+        [np.array([4.0])],                                        # one vector for two levels
+        [np.ones((3, 3)), np.zeros(1)],                           # not a vector
+    ], ids=["even", "t0_off_level_1", "count", "ndim"])
+    def test_malformed_level_vectors_are_refused(self, vectors):
+        with pytest.raises(ParameterError, match="level vectors"):
+            sym.Symbol(2, None, vectors)
+
+    def test_a_stored_zero_keeps_the_band_but_not_the_count(self):
+        # level vectors store no zero but their padding, so the band stays and
+        # the count that picks the matvec kernel drops; a coupled dict keeps both
+        f = sym.Symbol(2, None, {(0, 0): 4.0, (1, 0): 0.0, (0, 3): 0.0})
+        assert f.band == (1, 3) and f.coefficients == {(0, 0): 4.0}
+        g = sym.kron_sum_symbol([sym.Symbol(1, None, {(0,): 4.0, (1,): 0.0}),
+                                 sym.Symbol(1, None, {(3,): 0.0})])
+        assert g.band == (1, 3) and g.coefficients == {(0, 0): 4.0}
+        h = sym.Symbol(2, None, {(1, 1): 1.0, (0, 3): 0.0})
+        assert h.band == (1, 3) and len(h.coefficients) == 2
+
+    def test_integer_level_vectors_are_stored_as_floats(self):
+        f = sym.Symbol(1, None, [np.array([-1, 2, -1])])
+        assert f.table[0].dtype == float
+        g = sym.kron_sum_symbol([f], weights=(1,), shift=0.5)
+        assert g.coefficients == {(0,): 2.5, (1,): -1.0, (-1,): -1.0}
+
+    def test_table_only_eval_sums_in_pair_order(self):
+        # Re p_beta has no closed form: eval is the plain sum in pairs() order
+        h = sym.real_part_symbol(sym.p_beta_truncation(1.6))
+        assert h.evaluator is None
+        assert [k for k, _ in h.pairs()] == [(0,), (1,), (-1,), (2,), (-2,)]
+        theta = np.linspace(-np.pi, np.pi, 4001)
+        want = np.zeros(theta.size, dtype=complex)
+        for (k,), t in h.pairs():
+            want += t * np.exp(1j * (k * theta))
+        assert np.array_equal(h.eval(theta[:, None]), want)
+
     def test_as_sizes_and_total_dim(self):
         assert sym.as_sizes(5) == (5,)
         assert sym.as_sizes((3, 4)) == (3, 4)
@@ -154,9 +210,12 @@ class TestKronSumSymbol:
                                  for tab in tables], weights, shift)
         back = f.levels()
         origin = shift + sum(w * tab.get(0, 0.0) for tab, w in zip(tables, weights))
-        assert back[0].pop(0) == pytest.approx(origin, rel=1e-14)
-        for tab, w, got in zip(tables, weights, back):
-            assert got == {k: w * t for k, t in tab.items() if k}
+        assert back[0][back[0].size // 2] == pytest.approx(origin, rel=1e-14)
+        for l, (tab, w, got) in enumerate(zip(tables, weights, back)):
+            q = got.size // 2
+            assert q == max(map(abs, tab)) and (l == 0 or got[q] == 0.0)
+            assert {k - q: t for k, t in enumerate(got) if k != q and t} == {
+                k: w * t for k, t in tab.items() if k}
 
     def test_evaluator_uses_each_level_closed_form(self):
         f = sym.kron_sum_symbol((sym.grunwald_symbol(1.8), sym.laplace1d_symbol()), (1.0, 0.5))
@@ -261,8 +320,9 @@ class TestFractionalSymbol:
         want[(0, 0)] = ca[0] + ratio * cb[0] + shift
         f = sym.fractional_symbol(1.8, 1.6, n1, n2, M, include_shift)
         assert f.coefficients == want
-        assert f.levels() == [{k[0]: v for k, v in want.items() if k[1] == 0},
-                              {k[1]: v for k, v in want.items() if k[0] == 0 and k[1]}]
+        got = [{k - v.size // 2: t for k, t in enumerate(v) if t} for v in f.levels()]
+        assert got == [{k[0]: v for k, v in want.items() if k[1] == 0},
+                       {k[1]: v for k, v in want.items() if k[0] == 0 and k[1]}]
 
     def test_evaluator_combines_levels(self):
         n1, n2, M = 8, 10, 16
@@ -365,6 +425,26 @@ class TestRealPart:
     def test_requires_coefficients(self):
         with pytest.raises(ParameterError):
             sym.real_part_symbol(sym.grunwald_symbol(1.5))
+
+    @pytest.mark.parametrize("form", ["dict", "vectors"])
+    def test_entries_below_the_floor_leave_table_band_and_levels(self, form):
+        # the peak is t_0 = 4, so the floor is 4e-14: the average 5e-14 at
+        # k = +-2 stays, 3e-14 at k = +-3 and 1e-14 on level 2 go
+        f = sym.Symbol(2, None, {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (2, 0): 1e-13,
+                                 (3, 0): 6e-14, (0, 2): 2e-14})
+        if form == "vectors":
+            f = sym.Symbol(2, None, f.levels())
+        r = sym.real_part_symbol(f)
+        want = {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (2, 0): 5e-14, (-2, 0): 5e-14}
+        assert r.coefficients == want
+        assert r.band == (2, 0)
+        levels = ops.level_matrices(r, (5, 4))
+        assert np.array_equal(ops.kron_sum_product(levels, np.eye(20)),
+                              kron_toeplitz_dense(want, (5, 4)))
+
+    def test_refuses_a_coupled_table(self):
+        with pytest.raises(ParameterError, match="not separable"):
+            sym.real_part_symbol(sym.Symbol(2, None, {(0, 0): 4.0, (1, 1): 0.5}))
 
 
 def test_p_beta_truncation_keeps_four_coefficients():

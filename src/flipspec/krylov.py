@@ -22,6 +22,7 @@ flipped_solve    Y T(f) x = Y b from a symbol, matrix-free matvec
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -83,14 +84,12 @@ class _Counted:
 
 
 def _probe_symmetry(apply_a, dim: int, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
+    # one draw of all six probes gives the numbers of six draws in turn, x then y per pair
+    for x, y in np.random.default_rng(seed).standard_normal((3, 2, dim)):
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
         ax, ay = apply_a(x), apply_a(y)
-        gap = abs(np.dot(ax, y) - np.dot(x, ay))
+        gap = abs(ax.dot(y) - x.dot(ay))
         scale = np.linalg.norm(ax) + np.linalg.norm(ay)
         if not gap <= 1e-8 * scale:
             raise OperatorError(f"operator fails the symmetry probe: |<Ax,y> - <x,Ay>| = "
@@ -134,7 +133,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     maxit = cfg.max_iterations if cfg.max_iterations is not None else 10 * dim
 
     start = time.perf_counter()
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(b.dot(b))  # np.linalg.norm of a vector, bit for bit
     x = np.zeros(dim)
     history = [1.0] if cfg.record_residuals else []
 
@@ -151,10 +150,10 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     v, r1, w, w1, w2, tmp = (np.zeros(dim) for _ in range(6))
     r2 = b.copy()
     y = pinv(r2)
-    beta1sq = float(np.dot(r2, y))
+    beta1sq = float(r2.dot(y))
     if not beta1sq > 0.0:
         raise NotSPDError(f"preconditioner produced <b, P^-1 b> = {beta1sq:.3e} for b != 0")
-    beta1 = np.sqrt(beta1sq)
+    beta1 = math.sqrt(beta1sq)
 
     oldb = beta = beta1
     dbar = epsln = 0.0
@@ -170,16 +169,16 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         y = apply_a(v)
         np.multiply(r1, beta / oldb, out=r1)
         np.subtract(y, r1, out=r1)
-        alfa = float(np.dot(v, r1))
+        alfa = float(v.dot(r1))
         np.multiply(r2, alfa / beta, out=tmp)
         np.subtract(r1, tmp, out=r1)
         r1, r2 = r2, r1
         y = pinv(r2)
         oldb = beta
-        betasq = float(np.dot(r2, y))
+        betasq = float(r2.dot(y))
         if not betasq >= 0.0:
             raise NotSPDError(f"preconditioner produced <r, P^-1 r> = {betasq:.3e}")
-        beta = np.sqrt(betasq)
+        beta = math.sqrt(betasq)
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -203,8 +202,8 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         np.add(x, tmp, out=x)
 
         np.subtract(b, apply_a(x), out=tmp)
-        relres = float(np.linalg.norm(tmp) / bnorm)
-        if not np.isfinite(relres):
+        relres = math.sqrt(tmp.dot(tmp)) / bnorm
+        if not math.isfinite(relres):
             raise OperatorError(f"relative residual is {relres} at iteration {itn}")
         if cfg.record_residuals:
             history.append(relres)
@@ -232,7 +231,7 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     preconditioner is an object with ``apply_inverse``, or None.
     """
     sizes = as_sizes(n)
-    if not f.coefficients:
+    if next(f.pairs(), None) is None:
         raise ParameterError("flipped solve needs a symbol with coefficients")
     op = ToeplitzOperator(f, sizes)
     apply_a = lambda x: op.matvec(x)[::-1]

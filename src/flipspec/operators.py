@@ -4,7 +4,8 @@ Multilevel Toeplitz matrices are represented by their sparse table of real
 coefficients t_k and assembled densely only behind an explicit size guard.
 Every matrix and vector here is real: a complex t_k is refused where the
 table enters a ``Symbol``, a complex x by matvec.
-A matvec takes one of three kernels, fixed by the table at construction:
+A matvec takes one of three kernels, which one rule (``_kernel``) picks
+from the stored table at construction:
 
 - the flat diagonals, through scipy's DIA matvec, whenever the table stores
   at most log2 M coefficients, M the size of the circulant embedding below;
@@ -70,7 +71,8 @@ __all__ = [
     "structure_residual",
 ]
 
-# A spectrum holds two d_n x d_n arrays, one LAPACK's: 6.4 GB at the cap (the toepfr split 1.6).
+# A spectrum holds two d_n x d_n arrays, one LAPACK's: 6.4 GB at the cap.  The toepfr split
+# holds 1.6 GB on two or more levels but 11 GB on one, where it forms the whole T_1 and G_1.
 DENSE_CAPACITY = 20000
 # Row or column panel height of the dense passes that need no d_n x d_n temporary.
 _PANEL_ROWS = 32
@@ -183,12 +185,6 @@ def _embedding_lengths(f: Symbol, sizes) -> tuple:
     return tuple(_smooth_len(nl + ql) for nl, ql in zip(sizes, f.band))
 
 
-def _sums_directly(f: Symbol, sizes) -> bool:
-    # the diagonals make one pass over d_n per stored coefficient,
-    # the real FFT pair about log2 M passes over the M-point embedding
-    return len(f.coefficients) <= math.log2(math.prod(_embedding_lengths(f, sizes)))
-
-
 # Level sizes summing to this or more go to the FFT: the level GEMMs make
 # 2 sum_l n_l flops per entry, the FFT pair a few log2 M passes.  Measured
 # on a 2-core Xeon with one BLAS thread, ms per ex2 matvec, FFT -> levels:
@@ -199,10 +195,19 @@ def _sums_directly(f: Symbol, sizes) -> bool:
 _LEVEL_CROSSOVER = 4096
 
 
-def _multiplies_by_levels(f: Symbol, sizes) -> bool:
-    # a separable table is a sum of one-level tables, T_n(f) = sum_l I (x) T_{n_l}(f_l) (x) I;
-    # on one level the product would be a memory-bound GEMV
-    return len(sizes) > 1 and sum(sizes) < _LEVEL_CROSSOVER and not isinstance(f.table, dict)
+def _kernel(f: Symbol, sizes):
+    # (name, builder) of the one matvec kernel the table picks (module notes).
+    # The diagonals make one pass over d_n per stored coefficient, the real
+    # FFT pair about log2 M passes over the M-point embedding; a separable
+    # table is a sum of one-level tables, and on one level its product would
+    # be a memory-bound GEMV.
+    coupled = isinstance(f.table, dict)
+    stored = len(f.table) if coupled else sum(map(np.count_nonzero, f.table))
+    if stored <= math.log2(math.prod(_embedding_lengths(f, sizes))):
+        return "diagonals", _diagonal_kernel
+    if len(sizes) > 1 and sum(sizes) < _LEVEL_CROSSOVER and not coupled:
+        return "levels", _level_kernel
+    return "fft", _fft_kernel
 
 
 def _lookup_keys(table, sizes) -> np.ndarray:
@@ -407,12 +412,7 @@ class ToeplitzOperator:
     def __init__(self, f: Symbol, n):
         self.sizes, self.symbol = _in_band(f, n)
         self.dim = math.prod(self.sizes)
-        if _sums_directly(self.symbol, self.sizes):
-            self.kernel, build = "diagonals", _diagonal_kernel
-        elif _multiplies_by_levels(self.symbol, self.sizes):
-            self.kernel, build = "levels", _level_kernel
-        else:
-            self.kernel, build = "fft", _fft_kernel
+        self.kernel, build = _kernel(self.symbol, self.sizes)
         self._apply = build(self.symbol, self.sizes)
 
     def dense(self) -> np.ndarray:

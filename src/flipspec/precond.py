@@ -156,17 +156,20 @@ class ToeplitzPreconditioner:
         for a in self.levels:
             if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
                 raise ShapeError(f"level matrix has shape {a.shape}, expected a square matrix")
-            if not np.array_equal(a, a.T):
-                raise SymmetryError("level matrix is not symmetric")
-            if not np.array_equal(a, a[::-1, ::-1]):
-                raise SymmetryError("level matrix is not centrosymmetric")
         self.sizes = tuple(a.shape[0] for a in self.levels)
         self.dim = math.prod(self.sizes)
         self.symbol = symbol
-        # the levels of one size are diagonalized as one stack, taken back in level order
-        stacks = {n: iter(_parity_eigh(np.stack([a for a in self.levels if len(a) == n])))
-                  for n in set(self.sizes)}
-        self.eigenvalues, self.bases, self.parities = zip(*(next(stacks[n]) for n in self.sizes))
+        # the levels of one size are checked and diagonalized as one stack,
+        # taken back in level order
+        stacks = {n: np.stack([a for a in self.levels if len(a) == n])
+                  for n in dict.fromkeys(self.sizes)}
+        for st in stacks.values():
+            if not (st == st.transpose(0, 2, 1)).all():
+                raise SymmetryError("level matrix is not symmetric")
+            if not (st == st[:, ::-1, ::-1]).all():
+                raise SymmetryError("level matrix is not centrosymmetric")
+        bases = {n: iter(_parity_eigh(st)) for n, st in stacks.items()}
+        self.eigenvalues, self.bases, self.parities = zip(*(next(bases[n]) for n in self.sizes))
         tensor = functools.reduce(np.add.outer, self.eigenvalues)
         low, peak = float(tensor.min()), float(tensor.max())
         if not low > 1e-14 * abs(peak):

@@ -361,7 +361,7 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     n = int(n)
     if n % 2 == 0:
         raise ParameterError(f"odd embedding check needs an odd size, got {n}")
-    if not f.coefficients:
+    if next(f.pairs(), None) is None:
         raise ParameterError("needs a coefficient table")
     m = n // 2
     keep = np.r_[np.arange(m + 1), np.arange(m + 2, 2 * m + 2)]

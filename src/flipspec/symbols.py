@@ -2,9 +2,10 @@
 
 A symbol is a d-variate function f : [-pi, pi]^d -> C given by a closed-form
 evaluator, a table of real Fourier coefficients t_k (k in Z^d), one vector
-per level when separable and a dict otherwise, or both.  Matrix assembly
-reads the table (a complex t_k is refused as it enters), grid sampling the
-evaluator.  Built-ins: a banded two-level symbol, fractional diffusion symbols
+per level when separable and a dict otherwise, or both.  The table's only
+views are ``pairs()``, ``levels()`` and ``band``; matrix assembly reads them
+(a complex t_k is refused as it enters), grid sampling the evaluator.
+Built-ins: a banded two-level symbol, fractional diffusion symbols
 from shifted Grunwald weights, a three-level upwind convection-diffusion stencil.
 
 Contents
@@ -120,11 +121,6 @@ class Symbol:
                 or any(v[v.size // 2] for v in vectors[1:])):
             raise ParameterError(f"expected {self.dims} odd-length level vectors, t_0 on level 1")
         object.__setattr__(self, "table", vectors)
-
-    @property
-    def coefficients(self) -> dict:
-        """The table as {k: t_k}, in ``pairs()`` order."""
-        return dict(self.pairs())
 
     def pairs(self):
         """(k, t_k) for every stored coefficient, in the order of the class notes."""

@@ -24,7 +24,7 @@ LAP = {0: 2.0, 1: -1.0, -1: -1.0}
 
 def level_table(f, level):
     """One level's table of a separable symbol; the zero index sits on level 0."""
-    return {k[level]: v for k, v in f.coefficients.items()
+    return {k[level]: v for k, v in f.pairs()
             if all(kl == 0 for l, kl in enumerate(k) if l != level)
             and (k[level] != 0 or level == 0)}
 
@@ -57,7 +57,7 @@ def fractional_variant_dense(level2, alpha, beta, n1, n2, M):
     # 2 - 2 cos t1 on level 1, (hx^alpha / hy^beta) level2 on level 2, plus the shift
     hx, hy = 1.0 / (n1 + 1), 1.0 / (n2 + 1)
     t1 = kron_toeplitz_dense({(k,): v for k, v in LAP.items()}, (n1,))
-    t2 = kron_toeplitz_dense(level2.coefficients, (n2,))
+    t2 = kron_toeplitz_dense(dict(level2.pairs()), (n2,))
     return (kron_sum_dense([t1, (hx**alpha / hy**beta) * t2])
             + 2.0 * hx**alpha * M * np.eye(n1 * n2))
 
@@ -256,7 +256,7 @@ class TestToeplitzPreconditioner:
     def test_toepfr_of_fractional_symbol(self):
         f = sym.fractional_symbol(1.8, 1.6, 10, 12, 10)
         p = pc.build_toepfr(f, (10, 12))
-        dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, (10, 12))
+        dense = kron_toeplitz_dense(dict(sym.real_part_symbol(f).pairs()), (10, 12))
         r = np.random.default_rng(45).standard_normal(120)
         np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
         np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-10)
@@ -265,7 +265,7 @@ class TestToeplitzPreconditioner:
     def test_toepfr_of_convection_diffusion_symbol(self):
         f = sym.convection_diffusion_symbol(4, 5, 3)
         p = pc.build_toepfr(f, (4, 5, 3))
-        dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, (4, 5, 3))
+        dense = kron_toeplitz_dense(dict(sym.real_part_symbol(f).pairs()), (4, 5, 3))
         r = np.random.default_rng(50).standard_normal(60)
         np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
         np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-10)
@@ -322,7 +322,7 @@ class TestFractionalPreconditioners:
         ratio = hx**1.8 / hy**1.6
         shift = 2.0 * hx**1.8 * M
         p = pc.build_p22(1.8, 1.6, n1, n2, M)
-        c = p.symbol.coefficients
+        c = dict(p.symbol.pairs())
         assert c[(0, 0)] == pytest.approx(2.0 + 2.0 * ratio + shift, rel=1e-14)
         assert c[(1, 0)] == c[(-1, 0)] == -1.0
         assert c[(0, 1)] == pytest.approx(-ratio, rel=1e-14)
@@ -334,7 +334,7 @@ class TestFractionalPreconditioners:
         for k in np.ndindex(3, 3):
             k = (k[0] - 1, k[1] - 1)
             assert table[k[0] % 64, k[1] % 64].real == pytest.approx(
-                complex(p.symbol.coefficients.get(k, 0.0)).real, abs=1e-10)
+                complex(dict(p.symbol.pairs()).get(k, 0.0)).real, abs=1e-10)
 
     def test_p22_symbol_at_origin_is_the_shift(self):
         n1 = 10
@@ -349,7 +349,7 @@ class TestFractionalPreconditioners:
         assert shift == 2.0 * (1.0 / (n1 + 1)) ** 1.8 / (1.0 / n1)
         p = pc.build_p22(1.8, 1.6, n1, n1, n1)
         assert p.symbol.eval((0.0, 0.0)) == shift
-        assert p.symbol.coefficients[(0, 0)] == 2.0 + ratio * 2.0 + shift
+        assert dict(p.symbol.pairs())[(0, 0)] == 2.0 + ratio * 2.0 + shift
 
     def test_p22_is_spd(self):
         p = pc.build_p22(1.8, 1.6, 10, 12, 10)
@@ -364,7 +364,7 @@ class TestFractionalPreconditioners:
     def test_p2beta_band(self):
         p = pc.build_p2beta(1.8, 1.6, 10, 12, 10)
         assert p.symbol.band == (1, 2)
-        ks = {k[1] for k in p.symbol.coefficients if k[0] == 0}
+        ks = {k[1] for k in dict(p.symbol.pairs()) if k[0] == 0}
         assert ks == {-2, -1, 0, 1, 2}
 
     @pytest.mark.parametrize("include_shift", [True, False])
@@ -466,7 +466,7 @@ def test_level_bases_have_parity_by_construction(exp, precond, sizes):
 class TestPreconditionedSpectrum:
     @staticmethod
     def flipped(f, sizes):
-        return kron_toeplitz_dense(f.coefficients, sizes)[ops.flip_map(sizes), :]
+        return kron_toeplitz_dense(dict(f.pairs()), sizes)[ops.flip_map(sizes), :]
 
     def test_toeplitz_branch_matches_general_solver(self):
         f = sym.fractional_symbol(1.8, 1.6, 6, 7, 6)
@@ -491,12 +491,12 @@ class TestPreconditionedSpectrum:
             sizes = (5, 6)
             f = sym.fractional_symbol(1.8, 1.6, 5, 6, 5)
             p = pc.build_toepfr(f, sizes)
-            dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, sizes)
+            dense = kron_toeplitz_dense(dict(sym.real_part_symbol(f).pairs()), sizes)
         elif case == "toepfr-ex3":
             sizes = (3, 4, 3)
             f = sym.convection_diffusion_symbol(*sizes)
             p = pc.build_toepfr(f, sizes)
-            dense = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, sizes)
+            dense = kron_toeplitz_dense(dict(sym.real_part_symbol(f).pairs()), sizes)
         elif case == "p2beta":
             sizes = (5, 6)
             f = sym.fractional_symbol(1.8, 1.6, 5, 6, 5)
@@ -662,7 +662,7 @@ class TestParitySpectrum:
         cfg = ExperimentConfig(exp=exp, precond="toepfr")
         f = experiment_symbol(cfg, sizes)
         vals, vecs = np.linalg.eigh(kron_toeplitz_dense(
-            sym.real_part_symbol(f).coefficients, sizes).real)
+            dict(sym.real_part_symbol(f).pairs()), sizes).real)
         root = (vecs / np.sqrt(vals)) @ vecs.T
         w = root @ TestPreconditionedSpectrum.flipped(f, sizes) @ root
         eigs = np.linalg.eigvalsh((w + w.T) / 2.0)

@@ -1,5 +1,7 @@
 """Eigen/singular solvers, grids, branch samples, matching, distribution."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,7 @@ class TestLambdaSet:
         # so c f and c h give the samples and drops of f and h at every scale
         def scaled(g, c):
             return sym.Symbol(g.dims, lambda *th: c * g.evaluator(*th),
-                              {k: c * t for k, t in g.coefficients.items()})
+                              {k: c * t for k, t in g.pairs()})
 
         f = sym.fractional_symbol(1.8, 1.6, 8, 8, 8, include_shift)
         h = sym.real_part_symbol(f)
@@ -386,7 +388,7 @@ class TestOddEmbedding:
 
 
 class TestFiniteSizeFacts:
-    """Two facts exact at every n, on every dense spectrum path shipped.
+    """Facts exact at every n, on every dense spectrum path shipped.
 
     S = T_n(f_R) is SPD for every shipped symbol, and with K = T_n(f) - S,
     Y S Y = S and Y K Y = -K.  In an orthonormal basis of Y's +-1
@@ -395,6 +397,8 @@ class TestFiniteSizeFacts:
     and floor(d_n/2) negative eigenvalues, and so has every preconditioned
     W, congruent to Y T for SPD P (Sylvester).  Gap: for P = S every
     |lambda(W)| >= 1, so by Ostrowski min |lambda(Y T)| >= lambda_min(S).
+    Inclusion: for P = T_n(h), h > 0, every |lambda(W)| lies in
+    [ess inf f_R / h, ess sup |f| / h].
     """
 
     # the exchange-block split (ex1 20^2), Y T gathered whole, the half-size
@@ -424,8 +428,57 @@ class TestFiniteSizeFacts:
         # two eigensolves, each within d_n eps ||.|| (backward error, p(n) = n),
         # and ||S|| <= ||T|| = max |lambda(Y T)|: the slack is 2 d_n eps max |lambda|
         f, eigs = self.spectrum(exp, sizes, "none")
-        s = kron_toeplitz_dense(sym.real_part_symbol(f).coefficients, sizes)
+        s = kron_toeplitz_dense(dict(sym.real_part_symbol(f).pairs()), sizes)
         floor = np.linalg.eigvalsh(s)[0]
         slack = 2 * eigs.size * np.finfo(float).eps * np.abs(eigs).max()
         assert floor > 0.0
         assert np.abs(eigs).min() >= floor - slack
+
+    @staticmethod
+    def on_grid(g, m):
+        # the separable g summed from its level vectors on the periodic grid
+        # theta_l = -pi + 2 pi j / m, and its Lipschitz margin: every theta lies
+        # within pi / m of a grid point on each level and |dg / dtheta_l| <=
+        # sum_k |k_l| |t_k|, so g moves by at most sum_l (sum_k |k_l| |t_k|) pi / m
+        theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
+        values, margin = [], 0.0
+        for v in g.levels():
+            k = np.arange(v.size) - v.size // 2
+            values.append(np.exp(1j * np.outer(theta, k)) @ v)
+            margin += np.abs(k) @ np.abs(v) * np.pi / m
+        return functools.reduce(np.add.outer, values), margin
+
+    @pytest.mark.parametrize("sizes,precond", [
+        ((17, 23), "toepfr"), ((30, 30), "toepfr"), ((40, 20), "toepfr"), ((17, 23), "p22"),
+        ((17, 23), "p2beta"), ((30, 30), "p22"), ((40, 20), "p2beta")])
+    def test_inclusion(self, sizes, precond):
+        """ess inf f_R / h <= |lambda(W)| <= ess sup |f| / h for ex2 and P = T_n(h).
+
+        Y commutes with P, so the |lambda(W)| are the singular values of
+        P^-1/2 T P^-1/2.  Upper end: |y^T T x| <= sup (|f| / h) ||x||_P ||y||_P
+        (Cauchy-Schwarz on the symbol integral); lower end: T = T(f_R) + K with K
+        skew, so ||P^-1/2 T x|| ||x||_P >= x^T T(f_R) x >= inf (f_R / h) ||x||_P^2.
+
+        f and h are the trigonometric polynomials of the tables T_n and P read,
+        both ends certified on a 1024^2 grid: with m_f, m_h the margins of
+        ``on_grid`` and h - m_h > 0, f_R - m_f >= 0 at every grid point,
+        inf f_R / h >= min (f_R - m_f) / (h + m_h) and sup |f| / h <=
+        max (|f| + m_f) / (h - m_h).  eigvalsh returns the eigenvalues of W + E
+        with ||E|| <= d_n eps ||W|| (p(n) = n, as for the gap) and the assembly
+        of W rounds to that order again: the slack is 2 d_n eps max |lambda|.
+        """
+        cfg = ExperimentConfig(exp="ex2", sizes=sizes, precond=precond)
+        f = experiment_symbol(cfg, sizes)
+        p, h = build_preconditioner(cfg, f, sizes)
+        eigs = np.abs(preconditioned_spectrum(p, f))
+        for g in (f, h):  # T_n(g) reads every stored t_k
+            assert all(q < nl for q, nl in zip(g.band, sizes))
+        fv, mf = self.on_grid(f, 1024)
+        hv, mh = self.on_grid(h, 1024)
+        hv = hv.real  # h is even: its imaginary part is rounding
+        assert (hv - mh).min() > 0.0 and (fv.real - mf).min() >= 0.0
+        low = ((fv.real - mf) / (hv + mh)).min()
+        high = ((np.abs(fv) + mf) / (hv - mh)).max()
+        slack = 2 * eigs.size * np.finfo(float).eps * eigs.max()
+        assert eigs.min() >= low - slack
+        assert eigs.max() <= high + slack

@@ -32,8 +32,8 @@ class TestSymbolBasics:
     def test_band_and_coefficient_lookup(self):
         f = sym.ex1_symbol()
         assert f.band == (1, 1)
-        assert f.coefficients.get((0, 0), 0.0) == 4.0
-        assert f.coefficients.get((2, 0), 0.0) == 0.0
+        assert dict(f.pairs()).get((0, 0), 0.0) == 4.0
+        assert dict(f.pairs()).get((2, 0), 0.0) == 0.0
 
     def test_coefficient_index_level_mismatch(self):
         with pytest.raises(ParameterError):
@@ -68,7 +68,7 @@ class TestSymbolBasics:
         f = sym.ex1_symbol()
         rng = np.random.default_rng(3)
         pts = rng.uniform(-np.pi, np.pi, size=(40, 2))
-        np.testing.assert_allclose(trig_sum(f.coefficients, pts), f.eval(pts), atol=1e-12)
+        np.testing.assert_allclose(trig_sum(dict(f.pairs()), pts), f.eval(pts), atol=1e-12)
 
     def test_evaluator_only_symbol_falls_back_to_table(self):
         f = sym.Symbol(1, None, {(0,): 2.0, (1,): -1.0, (-1,): -1.0})
@@ -80,7 +80,6 @@ class TestSymbolBasics:
         assert list(f.pairs()) == [((0, 0), 4.0), ((1, 0), 1.0), ((-1, 0), -1.0), ((2, 0), 0.5),
                                    ((0, 1), 2.0), ((0, -1), 3.0)]
         assert f.band == (2, 1) and f.levels() is f.table
-        assert f.coefficients == dict(f.pairs())
 
     def test_a_separable_dict_is_stored_as_level_vectors(self):
         # only a table that couples levels stays a dict
@@ -106,18 +105,18 @@ class TestSymbolBasics:
         # level vectors store no zero but their padding, so the band stays and
         # the count that picks the matvec kernel drops; a coupled dict keeps both
         f = sym.Symbol(2, None, {(0, 0): 4.0, (1, 0): 0.0, (0, 3): 0.0})
-        assert f.band == (1, 3) and f.coefficients == {(0, 0): 4.0}
+        assert f.band == (1, 3) and dict(f.pairs()) == {(0, 0): 4.0}
         g = sym.kron_sum_symbol([sym.Symbol(1, None, {(0,): 4.0, (1,): 0.0}),
                                  sym.Symbol(1, None, {(3,): 0.0})])
-        assert g.band == (1, 3) and g.coefficients == {(0, 0): 4.0}
+        assert g.band == (1, 3) and dict(g.pairs()) == {(0, 0): 4.0}
         h = sym.Symbol(2, None, {(1, 1): 1.0, (0, 3): 0.0})
-        assert h.band == (1, 3) and len(h.coefficients) == 2
+        assert h.band == (1, 3) and len(dict(h.pairs())) == 2
 
     def test_integer_level_vectors_are_stored_as_floats(self):
         f = sym.Symbol(1, None, [np.array([-1, 2, -1])])
         assert f.table[0].dtype == float
         g = sym.kron_sum_symbol([f], weights=(1,), shift=0.5)
-        assert g.coefficients == {(0,): 2.5, (1,): -1.0, (-1,): -1.0}
+        assert dict(g.pairs()) == {(0,): 2.5, (1,): -1.0, (-1,): -1.0}
 
     def test_table_only_eval_sums_in_pair_order(self):
         # Re p_beta has no closed form: eval is the plain sum in pairs() order
@@ -201,7 +200,7 @@ class TestKronSumSymbol:
         direct = shift + sum(w * lev.eval(pts[:, [l]])
                              for l, (lev, w) in enumerate(zip(levels, weights)))
         np.testing.assert_allclose(f.eval(pts), direct, atol=1e-13)
-        np.testing.assert_allclose(f.eval(pts), trig_sum(f.coefficients, pts), atol=1e-12)
+        np.testing.assert_allclose(f.eval(pts), trig_sum(dict(f.pairs()), pts), atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_levels_round_trip(self, d):
@@ -219,7 +218,7 @@ class TestKronSumSymbol:
 
     def test_evaluator_uses_each_level_closed_form(self):
         f = sym.kron_sum_symbol((sym.grunwald_symbol(1.8), sym.laplace1d_symbol()), (1.0, 0.5))
-        assert f.coefficients == {(0, 1): -0.5, (0, -1): -0.5, (0, 0): 1.0}
+        assert dict(f.pairs()) == {(0, 1): -0.5, (0, -1): -0.5, (0, 0): 1.0}
         assert f.eval((np.pi, 0.0)) == pytest.approx(2.785761802547597, abs=1e-13)
 
     def test_validation(self):
@@ -254,8 +253,8 @@ class TestGrunwald:
 
     def test_band_carries_the_exact_weights(self):
         f = sym.grunwald_symbol(1.7, band=9)
-        assert f.coefficients == {(k,): t for k, t in sym.grunwald_coefficients(1.7, 9).items()}
-        assert sym.grunwald_symbol(1.7).coefficients == {}
+        assert dict(f.pairs()) == {(k,): t for k, t in sym.grunwald_coefficients(1.7, 9).items()}
+        assert dict(sym.grunwald_symbol(1.7).pairs()) == {}
         assert f.eval((0.4,)) == sym.grunwald_symbol(1.7).eval((0.4,))
 
     def test_removable_zero_at_origin(self):
@@ -293,8 +292,8 @@ class TestGrunwald:
 class TestFractionalSymbol:
     def test_cross_support(self):
         f = sym.fractional_symbol(1.8, 1.6, 10, 12, M=10)
-        assert all(k1 == 0 or k2 == 0 for k1, k2 in f.coefficients)
-        assert all(k1 >= -1 and k2 >= -1 for k1, k2 in f.coefficients)
+        assert all(k1 == 0 or k2 == 0 for k1, k2 in dict(f.pairs()))
+        assert all(k1 >= -1 and k2 >= -1 for k1, k2 in dict(f.pairs()))
         assert f.band == (9, 11)
 
     def test_coefficient_bookkeeping(self):
@@ -303,7 +302,7 @@ class TestFractionalSymbol:
         ratio = hx**1.8 / hy**1.6
         ca = sym.grunwald_coefficients(1.8, n1 - 1)
         cb = sym.grunwald_coefficients(1.6, n2 - 1)
-        c = sym.fractional_symbol(1.8, 1.6, n1, n2, M).coefficients
+        c = dict(sym.fractional_symbol(1.8, 1.6, n1, n2, M).pairs())
         shift = 2.0 * hx**1.8 * M
         assert c.get((0, 0), 0.0) == pytest.approx(ca[0] + ratio * cb[0] + shift, rel=1e-14)
         assert c.get((3, 0), 0.0) == pytest.approx(ca[3], rel=1e-14)
@@ -319,7 +318,7 @@ class TestFractionalSymbol:
         want.update({(0, k): ratio * v for k, v in cb.items() if k})
         want[(0, 0)] = ca[0] + ratio * cb[0] + shift
         f = sym.fractional_symbol(1.8, 1.6, n1, n2, M, include_shift)
-        assert f.coefficients == want
+        assert dict(f.pairs()) == want
         got = [{k - v.size // 2: t for k, t in enumerate(v) if t} for v in f.levels()]
         assert got == [{k[0]: v for k, v in want.items() if k[1] == 0},
                        {k[1]: v for k, v in want.items() if k[0] == 0 and k[1]}]
@@ -337,7 +336,7 @@ class TestFractionalSymbol:
         on = sym.fractional_symbol(**kwargs)
         off = sym.fractional_symbol(include_shift=False, **kwargs)
         hx = 1.0 / 9.0
-        delta = on.coefficients.get((0, 0), 0.0) - off.coefficients.get((0, 0), 0.0)
+        delta = dict(on.pairs()).get((0, 0), 0.0) - dict(off.pairs()).get((0, 0), 0.0)
         assert delta == pytest.approx(2.0 * hx**1.8 * 8, rel=1e-14)
         assert on.eval((0.3, -0.7)) - off.eval((0.3, -0.7)) == pytest.approx(delta, rel=1e-12)
 
@@ -351,7 +350,7 @@ class TestFractionalSymbol:
 class TestConvectionDiffusion:
     def test_stencil_at_mesh_nine(self):
         f = sym.convection_diffusion_symbol(9, 9, 9)
-        c = f.coefficients
+        c = dict(f.pairs())
         assert c[(0, 0, 0)] == pytest.approx(6.45)
         assert c[(1, 0, 0)] == pytest.approx(-1.2)
         assert c[(0, 1, 0)] == pytest.approx(-1.1)
@@ -362,7 +361,7 @@ class TestConvectionDiffusion:
     def test_table_is_the_literal_stencil(self):
         f = sym.convection_diffusion_symbol(5, 10, 20)
         hx, hy, hz = 1.0 / 6.0, 1.0 / 11.0, 1.0 / 21.0
-        assert f.coefficients == {
+        assert dict(f.pairs()) == {
             (0, 0, 0): 6.0 + 2.0 * hx + hy + 1.5 * hz,
             (1, 0, 0): -1.0 - 2.0 * hx, (-1, 0, 0): -1.0,
             (0, 1, 0): -1.0 - hy, (0, -1, 0): -1.0,
@@ -371,7 +370,7 @@ class TestConvectionDiffusion:
 
     def test_evaluator_matches_closed_form(self):
         f = sym.convection_diffusion_symbol(5, 10, 20)
-        c = f.coefficients
+        c = dict(f.pairs())
         t = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(20, 3))
         want = c[(0, 0, 0)] + sum(c[k] * np.exp(1j * s * t[:, l])
                                   for k in c for l, s in enumerate(k) if s)
@@ -385,16 +384,16 @@ class TestConvectionDiffusion:
         f = sym.convection_diffusion_symbol(5, 10, 20)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-np.pi, np.pi, size=(20, 3))
-        np.testing.assert_allclose(f.eval(pts), trig_sum(f.coefficients, pts), atol=1e-12)
+        np.testing.assert_allclose(f.eval(pts), trig_sum(dict(f.pairs()), pts), atol=1e-12)
 
 
 class TestRealPart:
     def test_conjugate_symmetry_is_exact(self):
         f = sym.fractional_symbol(1.8, 1.6, 10, 10, 10)
         r = sym.real_part_symbol(f)
-        for k, v in r.coefficients.items():
+        for k, v in r.pairs():
             mk = tuple(-x for x in k)
-            assert r.coefficients.get(mk, 0.0) == v
+            assert dict(r.pairs()).get(mk, 0.0) == v
 
     def test_evaluator_is_real_part(self):
         f = sym.ex1_symbol()
@@ -412,15 +411,15 @@ class TestRealPart:
             calls.append(1)
             return f.evaluator(*th)
 
-        r = sym.real_part_symbol(sym.Symbol(2, counted, f.coefficients))
+        r = sym.real_part_symbol(sym.Symbol(2, counted, dict(f.pairs())))
         pts = np.random.default_rng(8).uniform(-np.pi, np.pi, size=(25, 2))
         np.testing.assert_array_equal(r.eval(pts), f.eval(pts).real)
         assert len(calls) == 1
 
     def test_real_input_table_stays_real(self):
         r = sym.real_part_symbol(sym.ex1_symbol())
-        assert r.coefficients.get((1, 0), 0.0) == pytest.approx(0.5)
-        assert r.coefficients.get((-1, 0), 0.0) == pytest.approx(0.5)
+        assert dict(r.pairs()).get((1, 0), 0.0) == pytest.approx(0.5)
+        assert dict(r.pairs()).get((-1, 0), 0.0) == pytest.approx(0.5)
 
     def test_requires_coefficients(self):
         with pytest.raises(ParameterError):
@@ -436,7 +435,7 @@ class TestRealPart:
             f = sym.Symbol(2, None, f.levels())
         r = sym.real_part_symbol(f)
         want = {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (2, 0): 5e-14, (-2, 0): 5e-14}
-        assert r.coefficients == want
+        assert dict(r.pairs()) == want
         assert r.band == (2, 0)
         levels = ops.level_matrices(r, (5, 4))
         assert np.array_equal(ops.kron_sum_product(levels, np.eye(20)),
@@ -449,9 +448,9 @@ class TestRealPart:
 
 def test_p_beta_truncation_keeps_four_coefficients():
     t = sym.p_beta_truncation(1.6)
-    assert set(t.coefficients) == {(-1,), (0,), (1,), (2,)}
+    assert set(dict(t.pairs())) == {(-1,), (0,), (1,), (2,)}
     full = sym.grunwald_coefficients(1.6, band=8)
     for k in (-1, 0, 1, 2):
-        assert t.coefficients.get((k,), 0.0) == pytest.approx(full[k], rel=1e-14)
+        assert dict(t.pairs()).get((k,), 0.0) == pytest.approx(full[k], rel=1e-14)
     # truncation does not vanish at 0 even though f_beta does
     assert abs(t.eval((0.0,))) > 0.05

@@ -55,10 +55,10 @@ from .symbols import (Symbol, as_sizes, constant_symbol,
                       convection_diffusion_symbol, ex1_symbol,
                       fractional_symbol, grunwald_symbol,
                       real_part_symbol, total_dim)
-from .operators import (ToeplitzOperator, _fft_kernel, _shuffle_conjugate, assemble_block_g,
-                        assemble_hankel, flip_apply, flipped_blocks, flipped_dense,
-                        interleaved_block_g, pi_apply, pi_map, structure_residual,
-                        toeplitz_level, u_apply)
+from .operators import (ToeplitzOperator, _fft_kernel, _guard_capacity, _shuffle_conjugate,
+                        assemble_block_g, assemble_hankel, flip_apply, flipped_blocks,
+                        flipped_dense, interleaved_block_g, pi_apply, pi_map,
+                        structure_residual, toeplitz_level, u_apply)
 from .spectral import (build_delta, build_gamma, build_lambda,
                        distribution_discrepancy, match_eigenvalues,
                        sym_eigenvalues, tent, zero_distribution_verdict)
@@ -224,9 +224,10 @@ def _write_csv(path, header: str, columns, rows, notes=()) -> None:
 
 
 def _spectrum(cfg: ExperimentConfig, build_grid):
-    # symbol -> preconditioner -> flipped dense -> eigenvalues, and the
-    # branch samples |f|/h over build_grid(sizes), h the preconditioner's symbol
+    # dense cap -> symbol -> preconditioner (levels up to d_n x d_n) -> flipped dense ->
+    # eigenvalues, and the branch samples |f|/h over build_grid(sizes), h P's symbol
     sizes = cfg.sizes
+    _guard_capacity(total_dim(sizes), "spectrum")
     f = experiment_symbol(cfg, sizes)
     p, weight = build_preconditioner(cfg, f, sizes)
     eigs = _flipped_spectrum(f, sizes) if p is None else preconditioned_spectrum(p, f)
@@ -364,7 +365,7 @@ def _suite_ops(cfg: ExperimentConfig):
     return rows
 
 
-def _suite_structure(cfg: ExperimentConfig, sizes):
+def _suite_structure(sizes):
     small, big = int(sizes[0]), int(sizes[1])
     rows = []
     shift = Symbol(1, None, {(1,): 1.0})
@@ -382,7 +383,7 @@ def _suite_structure(cfg: ExperimentConfig, sizes):
     return rows
 
 
-def _suite_hankel(cfg: ExperimentConfig, sizes):
+def _suite_hankel(sizes):
     rows = []
     shift = Symbol(1, None, {(1,): 1.0})
     mats = [assemble_hankel(shift, (n,)) for n in sizes]
@@ -396,7 +397,7 @@ def _suite_hankel(cfg: ExperimentConfig, sizes):
     return rows
 
 
-def _suite_distribution(cfg: ExperimentConfig):
+def _suite_distribution():
     f = ex1_symbol()
     fns = [tent(0.0, 8.0), tent(4.0, 4.0), tent(-4.0, 4.0)]
     small = distribution_discrepancy(_flipped_spectrum(f, (10, 10)), f, None, fns)
@@ -559,9 +560,9 @@ def run_verify(cfg: ExperimentConfig, suites=None, sizes=None) -> dict:
 
     runners = {
         "ops": lambda: _suite_ops(cfg),
-        "structure": lambda: _suite_structure(cfg, pair),
-        "hankel": lambda: _suite_hankel(cfg, hankel_sizes),
-        "distribution": lambda: _suite_distribution(cfg),
+        "structure": lambda: _suite_structure(pair),
+        "hankel": lambda: _suite_hankel(hankel_sizes),
+        "distribution": lambda: _suite_distribution(),
         "oracles": lambda: _suite_oracles(cfg),
     }
     rows = [r for s in chosen for r in runners[s]()]

@@ -104,12 +104,12 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     complex one raises ShapeError.  The operator is probed for symmetry on
     three seeded random unit pairs x, y before the iteration starts:
     |<Ax, y> - <x, Ay>| must stay within 1e-8 (||Ax|| + ||Ay||), a gap
-    relative to the operator's scale.
-    Breakdown of the Lanczos recurrence counts as convergence only if the
-    recomputed residual passes the rule.  A NaN symmetry gap or a
-    non-finite residual raises OperatorError, and a NaN or negative
-    <r, P^-1 r> (or zero for r = b) raises NotSPDError, rather than
-    iterating to the cap.
+    relative to the operator's scale.  A Lanczos breakdown, beta below 1e-14
+    times the largest |alpha| or beta so far (a rule unchanged by a constant
+    factor on P^{-1}), raises OperatorError unless the recomputed residual
+    passes the rule.  A NaN symmetry gap or a non-finite residual raises
+    OperatorError, and a NaN or negative <r, P^-1 r> (or zero for r = b)
+    raises NotSPDError, rather than iterating to the cap.
 
     ``meta`` records ``matvecs`` (the six symmetry-probe products included,
     so 2 its + 6 for a nonzero b), ``preconditioner_applies`` (its + 1),
@@ -156,7 +156,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     beta1 = math.sqrt(beta1sq)
 
     oldb = beta = beta1
-    dbar = epsln = 0.0
+    dbar = epsln = tnorm = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
 
@@ -179,6 +179,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         if not betasq >= 0.0:
             raise NotSPDError(f"preconditioner produced <r, P^-1 r> = {betasq:.3e}")
         beta = math.sqrt(betasq)
+        tnorm = max(tnorm, abs(alfa), beta)
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -210,7 +211,7 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         if relres < cfg.rel_tolerance:
             converged = True
             break
-        if beta < _BREAKDOWN * bnorm:
+        if beta < _BREAKDOWN * tnorm:
             # the Krylov space is exhausted short of the tolerance
             raise OperatorError(f"Lanczos breakdown at iteration {itn} with relative "
                                 f"residual {relres:.3e} still above tolerance")

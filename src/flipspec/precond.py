@@ -122,7 +122,7 @@ def _parity_eigh(a):
     np.multiply(q[:, :m][:, ::-1], parity, out=q[:, n - m:])
     if n % 2:
         q[:, m, :even], q[:, m, even:] = u[:, m], 0.0
-    return [(lam[i], q[i].copy(), parity) for i in range(k)]
+    return [(lam[i], q[i], parity) for i in range(k)]
 
 
 class ToeplitzPreconditioner:
@@ -315,9 +315,9 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
 
 
 def _level_block(p, levels, rows, cols) -> np.ndarray:
-    # W[rows][:, cols] for masks over the flat index, its terms added level by level into
-    # one zeroed array: term l joins the i and j that agree off level l, valued
-    # (G_l[i_l, j_l] (Lambda^{-1/2} D D_l)(i)) Lambda^{-1/2}(j), D = D_1 (x) ... (x) D_d
+    # W[rows][:, cols] for masks over the flat index, added into one zeroed array level by
+    # level and fiber by fiber (the indices off level l fixed): term l joins a fiber's i and j,
+    # valued (G_l[i_l, j_l] (Lambda^{-1/2} D D_l)(i)) Lambda^{-1/2}(j), D = D_1 (x) ... (x) D_d
     scale = np.sqrt(p._inverse)
     left = scale * functools.reduce(np.multiply.outer, p.parities).ravel()
     at_row, at_col = np.cumsum(rows) - 1, np.cumsum(cols) - 1
@@ -325,13 +325,10 @@ def _level_block(p, levels, rows, cols) -> np.ndarray:
     for l, (q, t_l, par) in enumerate(zip(p.bases, levels, p.parities)):
         g = q.T @ t_l[::-1] @ q
         g = (g + g.T) / 2.0
-        rest = [np.moveaxis(a.reshape(p.sizes), l, -1).reshape(-1, len(par))  # (i off l, i_l)
-                for a in (rows, cols, left, scale, at_row, at_col)]
-        pattern, lefts, scales, row_at, col_at = np.hstack(rest[:2]), *rest[2:]
-        for key in {row.tobytes(): row for row in pattern}.values():  # each distinct pattern
-            k, i, j = (pattern == key).all(axis=1), key[:len(par)], key[len(par):]
-            term = g[np.ix_(i, j)] * (lefts[k][:, i] * par[i])[:, :, None]
-            block[row_at[k][:, i, None], col_at[k][:, None, j]] += term * scales[k][:, None, j]
+        fibers = (np.moveaxis(a.reshape(p.sizes), l, -1).reshape(-1, len(par))
+                  for a in (rows, cols, left, scale, at_row, at_col))
+        for r, c, lf, sc, ar, ac in zip(*fibers):
+            block[np.ix_(ar[r], ac[c])] += (g[np.ix_(r, c)] * (lf * par)[r, None]) * sc[c]
     return block
 
 

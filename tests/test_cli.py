@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flipspec import experiments, operators
+from flipspec import experiments, operators, precond
 from flipspec.cli import main
+from flipspec.errors import CapacityError
 from flipspec.experiments import ExperimentConfig
 from flipspec.operators import _PANEL_ROWS
 
@@ -53,6 +54,18 @@ class TestSpectrum:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert len(read_rows(tmp_path / "eigs.csv")) == 32
+
+    def test_dense_cap_is_checked_before_the_preconditioner(self, tmp_path, monkeypatch):
+        # built first, the one-level toepfr at 20001 would form a 3.2 GB level
+        # and two eigensolves of size 10^4 before the cap refused the spectrum
+        def unreachable(*args):
+            raise AssertionError("preconditioner levels built above the dense cap")
+
+        monkeypatch.setattr(precond, "level_matrices", unreachable)
+        cfg = ExperimentConfig(exp="custom", precond="toepfr", sizes=(20001,),
+                               out=str(tmp_path))
+        with pytest.raises(CapacityError):
+            experiments.run_spectrum(cfg)
 
     def test_missing_sizes_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["spectrum", "--exp", "ex1", "--out", str(tmp_path)])

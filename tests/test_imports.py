@@ -1,13 +1,13 @@
 """Static checks over the flipspec sources, and what a solve loads.
 
-Every name a module imports is used in that module, no top-level function
-is defined in two modules, every private top-level function is referenced
-somewhere in the package, every public top-level function or class, and
-every public method or property of such a class, is referenced in the
-package or a demo, and the one CSV writer is the only
-code that opens a file.  No linter ships with the package, so
-this scans the source with ``ast``.  ``__init__.py`` is skipped: its
-imports are the package's re-exports.  An ex2 solve and the dense
+Every name a module imports is used in that module, every parameter of a
+function or lambda is read in its body, no top-level function is defined in
+two modules, every private top-level function is referenced somewhere in
+the package, every public top-level function or class, and every public
+method or property of such a class, is referenced in the package or a demo,
+and the one CSV writer is the only code that opens a file.  No linter ships
+with the package, so this scans the source with ``ast``.  ``__init__.py`` is
+skipped: its imports are the package's re-exports.  An ex2 solve and the dense
 ``spectrum``/``match`` path load no scipy module, and an ex3 solve no scipy
 subpackage but ``scipy.sparse``: each scipy import adds its load time to
 every cold ``flipspec table`` or ``spectrum`` run.
@@ -49,6 +49,34 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter its function or lambda never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(node.lineno, getattr(node, "name", "<lambda>"), a.arg)
+                      for a in params if a.arg not in read]
+    return sorted(found)
+
+
+def test_scanner_flags_an_unread_parameter():
+    source = ("def f(a, b: int, *args, c=1, **kw):\n    b = a\n    return lambda x, y: y\n\n"
+              "def g(n):\n    def inner():\n        return n\n    return inner\n")
+    assert unread_parameters(source) == [(1, "f", "args"), (1, "f", "b"), (1, "f", "c"),
+                                         (1, "f", "kw"), (3, "<lambda>", "x")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def top_level_functions(sources: dict) -> dict:

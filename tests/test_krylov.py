@@ -58,6 +58,29 @@ class TestMinres:
         assert r.converged and r.iterations == 0
         np.testing.assert_array_equal(r.solution, np.zeros(5))
 
+    @pytest.mark.parametrize("power", [80, -80])
+    def test_preconditioner_scale_changes_no_bit(self, power):
+        # 2^power on P^-1 scales alpha and beta by 2^power and beta_1 by 2^(power/2),
+        # exactly, so the iterates are the same bits; a breakdown rule against ||b||
+        # stops the 2^-80 run at iteration 1, and one against beta_1 at iteration 72
+        rng = np.random.default_rng(54)
+        a = rng.standard_normal((60, 60))
+        a = a + a.T
+        d = 1.0 + rng.random(60)
+        b = rng.standard_normal(60)
+        want = kv.minres(lambda x: a @ x, lambda r: r / d, b)
+        got = kv.minres(lambda x: a @ x, lambda r: (r / d) * 2.0**power, b)
+        assert want.converged and got.iterations == want.iterations == 75
+        np.testing.assert_array_equal(got.solution, want.solution)
+        assert got.residual_history == want.residual_history
+
+    def test_exhausted_krylov_space_raises(self):
+        # b = (1, 1) is not in the range of diag(1, 0): the second step exhausts
+        # the space with the residual still at 1 / sqrt(2)
+        with pytest.raises(OperatorError, match="breakdown at iteration 2 with relative "
+                                                "residual 7.071e-01"):
+            kv.minres(lambda x: np.diag([1.0, 0.0]) @ x, None, np.ones(2))
+
     def test_history_starts_at_one_and_ends_below_tol(self):
         y = flip_dense((6,))
         b = np.arange(1.0, 7.0)

@@ -559,6 +559,21 @@ class TestPreconditionedSpectrum:
         with pytest.raises(CapacityError):
             pc.preconditioned_spectrum(p, laplace_sum_symbol(2))
 
+    @pytest.mark.parametrize("exp,precond,sizes", [("ex2", "p2beta", (17, 19)),
+                                                   ("ex2", "p22", (30, 30)),
+                                                   ("ex3", "circsum", (7, 7, 7))])
+    def test_whole_w_holds_one_d_n_square_array(self, exp, precond, sizes):
+        # W itself and, per fiber, arrays of at most n_l x n_l: measured 1.01-1.05
+        # d_n^2 doubles (tracemalloc does not see LAPACK's copy inside eigvalsh)
+        p, f, _ = experiment_case(exp, precond, sizes)
+        tracemalloc.start()
+        try:
+            pc.preconditioned_spectrum(p, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * p.dim**2
+
     @pytest.mark.parametrize("levels", [1, 3])
     def test_rejects_a_symbol_with_another_level_count(self, levels):
         p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (4, 5))

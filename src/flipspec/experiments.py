@@ -224,14 +224,14 @@ def _write_csv(path, header: str, columns, rows, notes=()) -> None:
 
 
 def _spectrum(cfg: ExperimentConfig, build_grid):
-    # dense cap -> symbol -> preconditioner (levels up to d_n x d_n) -> flipped dense ->
-    # eigenvalues, and the branch samples |f|/h over build_grid(sizes), h P's symbol
-    sizes = cfg.sizes
-    _guard_capacity(total_dim(sizes), "spectrum")
-    f = experiment_symbol(cfg, sizes)
-    p, weight = build_preconditioner(cfg, f, sizes)
-    eigs = _flipped_spectrum(f, sizes) if p is None else preconditioned_spectrum(p, f)
-    return eigs, build_lambda(f, weight, build_grid(sizes))
+    # dense cap -> grid points -> symbol -> preconditioner (levels up to d_n x d_n) ->
+    # flipped dense -> eigenvalues, and the branch samples |f|/h at the points, h P's symbol
+    _guard_capacity(total_dim(cfg.sizes), "spectrum")
+    points = build_grid(cfg.sizes)
+    f = experiment_symbol(cfg, cfg.sizes)
+    p, weight = build_preconditioner(cfg, f, cfg.sizes)
+    eigs = _flipped_spectrum(f, cfg.sizes) if p is None else preconditioned_spectrum(p, f)
+    return eigs, build_lambda(f, weight, points)
 
 
 def run_spectrum(cfg: ExperimentConfig) -> dict:

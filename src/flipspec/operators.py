@@ -34,7 +34,7 @@ kron_sum_product          sum_l (I (x) A_l (x) I) x, one GEMM per level
 flip_apply                reversed copy of the vector (Y_n x)
 u_apply                   reverse the leading half of each level (U_n x)
 pi_apply                  even-size shuffle permutation (Pi_n x, Pi_n^T x)
-flip_map / u_map / pi_map flat index maps behind the appliers
+flip_map / u_map / pi_map flat index maps; u_apply and pi_apply gather by theirs
 assemble_block_g          2x2-block Toeplitz of g = [[0, f], [f*, 0]]
 interleaved_block_g       per-level interleaved form of the same symbol
 assemble_hankel           dense multilevel Hankel with entry t_{i+j}

@@ -37,19 +37,20 @@ T = T_n(f) = sum_l I (x) T_l (x) I (t_0 on level 1) and Y = J_1 (x) ... (x) J_d,
 
     W = Lambda^{-1/2} Q^T Y T Q Lambda^{-1/2}
       = Lambda^{-1/2} (sum_l D_1 (x) ... (x) G_l (x) ... (x) D_d) Lambda^{-1/2}
+      = Lambda^{-1/2} D K Lambda^{-1/2},   K = sum_l I (x) D_l G_l (x) I,
 
-with G_l = Q_l^T J_l T_l Q_l of size n_l x n_l: about d_n sum_l n_l
-nonzeros.  For P = T(f_R), T_l is P's level A_l plus a skew Toeplitz part
-that anticommutes with J_l, so the entries of G_l between columns of equal
-parity are D_l diag(lambda_l), and in the parity split of Q's m_e even and
-m_o odd columns W = [[I, B], [B^T, -I]], whose square is
-diag(I + B B^T, I + B^T B): the eigenvalues are +-sqrt(1 + sigma_j^2) over
-the singular values of B, plus m_e - m_o (0 or 1) eigenvalues +1.  This is
-the finite-n form of the paper's +-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).
-That part of G_l is D_l diag(lambda_l) if and only if (T_l + T_l^T) / 2 =
-A_l, so ``preconditioned_spectrum`` solves at half size exactly when that
-holds bit for bit on every level, with no tolerance, from B and then
-I + B^T B alone; a P equal to T(f_R) only up to rounding solves at size d_n.
+with G_l = Q_l^T J_l T_l Q_l of size n_l x n_l and D = D_1 (x) ... (x) D_d, as
+D_l^2 = I: about d_n sum_l n_l nonzeros, built once by ``_level_form``.  For
+P = T(f_R), T_l is P's level A_l plus a skew Toeplitz part that anticommutes
+with J_l, so the entries of G_l between columns of equal parity are
+D_l diag(lambda_l), and in the parity split of Q's m_e even and m_o odd columns
+W = [[I, B], [B^T, -I]], whose square is diag(I + B B^T, I + B^T B): the
+eigenvalues are +-sqrt(1 + sigma_j^2) over the singular values of B, plus
+m_e - m_o (0 or 1) eigenvalues +1, the finite-n form of the paper's
++-|f| / f_R = +-sqrt(1 + (f_I / f_R)^2).  That part of G_l is D_l diag(lambda_l)
+if and only if (T_l + T_l^T) / 2 = A_l, so ``preconditioned_spectrum`` solves at
+half size exactly when that holds bit for bit on every level, with no tolerance,
+from B and then I + B^T B alone; a P equal to T(f_R) only up to rounding solves at d_n.
 """
 
 from __future__ import annotations
@@ -176,7 +177,6 @@ class ToeplitzPreconditioner:
             name = symbol.name if symbol is not None and symbol.name else "P"
             raise NotSPDError(f"preconditioner {name} is not positive definite: "
                               f"smallest eigenvalue {low:.6e} (largest {peak:.6e})")
-        self.eigen_tensor = tensor
         self._inverse = 1.0 / tensor.ravel()
 
     @classmethod
@@ -292,43 +292,49 @@ def _laplacian_variant(name, level2: Symbol, alpha, beta, n1, n2, M, include_shi
 def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
     """Eigenvalues of P^{-1} S for S = Y T_n(f) and SPD P, ascending; takes the symbol.
 
-    P^{-1} S is similar to the symmetric W of the module notes, built from
-    T_l = ``level_matrices(f, P.sizes)``.  If (T_l + T_l^T) / 2 == A_l bit for bit on
-    every level, as for P = T(f_R), ``_parity_spectrum`` solves at size m_o <= d_n / 2
-    from B = W[even, odd] alone; any other P (``p22``, ``p2beta``, ``circsum``, a
-    T(f_R) off by rounding) builds W for eigvalsh at size d_n.  Raises ShapeError when
-    f has another level count or is an array, ParameterError when f is not separable
-    and CapacityError above d_n = 20000.
+    P^{-1} S is similar to the symmetric W of the module notes, built by ``_level_form``
+    from T_l = ``level_matrices(f, P.sizes)``.  If (T_l + T_l^T) / 2 == A_l bit for bit
+    on every level, as for P = T(f_R), ``_parity_spectrum`` solves at size m_o <= d_n / 2
+    from B = W[even, odd] alone; any other P (``p22``, ``p2beta``, ``circsum``, a T(f_R)
+    off by rounding) builds W for eigvalsh at size d_n.  Raises ShapeError for an array
+    or another level count, ParameterError for a non-separable f, CapacityError above 20000.
     """
     if not isinstance(p, ToeplitzPreconditioner):
         raise ParameterError(f"unsupported preconditioner type {type(p).__name__}")
     if isinstance(f, np.ndarray):
         raise ShapeError(f"expected the symbol f, got an array of shape {f.shape}; "
                          "Y T_n(f) is assembled here from f's table")
-    levels = level_matrices(f, p.sizes)
     _guard_capacity(p.dim, "preconditioned spectrum")
+    levels = level_matrices(f, p.sizes)
+    form = _level_form(p, levels)
     if all(np.array_equal((t_l + t_l.T) / 2.0, a) for t_l, a in zip(levels, p.levels)):
-        even = functools.reduce(np.multiply.outer, p.parities).ravel() > 0.0
-        return _parity_spectrum(_level_block(p, levels, even, ~even))
+        return _parity_spectrum(_level_block(p.sizes, form, form[2] > 0.0, form[2] < 0.0))
     every = np.ones(p.dim, bool)
-    return np.linalg.eigvalsh(_level_block(p, levels, every, every), UPLO="L")
+    return np.linalg.eigvalsh(_level_block(p.sizes, form, every, every), UPLO="L")
 
 
-def _level_block(p, levels, rows, cols) -> np.ndarray:
+def _level_form(p, levels):
+    # W = Lambda^{-1/2} D K Lambda^{-1/2} (module notes): D_l G_l, Lambda^{-1/2}, Lambda^{-1/2} D
+    dg = [q.T @ t_l[::-1] @ q for q, t_l in zip(p.bases, levels)]
+    for g, par in zip(dg, p.parities):
+        np.add(g, g.T, out=g)
+        g *= 0.5 * par[:, None]
+    scale = np.sqrt(p._inverse)
+    return dg, scale, scale * functools.reduce(np.multiply.outer, p.parities).ravel()
+
+
+def _level_block(sizes, form, rows, cols) -> np.ndarray:
     # W[rows][:, cols] for masks over the flat index, added into one zeroed array level by
     # level and fiber by fiber (the indices off level l fixed): term l joins a fiber's i and j,
-    # valued (G_l[i_l, j_l] (Lambda^{-1/2} D D_l)(i)) Lambda^{-1/2}(j), D = D_1 (x) ... (x) D_d
-    scale = np.sqrt(p._inverse)
-    left = scale * functools.reduce(np.multiply.outer, p.parities).ravel()
+    # valued ((D_l G_l)[i_l, j_l] (Lambda^{-1/2} D)(i)) Lambda^{-1/2}(j), from _level_form
+    dg, scale, left = form
     at_row, at_col = np.cumsum(rows) - 1, np.cumsum(cols) - 1
     block = np.zeros((np.count_nonzero(rows), np.count_nonzero(cols)))
-    for l, (q, t_l, par) in enumerate(zip(p.bases, levels, p.parities)):
-        g = q.T @ t_l[::-1] @ q
-        g = (g + g.T) / 2.0
-        fibers = (np.moveaxis(a.reshape(p.sizes), l, -1).reshape(-1, len(par))
+    for l, g in enumerate(dg):
+        fibers = (np.moveaxis(a.reshape(sizes), l, -1).reshape(-1, len(g))
                   for a in (rows, cols, left, scale, at_row, at_col))
         for r, c, lf, sc, ar, ac in zip(*fibers):
-            block[np.ix_(ar[r], ac[c])] += (g[np.ix_(r, c)] * (lf * par)[r, None]) * sc[c]
+            block[np.ix_(ar[r], ac[c])] += (g[np.ix_(r, c)] * lf[r, None]) * sc[c]
     return block
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from flipspec import experiments, operators, precond
 from flipspec.cli import main
-from flipspec.errors import CapacityError
+from flipspec.errors import CapacityError, ParameterError
 from flipspec.experiments import ExperimentConfig
 from flipspec.operators import _PANEL_ROWS
 
@@ -66,6 +66,22 @@ class TestSpectrum:
                                out=str(tmp_path))
         with pytest.raises(CapacityError):
             experiments.run_spectrum(cfg)
+
+    @pytest.mark.parametrize("cmd,exp,which,sizes", [("spectrum", "ex3", "toepfr", (3, 4, 4)),
+                                                      ("spectrum", "custom", None, (3,)),
+                                                      ("spectrum", "ex2", "p2beta", (3, 8)),
+                                                      ("match", "ex2", None, (1, 8))])
+    def test_grid_is_checked_before_the_eigensolve(self, tmp_path, monkeypatch,
+                                                   cmd, exp, which, sizes):
+        # a level too small for the sampling grid is refused before either eigensolve
+        def unreachable(*args):
+            raise AssertionError("eigensolve run before the grid was checked")
+
+        monkeypatch.setattr(experiments, "_flipped_spectrum", unreachable)
+        monkeypatch.setattr(experiments, "preconditioned_spectrum", unreachable)
+        cfg = ExperimentConfig(exp=exp, precond=which, sizes=sizes, out=str(tmp_path))
+        with pytest.raises(ParameterError, match="too small"):
+            (experiments.run_spectrum if cmd == "spectrum" else experiments.run_match)(cfg)
 
     def test_missing_sizes_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["spectrum", "--exp", "ex1", "--out", str(tmp_path)])

@@ -32,13 +32,6 @@ from .errors import NotSPDError, OperatorError, ParameterError, ShapeError
 from .symbols import Symbol, as_sizes
 from .operators import ToeplitzOperator, flip_apply
 
-__all__ = [
-    "SolveConfig",
-    "SolveResult",
-    "minres",
-    "flipped_solve",
-]
-
 _BREAKDOWN = 1e-14
 
 

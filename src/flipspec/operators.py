@@ -50,29 +50,8 @@ import numpy as np
 from .errors import CapacityError, EvenSizeError, ParameterError, ShapeError
 from .symbols import Symbol, as_sizes, total_dim
 
-__all__ = [
-    "DENSE_CAPACITY",
-    "ToeplitzOperator",
-    "flipped_dense",
-    "flipped_blocks",
-    "toeplitz_level",
-    "level_matrices",
-    "kron_sum_product",
-    "flip_map",
-    "u_map",
-    "pi_map",
-    "flat_map",
-    "flip_apply",
-    "u_apply",
-    "pi_apply",
-    "assemble_block_g",
-    "interleaved_block_g",
-    "assemble_hankel",
-    "structure_residual",
-]
-
 # A spectrum holds two d_n x d_n arrays, one LAPACK's: 6.4 GB at the cap.  The toepfr split
-# holds 1.6 GB on two or more levels but 11 GB on one, where it forms the whole T_1 and G_1.
+# holds 1.6 GB on two or more levels but 7.2 GB on one, where it forms the whole T_1 and G_1.
 DENSE_CAPACITY = 20000
 # Row or column panel height of the dense passes that need no d_n x d_n temporary.
 _PANEL_ROWS = 32
@@ -513,9 +492,9 @@ def _singular_split(svals, rel: float):
 
 
 def _shuffle_conjugate(ya, sizes) -> np.ndarray:
-    # Pi U (Y a) U Pi^T for a dense d_n x d_n matrix Y a, by row and column gathers
-    fu, fp = u_map(sizes), pi_map(sizes)
-    return ya[fu][:, fu][fp][:, fp]
+    # Pi U (Y a) U Pi^T for a dense d_n x d_n matrix Y a, by one gather of the composed map
+    perm = u_map(sizes)[pi_map(sizes)]
+    return ya[np.ix_(perm, perm)]
 
 
 def structure_residual(f: Symbol, n):

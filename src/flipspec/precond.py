@@ -65,17 +65,6 @@ from .operators import _guard_capacity, kron_sum_product, level_matrices, toepli
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
-__all__ = [
-    "optimal_circulant",
-    "circulant_abs",
-    "ToeplitzPreconditioner",
-    "build_circulant_kron_sum",
-    "build_toepfr",
-    "build_p22",
-    "build_p2beta",
-    "preconditioned_spectrum",
-]
-
 
 def optimal_circulant(v, n: int) -> np.ndarray:
     """First column of the circulant closest in Frobenius norm to T_n.
@@ -306,16 +295,18 @@ def preconditioned_spectrum(p, f: Symbol) -> np.ndarray:
                          "Y T_n(f) is assembled here from f's table")
     _guard_capacity(p.dim, "preconditioned spectrum")
     levels = level_matrices(f, p.sizes)
+    split = all(np.array_equal((t_l + t_l.T) / 2.0, a) for t_l, a in zip(levels, p.levels))
     form = _level_form(p, levels)
-    if all(np.array_equal((t_l + t_l.T) / 2.0, a) for t_l, a in zip(levels, p.levels)):
+    if split:
         return _parity_spectrum(_level_block(p.sizes, form, form[2] > 0.0, form[2] < 0.0))
     every = np.ones(p.dim, bool)
     return np.linalg.eigvalsh(_level_block(p.sizes, form, every, every), UPLO="L")
 
 
 def _level_form(p, levels):
-    # W = Lambda^{-1/2} D K Lambda^{-1/2} (module notes): D_l G_l, Lambda^{-1/2}, Lambda^{-1/2} D
-    dg = [q.T @ t_l[::-1] @ q for q, t_l in zip(p.bases, levels)]
+    # W = Lambda^{-1/2} D K Lambda^{-1/2} (module notes): D_l G_l, Lambda^{-1/2}, Lambda^{-1/2} D;
+    # empties the list levels of the T_l, each let go once Q_l^T J_l T_l is formed
+    dg = [q.T @ levels.pop(0)[::-1] @ q for q in p.bases]
     for g, par in zip(dg, p.parities):
         np.add(g, g.T, out=g)
         g *= 0.5 * par[:, None]

@@ -29,27 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapacityError, ParameterError, PoleError, ShapeError,
-                     SymmetryError)
+from .errors import ParameterError, PoleError, ShapeError, SymmetryError
 from .symbols import Symbol, as_sizes
-from .operators import DENSE_CAPACITY, _panels, _singular_split, u_map
-
-__all__ = [
-    "sym_eigenvalues",
-    "singular_values",
-    "build_gamma",
-    "build_delta",
-    "LambdaSet",
-    "build_lambda",
-    "MatchReport",
-    "match_eigenvalues",
-    "tent",
-    "DiscrepancyRow",
-    "distribution_discrepancy",
-    "zero_distribution_verdict",
-    "OddEmbeddingReport",
-    "odd_embedding_check",
-]
+from .operators import _guard_capacity, _panels, _singular_split, u_map
 
 
 def sym_eigenvalues(a) -> np.ndarray:
@@ -63,8 +45,7 @@ def sym_eigenvalues(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > DENSE_CAPACITY:
-        raise CapacityError(f"matrix size {a.shape[0]} > {DENSE_CAPACITY}")
+    _guard_capacity(a.shape[0], "symmetric eigensolve")
     if np.iscomplexobj(a):
         raise SymmetryError(f"expected a real matrix, got dtype {a.dtype}")
     scale = math.hypot(*(np.linalg.norm(a[r]) for r in _panels(len(a))))
@@ -79,8 +60,7 @@ def singular_values(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {a.shape}")
-    if max(a.shape) > DENSE_CAPACITY:
-        raise CapacityError(f"matrix size {max(a.shape)} > {DENSE_CAPACITY}")
+    _guard_capacity(max(a.shape), "singular values")
     return np.linalg.svd(a, compute_uv=False)
 
 

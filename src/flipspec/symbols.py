@@ -16,12 +16,12 @@ Symbol                    evaluator + table (level vectors or a dict), pairs(),
 fourier_coefficients      coefficient extraction by tensor FFT
 kron_sum_symbol           sum_l w_l f_l(theta_l) + shift from one-level symbols
 constant_symbol, laplace1d_symbol, ex1_symbol
-grunwald_symbol           one-level fractional symbol f_gamma, exact weights to a band
-grunwald_coefficients     exact shifted Grunwald weights by recurrence
+grunwald_symbol           one-level fractional symbol f_gamma, exact weights to a given band
+grunwald_coefficients     exact shifted Grunwald weights t_{-1}..t_q as one vector
 fractional_mesh           mesh ratio and time-step shift of the fractional problem
 fractional_symbol         two-level fractional diffusion symbol (with shift)
 convection_diffusion_symbol
-real_part_symbol          Re f, symmetric coefficients (t_k + t_{-k})/2
+real_part_symbol          Re f, symmetric coefficients (t_k + t_{-k})/2, none dropped
 p_beta_truncation         four-coefficient band truncation of f_beta
 """
 
@@ -140,15 +140,11 @@ class Symbol:
         return tuple(v.size // 2 for v in self.table)
 
     def eval(self, points):
-        """Evaluate at one point (length-d sequence) or a batch (N, d) array.
+        """Evaluate at an (N, d) array of points, each coordinate in [-pi, pi].
 
-        Coordinates must lie in [-pi, pi] componentwise.  Returns a complex
-        scalar for a single point, a complex (N,) array for a batch.
+        Returns a complex (N,) array; any other shape raises DomainError.
         """
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.dims:
             raise DomainError(f"expected points with {self.dims} coordinates, got shape {pts.shape}")
         if np.any(np.abs(pts) > np.pi + _DOMAIN_SLACK):
@@ -157,12 +153,11 @@ class Symbol:
         coords = [pts[:, l] for l in range(self.dims)]
         if self.evaluator is not None:
             vals = np.asarray(self.evaluator(*coords), dtype=complex)
-            vals = np.broadcast_to(vals, (pts.shape[0],)).copy()
-        else:
-            vals = np.zeros(pts.shape[0], dtype=complex)
-            for k, t in self.pairs():
-                vals += t * np.exp(1j * sum(kl * c for kl, c in zip(k, coords) if kl))
-        return vals[0] if single else vals
+            return np.broadcast_to(vals, (pts.shape[0],)).copy()
+        vals = np.zeros(pts.shape[0], dtype=complex)
+        for k, t in self.pairs():
+            vals += t * np.exp(1j * sum(kl * c for kl, c in zip(k, coords) if kl))
+        return vals
 
     def check_sizes(self, n) -> tuple[int, ...]:
         """Validated level sizes; ShapeError unless there is one per level."""
@@ -286,14 +281,14 @@ def _check_order(name: str, value) -> float:
     return value
 
 
-def grunwald_symbol(gamma: float, band=None) -> Symbol:
-    """One-level fractional symbol of order gamma in (1, 2).
+def grunwald_symbol(gamma: float, band: int) -> Symbol:
+    """One-level fractional symbol of order gamma in (1, 2), with its table to a band.
 
     f_gamma(theta) = -[(2 - gamma (1 - e^{-i theta}))/2] * (1 + e^{i (theta + pi)})^gamma
     with the principal branch of the power; the removable zero at theta = 0
     is set to 0 directly.  Minus its Fourier coefficients are the shifted
-    Grunwald weights, t_k = -w_{k+1}, supported on k >= -1; given a band,
-    the symbol carries them for -1 <= k <= band (``grunwald_coefficients``).
+    Grunwald weights, t_k = -w_{k+1}, supported on k >= -1; the symbol
+    carries them for -1 <= k <= band (``grunwald_coefficients``).
     """
     g = _check_order("gamma", gamma)
 
@@ -306,19 +301,18 @@ def grunwald_symbol(gamma: float, band=None) -> Symbol:
         bracket = (2.0 - g * (1.0 - np.exp(-1j * theta))) / 2.0
         return -bracket * power
 
-    if band is None:
-        return Symbol(1, evaluator, name=f"grunwald({g:g})")
-    t = np.fromiter(grunwald_coefficients(g, band).values(), float)  # t_{-1}, ..., t_q
+    t = grunwald_coefficients(g, band)  # t_{-1}, ..., t_q
     return Symbol(1, evaluator, [np.concatenate((np.zeros(t.size - 3), t))],
                   name=f"grunwald({g:g})")
 
 
-def grunwald_coefficients(gamma: float, band: int) -> dict:
-    """Real coefficient table {k: t_k} of f_gamma for -1 <= k <= band.
+def grunwald_coefficients(gamma: float, band: int) -> np.ndarray:
+    """The real coefficients t_{-1}, ..., t_band of f_gamma, as one vector.
 
     Exact shifted Grunwald weights: with c_0 = 1, c_j = c_{j-1} (j-1-gamma)/j
     (so c_j = (-1)^j binom(gamma, j)) and c_{-1} = 0,
-    t_k = -[(2 - gamma)/2 c_k + gamma/2 c_{k+1}].  The band is at least 1.
+    t_k = -[(2 - gamma)/2 c_k + gamma/2 c_{k+1}] sits at index k + 1.  The band
+    is at least 1.
     """
     g = _check_order("gamma", gamma)
     band = max(int(band), 1)
@@ -326,7 +320,7 @@ def grunwald_coefficients(gamma: float, band: int) -> dict:
     for j in range(1, band + 2):
         c.append(c[-1] * (j - 1 - g) / j)
     a, b = (2.0 - g) / 2.0, g / 2.0
-    return {k: -(a * c[k + 1] + b * c[k + 2]) for k in range(-1, band + 1)}
+    return np.array([-(a * c[k + 1] + b * c[k + 2]) for k in range(-1, band + 1)])
 
 
 def fractional_mesh(alpha: float, beta: float, n1: int, n2: int, M: int,
@@ -387,19 +381,13 @@ def real_part_symbol(f: Symbol) -> Symbol:
 
     For the real table t_k its coefficients are t'_k = (t_k + t_{-k})/2,
     symmetric by construction (t'_{-k} = t'_k exactly), so the assembled
-    Toeplitz matrix is real symmetric; a level vector v becomes (v + v[::-1])/2.
-    Entries below 1e-14 of the largest are dropped, and the band with them.
-    Raises ParameterError unless the table is separable with a nonzero t_k.
+    Toeplitz matrix is real symmetric; a level vector v becomes (v + v[::-1])/2,
+    every entry and the band kept.  Raises ParameterError unless the table is
+    separable with a nonzero t_k.
     """
     out = [(v + v[::-1]) / 2.0 for v in f.levels()]
-    peak = max(abs(v).max() for v in out)
-    if not peak:
+    if not any(v.any() for v in out):
         raise ParameterError("real_part_symbol needs a coefficient table with a nonzero t_k")
-    for l, v in enumerate(out):
-        v[abs(v) < _PRUNE_REL * peak] = 0.0
-        z = (v != 0).argmax() if v.any() else v.size // 2  # the band shrinks to the kept entries
-        out[l] = v[z:v.size - z]
-
     evaluator = (None if f.evaluator is None
                  else lambda *th: np.asarray(f.evaluator(*th), dtype=complex).real)
     return Symbol(f.dims, evaluator, out, name=f"Re[{f.name or 'f'}]")

@@ -14,6 +14,7 @@ from flipspec import experiments, operators, precond
 from flipspec.cli import main
 from flipspec.errors import CapacityError, ParameterError
 from flipspec.experiments import ExperimentConfig
+from flipspec.krylov import flipped_solve
 from flipspec.operators import _PANEL_ROWS
 
 
@@ -229,6 +230,19 @@ class TestTable:
         assert len(rows) == 1
         assert rows[0]["preconditioner"] == "p2beta"
         assert int(rows[0]["iterations"]) == 22
+
+    def test_unpreconditioned_column(self, tmp_path):
+        # --precond none solves Y T x = Y b with no preconditioner, as flipped_solve(f, n, b)
+        rc = main(["table", "--exp", "ex2", "--n", "10,10", "--precond", "none",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        cfg = ExperimentConfig(exp="ex2")
+        f = experiments.experiment_symbol(cfg, (10, 10))
+        res = flipped_solve(f, (10, 10), experiments.rhs_vector(cfg, (10, 10)))
+        assert res.converged and res.iterations == 75
+        rows = read_rows(tmp_path / "table.csv")
+        assert [(r["preconditioner"], int(r["iterations"]), r["converged"]) for r in rows] == [
+            ("none", res.iterations, "true")]
 
     def test_level_beyond_the_old_quadrature_band(self, tmp_path):
         # 2100 > 2048 used to raise AliasingError in the Grunwald weights

@@ -5,7 +5,8 @@ function or lambda is read in its body, no top-level function is defined in
 two modules, every private top-level function is referenced somewhere in
 the package, every public top-level function or class, and every public
 method or property of such a class, is referenced in the package or a demo,
-and the one CSV writer is the only code that opens a file.  No linter ships
+no module keeps an ``__all__`` list, and the one CSV writer is the only code
+that opens a file.  No linter ships
 with the package, so this scans the source with ``ast``.  ``__init__.py`` is
 skipped: its imports are the package's re-exports.  An ex2 solve and the dense
 ``spectrum``/``match`` path load no scipy module, and an ex3 solve no scipy
@@ -156,6 +157,24 @@ def test_scanner_flags_unreached_methods_and_properties():
 
 def package_sources() -> dict:
     return {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+
+
+def export_lists(sources: dict) -> list:
+    """Modules that assign ``__all__`` anywhere in their source."""
+    return sorted(module for module, source in sources.items()
+                  if any(isinstance(node, ast.Name) and node.id == "__all__"
+                         and isinstance(node.ctx, ast.Store) for node in ast.walk(ast.parse(source))))
+
+
+def test_scanner_flags_an_export_list():
+    sources = {"a": "__all__ = ['f']\n", "b": "__all__: list = []\n", "c": "__all__ += ['g']\n",
+               "d": "x = __all__ = 1\n", "e": "all_ = ['f']\nprint(__all__)\n"}
+    assert export_lists(sources) == ["a", "b", "c", "d"]
+
+
+def test_no_module_keeps_an_export_list():
+    # the package's one export list is __init__.py's imports
+    assert export_lists(package_sources()) == []
 
 
 def test_no_function_defined_twice():

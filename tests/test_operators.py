@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -617,6 +618,26 @@ class TestStructureResidual:
     def test_rejects_odd_sizes(self):
         with pytest.raises(EvenSizeError):
             ops.structure_residual(sym.ex1_symbol(), (8, 7))
+
+    def test_shuffle_conjugate_is_the_permutation_product(self):
+        # Pi U (Y a) U^T Pi^T with 0/1 permutation matrices, which are exact
+        sizes = (6, 8)
+        ya = ops.flipped_dense(sym.ex1_symbol(), sizes)
+        pu = perm_matrix(ops.pi_map(sizes)) @ perm_matrix(ops.u_map(sizes))
+        assert np.array_equal(ops._shuffle_conjugate(ya, sizes), pu @ ya @ pu.T)
+
+    def test_shuffle_conjugate_gathers_once(self):
+        # one gather of the composed map: the result is the one d_n x d_n array allocated
+        # (1.006 x 8 d_n^2 bytes measured at 40^2)
+        sizes = (40, 40)
+        ya = ops.flipped_dense(sym.ex1_symbol(), sizes)
+        tracemalloc.start()
+        try:
+            ops._shuffle_conjugate(ya, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * len(ya) ** 2
 
 
 def test_flipped_toeplitz_is_exactly_symmetric():

@@ -9,7 +9,7 @@ from conftest import kron_toeplitz_dense, tridiag_laplacian_eigs
 from flipspec import operators as ops
 from flipspec import spectral as sp
 from flipspec import symbols as sym
-from flipspec.errors import ParameterError, PoleError, ShapeError, SymmetryError
+from flipspec.errors import CapacityError, ParameterError, PoleError, ShapeError, SymmetryError
 from flipspec.experiments import (ExperimentConfig, _flipped_spectrum, build_preconditioner,
                                   experiment_symbol)
 from flipspec.precond import preconditioned_spectrum
@@ -116,6 +116,22 @@ class TestSingularValues:
         want = np.logspace(0, -10, 20)
         got = sp.singular_values(u @ np.diag(want) @ v.T)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("solve,shape", [(sp.sym_eigenvalues, (20001, 20001)),
+                                         (sp.singular_values, (20001, 20001)),
+                                         (sp.singular_values, (20001, 3))],
+                         ids=["eigenvalues", "singular_values", "singular_values_tall"])
+def test_dense_cap_is_checked_before_the_solve(monkeypatch, solve, shape):
+    # a zero-stride view allocates nothing; the solvers are stubbed so that a missing
+    # guard fails here instead of allocating a 3.2 GB copy
+    def reached(*args, **kwargs):
+        raise AssertionError("the dense solver was reached past the cap")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", reached)
+    monkeypatch.setattr(np.linalg, "svd", reached)
+    with pytest.raises(CapacityError, match="20001 > 20000"):
+        solve(np.broadcast_to(0.0, shape))
 
 
 class TestGrids:

@@ -13,21 +13,27 @@ from flipspec.errors import AliasingError, DomainError, ParameterError, ShapeErr
 class TestSymbolBasics:
     def test_eval_single_point_and_batch(self):
         f = sym.ex1_symbol()
-        one = f.eval((0.0, 0.0))
-        assert one == pytest.approx(6.0)
+        one = f.eval([(0.0, 0.0)])
+        assert one.shape == (1,) and one[0] == pytest.approx(6.0)
         pts = np.array([[0.0, 0.0], [np.pi, 0.0], [np.pi, np.pi]])
         np.testing.assert_allclose(f.eval(pts), [6.0, 4.0, 2.0], atol=1e-14)
 
     def test_eval_rejects_points_outside_domain(self):
         f = sym.ex1_symbol()
         with pytest.raises(DomainError):
-            f.eval((4.0, 0.0))
+            f.eval([(4.0, 0.0)])
         # boundary itself is fine
-        f.eval((np.pi, -np.pi))
+        f.eval([(np.pi, -np.pi)])
 
     def test_eval_rejects_wrong_coordinate_count(self):
         with pytest.raises(DomainError):
-            sym.ex1_symbol().eval((0.0, 0.0, 0.0))
+            sym.ex1_symbol().eval([(0.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize("points", [(0.0, 0.0), 0.0, np.zeros((1, 1, 2))],
+                             ids=["point", "scalar", "3d"])
+    def test_eval_takes_only_an_n_by_d_array(self, points):
+        with pytest.raises(DomainError, match="coordinates"):
+            sym.ex1_symbol().eval(points)
 
     def test_band_and_coefficient_lookup(self):
         f = sym.ex1_symbol()
@@ -72,7 +78,7 @@ class TestSymbolBasics:
 
     def test_evaluator_only_symbol_falls_back_to_table(self):
         f = sym.Symbol(1, None, {(0,): 2.0, (1,): -1.0, (-1,): -1.0})
-        assert f.eval((np.pi,)) == pytest.approx(4.0)
+        assert f.eval([(np.pi,)])[0] == pytest.approx(4.0)
 
     def test_pairs_read_level_vectors_in_order(self):
         # level by level, |k| ascending, +k before -k, zeros left out
@@ -217,9 +223,12 @@ class TestKronSumSymbol:
                 k: w * t for k, t in tab.items() if k}
 
     def test_evaluator_uses_each_level_closed_form(self):
-        f = sym.kron_sum_symbol((sym.grunwald_symbol(1.8), sym.laplace1d_symbol()), (1.0, 0.5))
-        assert dict(f.pairs()) == {(0, 1): -0.5, (0, -1): -0.5, (0, 0): 1.0}
-        assert f.eval((np.pi, 0.0)) == pytest.approx(2.785761802547597, abs=1e-13)
+        # the table stops at band 1, the evaluator does not
+        f = sym.kron_sum_symbol((sym.grunwald_symbol(1.8, 1), sym.laplace1d_symbol()), (1.0, 0.5))
+        g = sym.grunwald_coefficients(1.8, 1)
+        assert dict(f.pairs()) == {(0, 0): g[1] + 1.0, (1, 0): g[2], (-1, 0): g[0],
+                                   (0, 1): -0.5, (0, -1): -0.5}
+        assert f.eval([(np.pi, 0.0)])[0] == pytest.approx(2.785761802547597, abs=1e-13)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -240,48 +249,49 @@ class TestGrunwald:
     def test_gamma_domain(self):
         for bad in (1.0, 2.0, 0.5, 2.5, -1.8):
             with pytest.raises(ParameterError):
-                sym.grunwald_symbol(bad)
+                sym.grunwald_symbol(bad, band=4)
             with pytest.raises(ParameterError):
                 sym.grunwald_coefficients(bad, band=4)
 
     def test_value_at_pi(self):
         # f_gamma(pi) = (gamma - 1) 2^gamma
-        assert sym.grunwald_symbol(1.8).eval((np.pi,)) == pytest.approx(
+        assert sym.grunwald_symbol(1.8, 4).eval([(np.pi,)])[0] == pytest.approx(
             2.785761802547597, abs=1e-13)
-        assert sym.grunwald_symbol(1.6).eval((np.pi,)) == pytest.approx(
+        assert sym.grunwald_symbol(1.6, 4).eval([(np.pi,)])[0] == pytest.approx(
             1.8188598798124778, abs=1e-13)
 
     def test_band_carries_the_exact_weights(self):
         f = sym.grunwald_symbol(1.7, band=9)
-        assert dict(f.pairs()) == {(k,): t for k, t in sym.grunwald_coefficients(1.7, 9).items()}
-        assert dict(sym.grunwald_symbol(1.7).pairs()) == {}
-        assert f.eval((0.4,)) == sym.grunwald_symbol(1.7).eval((0.4,))
+        t = sym.grunwald_coefficients(1.7, 9)
+        assert dict(f.pairs()) == {(k,): v for k, v in enumerate(t.tolist(), -1)}
+        assert np.array_equal(f.eval([(0.4,)]), sym.grunwald_symbol(1.7, band=2).eval([(0.4,)]))
 
     def test_removable_zero_at_origin(self):
-        assert abs(sym.grunwald_symbol(1.5).eval((0.0,))) < 1e-15
+        assert abs(sym.grunwald_symbol(1.5, 4).eval([(0.0,)])[0]) < 1e-15
 
     @pytest.mark.parametrize("gamma", [1.8, 1.6, 1.2])
     def test_coefficients_match_binomial_expansion(self, gamma):
         table = sym.grunwald_coefficients(gamma, band=12)
         for k in range(-1, 13):
-            assert table[k] == pytest.approx(grunwald_closed_form(gamma, k), abs=1e-8)
+            assert table[k + 1] == pytest.approx(grunwald_closed_form(gamma, k), abs=1e-8)
 
     def test_no_support_below_minus_one(self):
-        assert all(k >= -1 for k in sym.grunwald_coefficients(1.2, band=12))
+        # t_{-1}, ..., t_12 and nothing below: the symbol's table starts at k = -1
+        assert sym.grunwald_coefficients(1.2, band=12).shape == (14,)
+        assert min(k for (k,), _ in sym.grunwald_symbol(1.2, band=12).pairs()) == -1
 
     @pytest.mark.parametrize("gamma", [1.2, 1.6, 1.8])
     def test_long_band_matches_binomial_expansion(self, gamma):
         # the weights decay like k^-(1+gamma); the last ones keep full relative accuracy
         table = sym.grunwald_coefficients(gamma, band=4095)
-        assert set(table) == set(range(-1, 4096))
-        assert all(type(v) is float for v in table.values())
+        assert table.shape == (4097,) and table.dtype == np.float64
         for k in (-1, 0, 1, 100, 2047, 4000, 4095):
             want = grunwald_closed_form(gamma, k)
-            assert table[k] == pytest.approx(want, rel=1e-10)
+            assert table[k + 1] == pytest.approx(want, rel=1e-10)
 
     def test_quadrature_matches_plain_riemann_sum(self):
         # same lattice, FFT-free summation; checks the index bookkeeping
-        f = sym.grunwald_symbol(1.7)
+        f = sym.grunwald_symbol(1.7, band=1)
         table = fft_fourier_coefficients(f.eval, 4096)
         for k in (-1, 0, 3, 6):
             want = direct_fourier_coefficient(f.evaluator, k, m=4096)
@@ -304,9 +314,9 @@ class TestFractionalSymbol:
         cb = sym.grunwald_coefficients(1.6, n2 - 1)
         c = dict(sym.fractional_symbol(1.8, 1.6, n1, n2, M).pairs())
         shift = 2.0 * hx**1.8 * M
-        assert c.get((0, 0), 0.0) == pytest.approx(ca[0] + ratio * cb[0] + shift, rel=1e-14)
-        assert c.get((3, 0), 0.0) == pytest.approx(ca[3], rel=1e-14)
-        assert c.get((0, -1), 0.0) == pytest.approx(ratio * cb[-1], rel=1e-14)
+        assert c.get((0, 0), 0.0) == pytest.approx(ca[1] + ratio * cb[1] + shift, rel=1e-14)
+        assert c.get((3, 0), 0.0) == pytest.approx(ca[4], rel=1e-14)
+        assert c.get((0, -1), 0.0) == pytest.approx(ratio * cb[0], rel=1e-14)
 
     @pytest.mark.parametrize("include_shift", [True, False])
     def test_table_is_the_per_formula_values(self, include_shift):
@@ -314,9 +324,9 @@ class TestFractionalSymbol:
         ratio, shift = sym.fractional_mesh(1.8, 1.6, n1, n2, M, include_shift)
         ca = sym.grunwald_coefficients(1.8, n1 - 1)
         cb = sym.grunwald_coefficients(1.6, n2 - 1)
-        want = {(k, 0): v for k, v in ca.items()}
-        want.update({(0, k): ratio * v for k, v in cb.items() if k})
-        want[(0, 0)] = ca[0] + ratio * cb[0] + shift
+        want = {(k, 0): v for k, v in enumerate(ca.tolist(), -1)}
+        want.update({(0, k): ratio * v for k, v in enumerate(cb.tolist(), -1) if k})
+        want[(0, 0)] = ca[1] + ratio * cb[1] + shift
         f = sym.fractional_symbol(1.8, 1.6, n1, n2, M, include_shift)
         assert dict(f.pairs()) == want
         got = [{k - v.size // 2: t for k, t in enumerate(v) if t} for v in f.levels()]
@@ -329,7 +339,7 @@ class TestFractionalSymbol:
         ratio = hx**1.8 / hy**1.6
         f = sym.fractional_symbol(1.8, 1.6, n1, n2, M)
         want = 2.785761802547597 + ratio * 1.8188598798124778 + 2.0 * hx**1.8 * M
-        assert f.eval((np.pi, np.pi)) == pytest.approx(want, rel=1e-12)
+        assert f.eval([(np.pi, np.pi)])[0] == pytest.approx(want, rel=1e-12)
 
     def test_shift_toggle(self):
         kwargs = dict(alpha=1.8, beta=1.6, n1=8, n2=8, M=8)
@@ -338,7 +348,8 @@ class TestFractionalSymbol:
         hx = 1.0 / 9.0
         delta = dict(on.pairs()).get((0, 0), 0.0) - dict(off.pairs()).get((0, 0), 0.0)
         assert delta == pytest.approx(2.0 * hx**1.8 * 8, rel=1e-14)
-        assert on.eval((0.3, -0.7)) - off.eval((0.3, -0.7)) == pytest.approx(delta, rel=1e-12)
+        assert on.eval([(0.3, -0.7)])[0] - off.eval([(0.3, -0.7)])[0] == pytest.approx(
+            delta, rel=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -378,7 +389,7 @@ class TestConvectionDiffusion:
 
     def test_vanishes_at_origin(self):
         f = sym.convection_diffusion_symbol(5, 10, 20)
-        assert abs(f.eval((0.0, 0.0, 0.0))) < 1e-14
+        assert abs(f.eval([(0.0, 0.0, 0.0)])[0]) < 1e-14
 
     def test_evaluator_matches_table(self):
         f = sym.convection_diffusion_symbol(5, 10, 20)
@@ -422,24 +433,22 @@ class TestRealPart:
         assert dict(r.pairs()).get((-1, 0), 0.0) == pytest.approx(0.5)
 
     def test_requires_coefficients(self):
+        # an evaluator-only symbol has an empty table
         with pytest.raises(ParameterError):
-            sym.real_part_symbol(sym.grunwald_symbol(1.5))
+            sym.real_part_symbol(sym.Symbol(1, sym.laplace1d_symbol().evaluator))
 
-    @pytest.mark.parametrize("form", ["dict", "vectors"])
-    def test_entries_below_the_floor_leave_table_band_and_levels(self, form):
-        # the peak is t_0 = 4, so the floor is 4e-14: the average 5e-14 at
-        # k = +-2 stays, 3e-14 at k = +-3 and 1e-14 on level 2 go
+    def test_keeps_every_entry_and_the_band(self):
+        # entries far below the peak t_0 = 4 are averaged like any other: none is dropped
+        # and no band shrinks, so T(f_R) is exactly (T_l + T_l^T) / 2 per level
         f = sym.Symbol(2, None, {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (2, 0): 1e-13,
                                  (3, 0): 6e-14, (0, 2): 2e-14})
-        if form == "vectors":
-            f = sym.Symbol(2, None, f.levels())
         r = sym.real_part_symbol(f)
-        want = {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (2, 0): 5e-14, (-2, 0): 5e-14}
-        assert dict(r.pairs()) == want
-        assert r.band == (2, 0)
-        levels = ops.level_matrices(r, (5, 4))
-        assert np.array_equal(ops.kron_sum_product(levels, np.eye(20)),
-                              kron_toeplitz_dense(want, (5, 4)))
+        assert dict(r.pairs()) == {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (2, 0): 5e-14,
+                                   (-2, 0): 5e-14, (3, 0): 3e-14, (-3, 0): 3e-14,
+                                   (0, 2): 1e-14, (0, -2): 1e-14}
+        assert r.band == (3, 2)
+        for t_l, a in zip(ops.level_matrices(f, (5, 4)), ops.level_matrices(r, (5, 4))):
+            assert np.array_equal((t_l + t_l.T) / 2.0, a)
 
     def test_refuses_a_coupled_table(self):
         with pytest.raises(ParameterError, match="not separable"):
@@ -451,6 +460,6 @@ def test_p_beta_truncation_keeps_four_coefficients():
     assert set(dict(t.pairs())) == {(-1,), (0,), (1,), (2,)}
     full = sym.grunwald_coefficients(1.6, band=8)
     for k in (-1, 0, 1, 2):
-        assert dict(t.pairs()).get((k,), 0.0) == pytest.approx(full[k], rel=1e-14)
+        assert dict(t.pairs()).get((k,), 0.0) == pytest.approx(full[k + 1], rel=1e-14)
     # truncation does not vanish at 0 even though f_beta does
-    assert abs(t.eval((0.0,))) > 0.05
+    assert abs(t.eval([(0.0,)])[0]) > 0.05

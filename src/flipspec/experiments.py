@@ -44,6 +44,7 @@ run_verify      verify.csv (invariant suites)
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 
@@ -500,9 +501,9 @@ def _suite_oracles(cfg: ExperimentConfig):
     matvec_row("level_matvec_vs_dense", separable, lambda op, x: op.matvec(x), "levels")
 
     # preconditioned spectra assembled from the levels, against eigvalsh of
-    # W = Lambda^{-1/2} Q^T Y T Q Lambda^{-1/2} swept from the whole gathered
-    # Y T: toepfr in the flip parity split (all-odd sizes give m_e > m_o),
-    # then p2beta and circsum at size d_n
+    # W = Lambda^{-1/2} Q^T Y T Q Lambda^{-1/2} from the whole gathered Y T and
+    # the dense Kronecker basis Q: toepfr in the flip parity split (all-odd
+    # sizes give m_e > m_o), then p2beta and circsum at size d_n
     for check, cases in (("parity_spectrum_vs_dense", (("ex2", "toepfr", (9, 7)),
                                                        ("ex3", "toepfr", (5, 4, 3)))),
                          ("level_spectrum_vs_dense", (("ex2", "p2beta", (9, 7)),
@@ -512,9 +513,8 @@ def _suite_oracles(cfg: ExperimentConfig):
             case = replace(cfg, exp=exp, precond=precond, sizes=sizes)
             f = experiment_symbol(case, sizes)
             p, _ = build_preconditioner(case, f, sizes)
-            scale = np.sqrt(p._inverse)
-            s = flipped_dense(f, sizes)
-            w = p._into(p._into(s) * scale) * scale
+            q, scale = functools.reduce(np.kron, p.bases), np.sqrt(p._inverse)
+            w = scale[:, None] * (q.T @ flipped_dense(f, sizes) @ q) * scale
             full = np.linalg.eigvalsh((w + w.T) / 2.0)
             got = preconditioned_spectrum(p, f)
             worst = max(worst, float(np.max(np.abs(got - full)) / np.max(np.abs(full))))

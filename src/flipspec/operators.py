@@ -259,19 +259,18 @@ def level_matrices(f: Symbol, sizes) -> list:
 def kron_sum_product(levels, x) -> np.ndarray:
     """sum_l (I (x) A_l (x) I) x for square level matrices A_l, level 1 slowest.
 
-    x is a vector of length d_n = prod n_l or a (d_n, k) block, and the
-    result has its shape.  The work runs on the (k, d_n) rows of x, a copy
-    only for a block: level l < d is one matmul of A_l into the
-    (k prod n_<l, n_l, prod n_>l) view, and the last level is the single
-    GEMM of the (k d_n / n_d, n_d) view with A_d^T, not a batched GEMV.
+    x is a vector of length d_n = prod n_l (ShapeError otherwise), read
+    through views: level l < d is one matmul of A_l into the
+    (prod n_<l, n_l, prod n_>l) view, and the last level is the single
+    GEMM of the (d_n / n_d, n_d) view with A_d^T, not a batched GEMV.
     """
     sizes = [a.shape[0] for a in levels]
-    rows = np.ascontiguousarray(np.reshape(x, (math.prod(sizes), -1)).T)
+    x = _check_length(x, math.prod(sizes))
     *first, last = levels
-    y = rows.reshape(-1, sizes[-1]) @ last.T
+    y = x.reshape(-1, sizes[-1]) @ last.T
     for l, a in enumerate(first):
-        y += (a @ rows.reshape(-1, sizes[l], math.prod(sizes[l + 1:]))).reshape(y.shape)
-    return y.reshape(rows.shape).T.reshape(np.shape(x))
+        y += (a @ x.reshape(-1, sizes[l], math.prod(sizes[l + 1:]))).reshape(y.shape)
+    return y.reshape(-1)
 
 
 def _in_band(f: Symbol, n):

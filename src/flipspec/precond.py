@@ -61,7 +61,8 @@ import math
 import numpy as np
 
 from .errors import NotSPDError, ParameterError, ShapeError, SymmetryError
-from .operators import _guard_capacity, kron_sum_product, level_matrices, toeplitz_level
+from .operators import (_check_length, _guard_capacity, kron_sum_product, level_matrices,
+                        toeplitz_level)
 from .symbols import (Symbol, fractional_mesh, kron_sum_symbol,
                       laplace1d_symbol, p_beta_truncation, real_part_symbol)
 
@@ -127,13 +128,12 @@ class ToeplitzPreconditioner:
     is real and equals its transpose and its flip J A_l J exactly, and
     NotSPDError unless Lambda is positive.  ``symbol`` is the symbol of the
     preconditioner sequence, the weight that divides |f| in the sample set.
-    The vector methods take a vector of length d_n or a (d_n, k) block;
+    The vector methods take one vector of length d_n (ShapeError otherwise);
     the instance is immutable and they are reentrant.
     The eigenbasis is applied by a rotating sweep, one GEMM per level: the
     first pass takes the levels in order, applies Q_l^T along the leading
-    level and moves it last, so a block ends as (k, n_1, ..., n_d); after
-    the scale, the second pass takes them in reverse, applies Q_l along the
-    trailing level and moves it first, back to (d_n, k).
+    level and moves it last; after the scale, the second pass takes them in
+    reverse, applies Q_l along the trailing level and moves it first.
     """
 
     def __init__(self, levels, symbol: Symbol = None):
@@ -181,26 +181,16 @@ class ToeplitzPreconditioner:
             raise ParameterError("preconditioner symbol has no coefficients")
         return cls(levels, h)
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
-            raise ShapeError(f"expected a vector of length {self.dim} or a ({self.dim}, k) "
-                             f"block, got shape {x.shape}")
-        return x
-
-    def _into(self, x) -> np.ndarray:
-        # (Q^T x)^T, one GEMM per level: a (d_n, k) block comes out as (k, d_n)
-        y = self._check(x)
+    def _sweep(self, r, scale) -> np.ndarray:
+        # Q diag(scale) Q^T r by the rotating sweep of the class notes
+        y = _check_length(r, self.dim)
         for q, n in zip(self.bases, self.sizes):
             y = y.reshape(n, -1).T @ q
-        return y.reshape(-1, self.dim)
-
-    def _out_of(self, y, scale, shape) -> np.ndarray:
-        # Q diag(scale) y for the fresh (k, d_n) output of _into, scaled in place
+        y = y.reshape(-1)
         y *= scale
         for q, n in zip(reversed(self.bases), reversed(self.sizes)):
             y = q @ y.reshape(-1, n).T
-        return y.reshape(shape)
+        return y.reshape(-1)
 
     def apply(self, x):
         """P x, by the level matrices themselves rather than the eigenbasis.
@@ -208,13 +198,13 @@ class ToeplitzPreconditioner:
         This is the level product of ``ToeplitzOperator.matvec``,
         ``operators.kron_sum_product``: one GEMM per level.
         """
-        return kron_sum_product(self.levels, self._check(x))
+        return kron_sum_product(self.levels, x)
 
     def apply_inverse(self, r):
-        return self._out_of(self._into(r), self._inverse, np.shape(r))
+        return self._sweep(r, self._inverse)
 
     def apply_inverse_sqrt(self, r):
-        return self._out_of(self._into(r), np.sqrt(self._inverse), np.shape(r))
+        return self._sweep(r, np.sqrt(self._inverse))
 
 
 # The benchmark's tracer looks the circulant preconditioner up by this name.

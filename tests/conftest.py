@@ -6,6 +6,8 @@ products, averaging formulas), so a test compares two genuinely different
 computations.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -126,3 +128,20 @@ def grunwald_closed_form(gamma, k):
 def tridiag_laplacian_eigs(n):
     """Closed form for eig(tridiag(-1, 2, -1)) at size n."""
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+
+
+def eigenbasis_w(bases, eigenvalues, s):
+    """Symmetric W = Lambda^{-1/2} Q^T S Q Lambda^{-1/2} for Q = Q_1 (x) ... (x) Q_d.
+
+    Lambda = sum_l lambda_l on the index lattice.  Each Q_l is contracted with
+    its row axis and its column axis of the (n_1, ..., n_d, n_1, ..., n_d)
+    view of S by np.tensordot, so no dense Kronecker Q is formed.
+    """
+    sizes = tuple(len(q) for q in bases)
+    w = np.asarray(s, dtype=float).reshape(sizes + sizes)
+    for l, q in enumerate(bases):
+        for axis in (l, len(sizes) + l):
+            w = np.moveaxis(np.tensordot(w, q, axes=(axis, 0)), -1, axis)
+    scale = 1.0 / np.sqrt(functools.reduce(np.add.outer, eigenvalues).ravel())
+    w = scale[:, None] * w.reshape(len(scale), -1) * scale
+    return (w + w.T) / 2.0

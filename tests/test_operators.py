@@ -414,7 +414,8 @@ class TestLevelProduct:
             return
         levels = ops.level_matrices(sym.Symbol(len(sizes), None, {**coeffs, **far}), sizes)
         assert [a.shape for a in levels] == [(nl, nl) for nl in sizes]
-        dense = ops.kron_sum_product(levels, np.eye(int(np.prod(sizes))))
+        dense = np.column_stack([ops.kron_sum_product(levels, e)
+                                 for e in np.eye(int(np.prod(sizes)))])
         assert np.array_equal(dense, kron_toeplitz_dense(coeffs, sizes))
 
     def test_level_matrices_refuse_a_coupled_index_and_a_size_mismatch(self):

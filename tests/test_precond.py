@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (brute_frobenius_circulant, dense_circulant, fft_fourier_coefficients,
-                      kron_toeplitz_dense)
+from conftest import (brute_frobenius_circulant, dense_circulant, eigenbasis_w,
+                      fft_fourier_coefficients, kron_toeplitz_dense)
 from flipspec import precond as pc
 from flipspec import operators as ops
 from flipspec import symbols as sym
@@ -156,7 +156,7 @@ class TestCirculantKronSum:
         p = pc.build_circulant_kron_sum(f, (4, 3, 5))
         dense = circsum_dense(f, (4, 3, 5))
         rng = np.random.default_rng(42)
-        for x in (rng.standard_normal(60), rng.standard_normal((60, 3))):
+        for x in rng.standard_normal((4, 60)):
             np.testing.assert_allclose(p.apply(x), dense @ x, atol=1e-12)
             np.testing.assert_allclose(p.apply_inverse(x), np.linalg.solve(dense, x),
                                        atol=1e-10)
@@ -164,7 +164,7 @@ class TestCirculantKronSum:
     def test_inverse_round_trip(self):
         p = pc.build_circulant_kron_sum(laplace_sum_symbol(2), (8, 5))
         rng = np.random.default_rng(43)
-        for x in (rng.standard_normal(40), rng.standard_normal((40, 2))):
+        for x in rng.standard_normal((3, 40)):
             np.testing.assert_allclose(p.apply(p.apply_inverse(x)), x, atol=1e-10)
             z = p.apply_inverse_sqrt(p.apply_inverse_sqrt(x))
             np.testing.assert_allclose(z, p.apply_inverse(x), atol=1e-10)
@@ -231,16 +231,15 @@ class TestToeplitzPreconditioner:
                     coeffs[tuple(key)] = v
         p = pc.ToeplitzPreconditioner.from_symbol(sym.Symbol(2, None, coeffs), (16, 9))
         dense = kron_toeplitz_dense(coeffs, (16, 9))
-        for r in (rng.standard_normal(144), rng.standard_normal((144, 4))):
-            np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
-            np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r),
-                                       atol=1e-12)
+        r = rng.standard_normal(144)
+        np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
+        np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-12)
 
     @pytest.mark.parametrize("sizes", [(7,), (5, 1), (1, 6), (4, 5), (3, 1, 4), (2, 3, 4)])
     def test_eigen_apply_matches_dense_eigen_oracle(self, sizes):
         # size-1 and unequal levels catch a sweep that reshapes along the wrong
-        # level, and r.T is a non-contiguous block; the levels are symmetric
-        # and centrosymmetric, (s + J s J) / 2
+        # level, a reversed and a strided vector one that assumes contiguous
+        # input; the levels are symmetric and centrosymmetric, (s + J s J) / 2
         rng = np.random.default_rng(sum(sizes))
         levels = []
         for n in sizes:
@@ -252,8 +251,8 @@ class TestToeplitzPreconditioner:
         w, v = np.linalg.eigh(kron_sum_dense(levels))
         inverse = (v / w) @ v.T
         inverse_sqrt = (v / np.sqrt(w)) @ v.T
-        for r in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3)),
-                  rng.standard_normal((3, p.dim)).T):
+        draw = rng.standard_normal(2 * p.dim)
+        for r in (draw[:p.dim], draw[p.dim:][::-1], draw[::2]):
             for got, want in ((p.apply(r), kron_sum_dense(levels) @ r),
                               (p.apply_inverse(r), inverse @ r),
                               (p.apply_inverse_sqrt(r), inverse_sqrt @ r)):
@@ -315,6 +314,17 @@ class TestToeplitzPreconditioner:
         with pytest.raises(ParameterError, match="not separable"):
             pc.ToeplitzPreconditioner.from_symbol(h, (4, 4))
 
+    def test_products_take_one_vector(self):
+        # a length that is a multiple of d_n is not read as a (d_n, k) block
+        with pytest.raises(ShapeError):
+            ops.kron_sum_product([np.eye(5)], np.ones(10))
+        with pytest.raises(ShapeError):
+            ops.kron_sum_product([np.eye(2), np.eye(3)], np.ones(12))
+        p = pc.ToeplitzPreconditioner([2.0 * np.eye(2), np.eye(3)])
+        for method in (p.apply, p.apply_inverse, p.apply_inverse_sqrt):
+            with pytest.raises(ShapeError):
+                method(np.ones((6, 2)))
+
     def test_indefinite_symbol_names_the_pivot(self):
         # 2 cos theta changes sign, so T_5 has eigenvalues of both signs
         two_cos = sym.Symbol(1, None, {(1,): 1.0, (-1,): 1.0})
@@ -365,7 +375,7 @@ class TestFractionalPreconditioners:
         np.testing.assert_allclose(np.sort(tensor.ravel()),
                                    np.linalg.eigvalsh(dense), atol=1e-12)
         assert tensor.min() > 0.0
-        r = np.random.default_rng(51).standard_normal((120, 2))
+        r = np.random.default_rng(51).standard_normal(120)
         np.testing.assert_allclose(p.apply(r), dense @ r, atol=1e-12)
         np.testing.assert_allclose(p.apply_inverse(r), np.linalg.solve(dense, r), atol=1e-10)
 
@@ -533,13 +543,13 @@ class TestPreconditionedSpectrum:
                                                    ("ex2", "p22", (17, 19)),
                                                    ("ex3", "circsum", (7, 9, 8))])
     def test_matches_the_whole_matrix_w(self, exp, precond, sizes):
-        # the level assembly against W swept from the whole Y T, on two- and
+        # the level assembly against W from the whole Y T, on two- and
         # three-level bases with odd and even level sizes, within 1e-13 of
         # max|lambda|: eigvalsh's error bound scales with ||W||, so a small
         # eigenvalue (0.05 at circsum (7, 9, 8)) can move by more relative to itself
         p, f, s = experiment_case(exp, precond, sizes)
         got = pc.preconditioned_spectrum(p, f)
-        want = np.linalg.eigvalsh(whole_matrix_w(p, s))
+        want = np.linalg.eigvalsh(eigenbasis_w(p.bases, p.eigenvalues, s))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     def test_rejects_a_complex_table(self):
@@ -604,22 +614,16 @@ class TestPreconditionedSpectrum:
                                                ("custom", "toepfr", (201,))])
 def test_level_form_applies_w(exp, precond, sizes):
     # W x = Lambda^{-1/2} D K Lambda^{-1/2} x with K = sum_l I (x) D_l G_l (x) I, one level
-    # product between two diagonal scalings, against W swept from the whole Y T.  Within
+    # product between two diagonal scalings, against W from the whole Y T.  Within
     # 1e-13 in norm (measured 1.8e-15 or less): a near-zero entry of W x carries the
     # rounding of its larger terms, so no entrywise rtol holds
     p, f, s = experiment_case(exp, precond, sizes)
     dg, scale, left = pc._level_form(p, ops.level_matrices(f, sizes))
-    x = np.random.default_rng(59).standard_normal((p.dim, 3))
-    got = left[:, None] * ops.kron_sum_product(dg, scale[:, None] * x)
-    want = whole_matrix_w(p, s) @ x
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-
-def whole_matrix_w(p, s):
-    """Symmetric Lambda^{-1/2} Q^T S Q Lambda^{-1/2}, by whole-matrix sweeps."""
-    scale = np.sqrt(p._inverse)
-    w = p._into(p._into(s) * scale) * scale
-    return (w + w.T) / 2.0
+    w = eigenbasis_w(p.bases, p.eigenvalues, s)
+    for x in np.random.default_rng(59).standard_normal((3, p.dim)):
+        got = left * ops.kron_sum_product(dg, scale * x)
+        want = w @ x
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def experiment_case(exp, precond, sizes):
@@ -647,7 +651,7 @@ class TestParitySpectrum:
         # 8e-15 or less on these cases
         p, f, s = experiment_case(exp, "toepfr", sizes)
         got = pc.preconditioned_spectrum(p, f)
-        w = whole_matrix_w(p, s)
+        w = eigenbasis_w(p.bases, p.eigenvalues, s)
         vecs = np.linalg.eigh(w)[1]
         want = np.sort(np.einsum("ij,ij->j", vecs, w @ vecs))
         assert got.shape == want.shape
@@ -707,7 +711,7 @@ class TestParitySpectrum:
             solved.append(len(a))
             return eigvalsh(a, *args, **kwargs)
 
-        want = eigvalsh(whole_matrix_w(p, s))
+        want = eigvalsh(eigenbasis_w(p.bases, p.eigenvalues, s))
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         got = pc.preconditioned_spectrum(p, f)
         assert len(solved) == 1

@@ -28,8 +28,8 @@ from .symbols import (Symbol, fourier_coefficients, kron_sum_symbol, constant_sy
                       convection_diffusion_symbol, real_part_symbol,
                       p_beta_truncation)
 from .operators import (ToeplitzOperator, flipped_dense, flipped_blocks, flip_apply,
-                        u_apply, pi_apply, flip_map, u_map, pi_map, assemble_block_g,
-                        interleaved_block_g, assemble_hankel, structure_residual)
+                        flip_map, u_map, pi_map, assemble_block_g, interleaved_block_g,
+                        assemble_hankel, structure_residual)
 from .spectral import (sym_eigenvalues, singular_values, build_gamma,
                        build_delta, build_lambda, match_eigenvalues, tent,
                        distribution_discrepancy, zero_distribution_verdict,

@@ -32,11 +32,9 @@ toeplitz_level            dense one-level Toeplitz matrix from t_{1-n}..t_{n-1}
 level_matrices            T_{n_l}(f_l) per level of a separable table, t_0 on level 1
 kron_sum_product          sum_l (I (x) A_l (x) I) x, one GEMM per level
 flip_apply                reversed copy of the vector (Y_n x)
-u_apply                   reverse the leading half of each level (U_n x)
-pi_apply                  even-size shuffle permutation (Pi_n x, Pi_n^T x)
-flip_map / u_map / pi_map flat index maps; u_apply and pi_apply gather by theirs
+flip_map / u_map / pi_map flat index maps of Y_n, U_n and the shuffle Pi_n (x[map])
 assemble_block_g          2x2-block Toeplitz of g = [[0, f], [f*, 0]]
-interleaved_block_g       per-level interleaved form of the same symbol
+interleaved_block_g       the same symbol per level interleaved: Y T at half size, folded
 assemble_hankel           dense multilevel Hankel with entry t_{i+j}
 structure_residual        D = Pi U Y T(f) U Pi^T - T(g) with rank/norm split
 """
@@ -86,9 +84,8 @@ def flat_map(per_level, sizes) -> np.ndarray:
 
 
 def flip_map(n) -> np.ndarray:
-    """Flat map of the flip Y_n: every level index reversed."""
-    sizes = as_sizes(n)
-    return flat_map([np.arange(m)[::-1] for m in sizes], sizes)
+    """Flat map of the flip Y_n: every level index reversed, so the whole flat layout."""
+    return np.arange(total_dim(n))[::-1]
 
 
 def u_map(n) -> np.ndarray:
@@ -124,18 +121,6 @@ def flip_apply(n, x):
     """
     sizes = as_sizes(n)
     return _check_length(x, math.prod(sizes))[::-1].copy()
-
-
-def u_apply(n, x):
-    """y = U_n x: reverse the leading half of each level, fix the rest."""
-    sizes = as_sizes(n)
-    return _check_length(x, math.prod(sizes))[u_map(sizes)]
-
-
-def pi_apply(n, x, transposed: bool = False):
-    """y = Pi_n x (or Pi_n^T x when transposed).  Raises on odd level sizes."""
-    sizes = as_sizes(n)
-    return _check_length(x, math.prod(sizes))[pi_map(sizes, transposed)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,36 +416,31 @@ def assemble_block_g(f: Symbol, n) -> np.ndarray:
     return out
 
 
-def _block_level(k: int, n: int) -> np.ndarray:
-    # one level of the interleaved block form: even size n = 2m, the
-    # monomial e^{ik theta} lands on the two off-parity diagonals
-    m = n // 2
-    out = np.zeros((n, n))
-    out[0::2, 1::2] = np.eye(m, k=-k)
-    out[1::2, 0::2] = np.eye(m, k=k)
-    return out
-
-
 def interleaved_block_g(f: Symbol, n) -> np.ndarray:
     """The block symbol g assembled in per-level interleaved layout, size d_n.
 
     Each level is split into even/odd slots in place instead of stacking the
-    two branches last, which is the layout the shuffle conjugation
-    Pi U Y T(f) U Pi^T actually produces.  For one level this is the plain
-    2x2-block form of ``assemble_block_g`` at block count n/2.  All level
-    sizes must be even.
+    two branches last, the layout the shuffle conjugation Pi U Y T(f) U Pi^T
+    produces; on one level this is ``assemble_block_g`` at block count n/2.
+    Slot 2i + p of a level reads index h_l - 1 - i (p = 0) or i (p = 1) of
+    Y T at the half sizes h_l = n_l / 2, so an entry whose slots differ in
+    parity on every level is t_{i-j} or t_{j-i} there; every other entry is
+    zero.  f as for ``ToeplitzOperator``; all level sizes must be even.
     """
     sizes = as_sizes(n)
     d_n = total_dim(sizes)
     _guard_capacity(d_n, "interleaved block assembly")
     if any(m % 2 for m in sizes):
         raise EvenSizeError(f"interleaved block form needs even level sizes, got {sizes}")
+    halves, table, key = _flipped_lookup(f, [m // 2 for m in sizes])
+    key = key[flat_map([np.c_[np.arange(h)[::-1], np.arange(h)].ravel() for h in halves], halves)]
+    # the parity class of each slot, level 1 its leading bit; class p pairs with full - p
+    parity = flat_map([np.arange(m) % 2 for m in sizes], (2,) * len(sizes))
+    full = 2 ** len(sizes) - 1
     out = np.zeros((d_n, d_n))
-    for k, t in f.pairs():
-        term = _block_level(k[0], sizes[0])
-        for kl, nl in zip(k[1:], sizes[1:]):
-            term = np.kron(term, _block_level(kl, nl))
-        out += t * term
+    for p in range(full + 1):
+        rows, cols = np.flatnonzero(parity == p), np.flatnonzero(parity == full - p)
+        out[np.ix_(rows, cols)] = _dense_lookup(table, key[rows], key[cols])
     return out
 
 
@@ -471,7 +451,9 @@ def assemble_hankel(f: Symbol, n) -> np.ndarray:
     anti-diagonals are constant in i + j.  The t_{-(i+j)} Hankel is this
     one of the reflected table t'_k = t_{-k}.
     """
-    sizes = as_sizes(n)
+    if not isinstance(f, Symbol):
+        raise ParameterError(f"a Hankel matrix takes a Symbol f, got {type(f).__name__}")
+    sizes = f.check_sizes(n)
     _guard_capacity(total_dim(sizes), "dense Hankel assembly")
     table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
     for k, t in f.pairs():
@@ -507,6 +489,7 @@ def structure_residual(f: Symbol, n):
     """
     if any(m % 2 for m in as_sizes(n)):
         raise EvenSizeError(f"structure residual needs even level sizes, got {n}")
-    d = _shuffle_conjugate(flipped_dense(f, n), n) - interleaved_block_g(f, n)
+    d = _shuffle_conjugate(flipped_dense(f, n), n)
+    d -= interleaved_block_g(f, n)
     _, count, tail = _singular_split(np.linalg.svd(d, compute_uv=False), 1e-8)
     return d, count / (2.0 * len(d)), tail

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ParameterError, PoleError, ShapeError, SymmetryError
 from .symbols import Symbol, as_sizes
-from .operators import _guard_capacity, _panels, _singular_split, u_map
+from .operators import _guard_capacity, _panels, _singular_split, assemble_hankel, u_map
 
 
 def sym_eigenvalues(a) -> np.ndarray:
@@ -331,8 +331,9 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     For each band term e^{ik theta} of a one-level symbol, U_n Y_n T_n U_n
     embeds exactly into a size n+1 matrix [[H_+, T_+], [T_-, H_-]] with the
     middle row and column deleted; the deviation is reported per term and
-    is zero in exact arithmetic.  The Hankel corner blocks built from the
-    full coefficient table are the correction the identity leaves behind;
+    is zero in exact arithmetic.  The Hankel corner blocks of the full
+    coefficient table (``assemble_hankel`` of f and of its reflected table
+    t'_k = t_{-k}) are the correction the identity leaves behind;
     the report carries their singular-value split (a handful of
     anti-diagonal hits and a zero tail for banded symbols).
     """
@@ -356,10 +357,9 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
         rhs = big[np.ix_(keep, keep)]
         deviations[k] = float(np.max(np.abs(lhs - rhs)))
 
+    reflected = Symbol(1, None, {(-k,): t for (k,), t in f.pairs()})
     hank = np.zeros((2 * m + 2, 2 * m + 2))
-    for kk, t in f.pairs():
-        hp, _, _, hm = _monomial_blocks(kk[0], m)
-        hank[: m + 1, : m + 1] += t * hp
-        hank[m + 1 :, m + 1 :] += t * hm
+    hank[: m + 1, : m + 1] = assemble_hankel(f, (m + 1,))
+    hank[m + 1 :, m + 1 :] = assemble_hankel(reflected, (m + 1,))
     top, count, tail = _singular_split(singular_values(hank), 1e-8)
     return OddEmbeddingReport(n, deviations, top, count / (2.0 * m + 2.0), tail)

@@ -7,6 +7,7 @@ computations.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 
@@ -28,6 +29,44 @@ def kron_toeplitz_dense(coefficients, sizes):
     if np.max(np.abs(out.imag)) == 0.0:
         return out.real
     return out
+
+
+def interleaved_block_dense(coefficients, sizes):
+    """Direct Kronecker assembly of the interleaved block form of g = [[0, f], [f*, 0]].
+
+    Per level of even size n = 2m, the monomial e^{i k theta} is the 0/1
+    matrix B^(k) with ones at (2i, 2j + 1) for i - j = k and at (2i + 1, 2j)
+    for j - i = k; the form is sum over k of t_k prod_l B^(k_l).
+    """
+    def block(k, n):
+        m = n // 2
+        out = np.zeros((n, n))
+        out[0::2, 1::2] = np.eye(m, k=-k)
+        out[1::2, 0::2] = np.eye(m, k=k)
+        return out
+
+    sizes = tuple(int(v) for v in sizes)
+    d_n = int(np.prod(sizes))
+    out = np.zeros((d_n, d_n))
+    for k, t in coefficients.items():
+        term = block(k[0], sizes[0])
+        for kl, nl in zip(k[1:], sizes[1:]):
+            term = np.kron(term, block(kl, nl))
+        out += t * term
+    return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes tracemalloc traces while fn(*args, **kwargs) runs.
+
+    tracemalloc sees numpy's arrays but not LAPACK's work arrays.
+    """
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def shifted_sum(coefficients, sizes, x):

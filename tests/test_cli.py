@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from flipspec import experiments, operators, precond
 from flipspec.cli import main
 from flipspec.errors import CapacityError, ParameterError
@@ -130,12 +131,7 @@ class TestDenseFootprint:
         monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
         cfg = ExperimentConfig(exp=exp, precond=precond, sizes=sizes, out=str(tmp_path))
         run = experiments.run_spectrum if command == "spectrum" else experiments.run_match
-        tracemalloc.start()
-        try:
-            run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run, cfg)
         unit = 8.0 * d_n * d_n
         assert peak / unit <= arrays + 0.4
         assert len(found) == len(held)

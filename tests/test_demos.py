@@ -35,3 +35,21 @@ def test_readme_example_runs(tmp_path):
     assert len(blocks) == 1
     done = run_python(["-c", blocks[0]], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+STRUCTURE_STDOUT = """\
+e^{i theta}: rank fractions ['0.0625', '0.0312', '0.0156']
+two-level: rank fractions ['0.1094', '0.0586']
+f = 1: residual is exactly zero: True
+hankel fractions ['0.2500', '0.1250', '0.0625'] -> PASS
+  largest singular values at n=32: [1. 1. 0. 0.]
+k=0, n=3: exact=True, correction rank fraction 0.5000, tail 0.0e+00
+k=1, n=5: exact=True, correction rank fraction 0.3333, tail 0.0e+00
+k=2, n=7: exact=True, correction rank fraction 0.3750, tail 0.0e+00
+"""
+
+
+def test_structure_demo_prints_exact_values(tmp_path):
+    # every value printed is a count, an exact zero or a singular value rounded to 6 places
+    done = run_python([str(ROOT / "demos" / "structure_identities.py")], tmp_path)
+    assert done.stdout == STRUCTURE_STDOUT

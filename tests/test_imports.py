@@ -9,9 +9,10 @@ no module keeps an ``__all__`` list, and the one CSV writer is the only code
 that opens a file.  No linter ships
 with the package, so this scans the source with ``ast``.  ``__init__.py`` is
 skipped: its imports are the package's re-exports.  An ex2 solve and the dense
-``spectrum``/``match`` path load no scipy module, and an ex3 solve no scipy
-subpackage but ``scipy.sparse``: each scipy import adds its load time to
-every cold ``flipspec table`` or ``spectrum`` run.
+``spectrum``/``match`` path load no scipy module, nor does ``verify`` without
+its oracles suite, and an ex3 solve no scipy subpackage but ``scipy.sparse``:
+each scipy import adds its load time to every cold ``flipspec table``,
+``spectrum`` or ``verify`` run.
 """
 
 import ast
@@ -234,12 +235,11 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_modules_after_solve(exp, precond, sizes) -> list:
-    """The scipy modules loaded by one flipped solve in a fresh interpreter."""
+def scipy_modules_after(script, *args) -> list:
+    """The scipy modules loaded by running script with args in a fresh interpreter."""
     src = str(SOURCES[0].parents[1])
-    out = subprocess.run([sys.executable, "-c", SOLVE_SCRIPT, exp, precond, sizes],
-                         check=True, capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src})
+    out = subprocess.run([sys.executable, "-c", script, *args], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -258,18 +258,29 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 def test_spectrum_and_match_load_no_scipy(tmp_path):
-    src = str(SOURCES[0].parents[1])
-    out = subprocess.run([sys.executable, "-c", SPECTRUM_SCRIPT, str(tmp_path)], check=True,
-                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    assert scipy_modules_after(SPECTRUM_SCRIPT, str(tmp_path)) == []
+
+
+VERIFY_SCRIPT = """\
+import json, sys
+from flipspec import experiments as ex
+cfg = ex.ExperimentConfig(exp="ex1", out=sys.argv[1])
+assert ex.run_verify(cfg, ["ops", "structure", "hankel", "distribution"])["pass"]
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_verify_without_oracles_loads_no_scipy(tmp_path):
+    # the oracles suite checks the matvec kernels, scipy's DIA one among them
+    assert scipy_modules_after(VERIFY_SCRIPT, str(tmp_path)) == []
 
 
 def test_ex2_solve_loads_no_scipy():
-    assert scipy_modules_after_solve("ex2", "p22", "10,10") == []
+    assert scipy_modules_after(SOLVE_SCRIPT, "ex2", "p22", "10,10") == []
 
 
 def test_ex3_solve_loads_only_scipy_sparse():
     # scipy's own root and private modules come with any subpackage
-    loaded = scipy_modules_after_solve("ex3", "circsum", "5,5,5")
+    loaded = scipy_modules_after(SOLVE_SCRIPT, "ex3", "circsum", "5,5,5")
     public = {m.split(".")[1] for m in loaded if "." in m} - {"version"}
     assert {name for name in public if not name.startswith("_")} == {"sparse"}

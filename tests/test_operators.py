@@ -3,13 +3,13 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import kron_toeplitz_dense, random_banded_table, shifted_sum
+from conftest import (interleaved_block_dense, kron_toeplitz_dense, random_banded_table,
+                      shifted_sum, traced_peak)
 from flipspec import operators as ops
 from flipspec import symbols as sym
 from flipspec.errors import (CapacityError, EvenSizeError, ParameterError, ShapeError,
@@ -474,21 +474,21 @@ class TestIndexMaps:
 
     def test_u_reverses_leading_half(self):
         np.testing.assert_array_equal(
-            ops.u_apply((4,), np.array([1.0, 2.0, 3.0, 4.0])), [2.0, 1.0, 3.0, 4.0])
+            np.array([1.0, 2.0, 3.0, 4.0])[ops.u_map((4,))], [2.0, 1.0, 3.0, 4.0])
         np.testing.assert_array_equal(
-            ops.u_apply((5,), np.arange(1.0, 6.0)), [3.0, 2.0, 1.0, 4.0, 5.0])
+            np.arange(1.0, 6.0)[ops.u_map((5,))], [3.0, 2.0, 1.0, 4.0, 5.0])
 
     def test_u_involution(self):
         rng = np.random.default_rng(21)
         for sizes in ((7,), (4, 5), (3, 4, 5)):
             x = rng.standard_normal(int(np.prod(sizes)))
-            np.testing.assert_array_equal(ops.u_apply(sizes, ops.u_apply(sizes, x)), x)
+            np.testing.assert_array_equal(x[ops.u_map(sizes)][ops.u_map(sizes)], x)
 
     def test_pi_two_is_identity(self):
         np.testing.assert_array_equal(ops.pi_map((2,)), [0, 1])
 
     def test_pi_transpose_gathers_parities(self):
-        y = ops.pi_apply((4,), np.array([1.0, 2.0, 3.0, 4.0]), transposed=True)
+        y = np.array([1.0, 2.0, 3.0, 4.0])[ops.pi_map((4,), transposed=True)]
         np.testing.assert_array_equal(y, [1.0, 3.0, 2.0, 4.0])
 
     def test_pi_matrix_against_column_rule(self):
@@ -539,6 +539,16 @@ class TestBlockForms:
         np.testing.assert_array_equal(ops.interleaved_block_g(f, (8,)),
                                       ops.assemble_block_g(f, (4,)))
 
+    @pytest.mark.parametrize("sizes", [(8,), (2, 6), (6, 4), (4, 2, 6), (2, 2, 2)])
+    def test_interleaved_matches_kronecker_blocks(self, sizes):
+        # a coupled table with bands n_l/2 to n_l - 1, past the half sizes the form reads
+        rng = np.random.default_rng(sum(sizes))
+        band = tuple(int(rng.integers(nl // 2, nl)) for nl in sizes)
+        coeffs = {tuple(int(ki) - qi for ki, qi in zip(k, band)): float(rng.standard_normal())
+                  for k in np.ndindex(*(2 * q + 1 for q in band))}
+        got = ops.interleaved_block_g(sym.Symbol(len(sizes), None, coeffs), sizes)
+        np.testing.assert_array_equal(got, interleaved_block_dense(coeffs, sizes))
+
     def test_interleaved_rejects_odd_sizes(self):
         with pytest.raises(EvenSizeError):
             ops.interleaved_block_g(sym.ex1_symbol(), (4, 5))
@@ -553,6 +563,29 @@ class TestBlockForms:
             got = p @ u @ y @ u @ p.T
             want = ops.interleaved_block_g(sym.constant_symbol(1.0, len(sizes)), sizes)
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("assemble", [ops.assemble_hankel, ops.interleaved_block_g],
+                         ids=["hankel", "interleaved"])
+@pytest.mark.parametrize("f,sizes,error", [
+    (sym.ex1_symbol(), (8,), ShapeError),
+    (sym.laplace1d_symbol(), (4, 4), ShapeError),
+    ({(0,): 1.0}, (4,), ParameterError),
+], ids=["two_levels_one_size", "one_level_two_sizes", "not_a_symbol"])
+def test_structure_assemblers_check_their_input(assemble, f, sizes, error):
+    with pytest.raises(error):
+        assemble(f, sizes)
+
+
+@pytest.mark.parametrize("assemble,arrays", [(ops.interleaved_block_g, 2),
+                                             (ops.structure_residual, 3)],
+                         ids=["interleaved", "residual"])
+@pytest.mark.parametrize("exp,sizes", [("ex2", (32, 32)), ("custom", (256,))])
+def test_structure_layer_peak(assemble, arrays, exp, sizes):
+    # traced peak in d_n x d_n arrays: the form is its output plus at most one more array,
+    # the residual the shuffled Y T with the form subtracted in place
+    f = experiment_symbol(ExperimentConfig(exp=exp), sizes)
+    assert traced_peak(assemble, f, sizes) < arrays * 8 * int(np.prod(sizes)) ** 2
 
 
 class TestHankel:
@@ -574,6 +607,13 @@ class TestHankel:
         reflected = sym.Symbol(1, None, {(-k,): t for (k,), t in f.pairs()})
         h = ops.assemble_hankel(reflected, (3,))
         want = np.array([[2.0, -1.0, 5.0], [-1.0, 5.0, 0.0], [5.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(h, want)
+
+    def test_reads_up_to_twice_the_last_index(self):
+        # entry (i, j) reads t_{i+j}, so k runs to 2 (n - 1), past the Toeplitz band
+        h = ops.assemble_hankel(sym.Symbol(1, None, {(4,): 1.0, (5,): 2.0}), (3,))
+        want = np.zeros((3, 3))
+        want[2, 2] = 1.0
         np.testing.assert_array_equal(h, want)
 
     def test_two_level_entry_rule(self):
@@ -632,12 +672,7 @@ class TestStructureResidual:
         # (1.006 x 8 d_n^2 bytes measured at 40^2)
         sizes = (40, 40)
         ya = ops.flipped_dense(sym.ex1_symbol(), sizes)
-        tracemalloc.start()
-        try:
-            ops._shuffle_conjugate(ya, sizes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(ops._shuffle_conjugate, ya, sizes)
         assert peak < 1.1 * 8 * len(ya) ** 2
 
 

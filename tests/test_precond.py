@@ -6,13 +6,12 @@ from the preconditioner under test.
 """
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (brute_frobenius_circulant, dense_circulant, eigenbasis_w,
-                      fft_fourier_coefficients, kron_toeplitz_dense)
+                      fft_fourier_coefficients, kron_toeplitz_dense, traced_peak)
 from flipspec import precond as pc
 from flipspec import operators as ops
 from flipspec import symbols as sym
@@ -589,12 +588,7 @@ class TestPreconditionedSpectrum:
         # W itself and, per fiber, arrays of at most n_l x n_l: measured 1.01-1.05
         # d_n^2 doubles (tracemalloc does not see LAPACK's copy inside eigvalsh)
         p, f, _ = experiment_case(exp, precond, sizes)
-        tracemalloc.start()
-        try:
-            pc.preconditioned_spectrum(p, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(pc.preconditioned_spectrum, p, f)
         assert peak < 1.1 * 8 * p.dim**2
 
     @pytest.mark.parametrize("levels", [1, 3])
@@ -664,12 +658,7 @@ class TestParitySpectrum:
         # d_n^2 / 2 doubles, never W itself.  The one-level custom family is
         # left out: its level matrices alone are d_n x d_n
         p, f, _ = experiment_case(exp, "toepfr", sizes)
-        tracemalloc.start()
-        try:
-            pc.preconditioned_spectrum(p, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(pc.preconditioned_spectrum, p, f)
         assert peak < 0.6 * 8 * p.dim**2
 
     def test_one_level_spectrum_stays_within_its_stated_peak(self):
@@ -677,12 +666,7 @@ class TestParitySpectrum:
         # Q_1^T J T_1 are each d_n x d_n, then that product and G_1.  Measured 2.25 d_n^2
         # doubles at n = 200
         p, f, _ = experiment_case("custom", "toepfr", (200,))
-        tracemalloc.start()
-        try:
-            pc.preconditioned_spectrum(p, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(pc.preconditioned_spectrum, p, f)
         assert peak < 2.5 * 8 * p.dim**2
 
     @pytest.mark.parametrize("exp,precond,sizes,half", [

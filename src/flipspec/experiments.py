@@ -341,7 +341,7 @@ def _suite_ops(cfg: ExperimentConfig):
     fu = u_map((5,))
     gap = float(np.max(np.abs(np.arange(5.0)[fu][fu] - np.arange(5.0))))
     rows.append(("ops", "u_involution", gap == 0.0, f"{gap:g}"))
-    gap = float(np.max(np.abs(x[pi_map(sizes)][pi_map(sizes, transposed=True)] - x)))
+    gap = float(np.max(np.abs(x[pi_map(sizes)][np.argsort(pi_map(sizes))] - x)))
     rows.append(("ops", "pi_orthogonal", gap == 0.0, f"{gap:g}"))
 
     conj = _shuffle_conjugate(np.eye(d_n)[::-1], sizes)  # Y T(1) = Y

@@ -35,8 +35,8 @@ flip_apply                reversed copy of the vector (Y_n x)
 flip_map / u_map / pi_map flat index maps of Y_n, U_n and the shuffle Pi_n (x[map])
 assemble_block_g          2x2-block Toeplitz of g = [[0, f], [f*, 0]]
 interleaved_block_g       the same symbol per level interleaved: Y T at half size, folded
-assemble_hankel           dense multilevel Hankel with entry t_{i+j}
-structure_residual        D = Pi U Y T(f) U Pi^T - T(g) with rank/norm split
+assemble_hankel           dense multilevel Hankel t_{i+j}: Y T of the table shifted by n - 1
+structure_residual        D = Pi U Y T(f) U Pi^T - T(g) with rank/norm split of |eigvalsh(D)|
 """
 
 from __future__ import annotations
@@ -98,19 +98,19 @@ def u_map(n) -> np.ndarray:
     return flat_map(maps, sizes)
 
 
-def pi_map(n, transposed: bool = False) -> np.ndarray:
-    """Flat map of the shuffle Pi_n (or its transpose).  Even sizes only.
+def pi_map(n) -> np.ndarray:
+    """Flat map of the shuffle Pi_n.  Even sizes only.
 
     Per level, x -> Pi x interleaves the two halves: output slots 0,2,4,...
-    take the first half, slots 1,3,5,... the second.  The transpose undoes
-    that, gathering even and odd slots back into contiguous halves.
+    take the first half, slots 1,3,5,... the second.  Pi^T, which gathers
+    even and odd slots back into contiguous halves, is the inverse
+    permutation ``np.argsort(pi_map(n))``.
     """
     sizes = as_sizes(n)
     if any(m % 2 for m in sizes):
         raise EvenSizeError(f"shuffle permutation needs even level sizes, got {sizes}")
-    # the transpose gathers even slots then odd ones; Pi is its inverse permutation
-    maps = [np.r_[np.arange(0, m, 2), np.arange(1, m, 2)] for m in sizes]
-    return flat_map(maps if transposed else [np.argsort(g) for g in maps], sizes)
+    # slot 2i reads i, slot 2i + 1 reads m/2 + i
+    return flat_map([np.arange(m).reshape(2, -1).T.ravel() for m in sizes], sizes)
 
 
 def flip_apply(n, x):
@@ -174,19 +174,9 @@ def _kernel(f: Symbol, sizes):
     return "fft", _fft_kernel
 
 
-def _lookup_keys(table, sizes) -> np.ndarray:
-    # the mixed-radix code sum_l stride_l i_l of every flat index i, on the
-    # strides of a table of shape (2 n_l - 1)_l; the code of per-level sums
-    # and differences is separable (digits never carry), so the outer sum of
-    # two key vectors indexes the table levelwise
-    strides = np.cumprod((1,) + table.shape[::-1][:-1])[::-1]
-    levels = np.unravel_index(np.arange(total_dim(sizes)), sizes)
-    return sum(s * il for s, il in zip(strides, levels))
-
-
 def _dense_lookup(table, rowkey, colkey) -> np.ndarray:
-    # entry (i, j) = table[rowkey_i + colkey_j] on the flat table (the Hankel lookup
-    # for rowkey = colkey = _lookup_keys), gathered one row panel at a time
+    # entry (i, j) = table[rowkey_i + colkey_j] on the flat table, gathered one row
+    # panel at a time; the keys of ``_flipped_lookup`` make it a levelwise Hankel lookup
     flat = table.ravel()
     out = np.empty((rowkey.size, colkey.size), dtype=table.dtype)
     for rows in _panels(rowkey.size):  # keys are in range; "clip" lets take write out unbuffered
@@ -271,14 +261,15 @@ def _in_band(f: Symbol, n):
 
 
 def _flipped_lookup(f: Symbol, n):
-    # the checked sizes, the in-band table of f reversed on every level (Y T
-    # has entry (i, j) = t_{n-1-i-j} levelwise) and its lookup keys
+    # the checked sizes, the in-band table of f reversed on every level (Y T has entry
+    # (i, j) = t_{n-1-i-j} levelwise) and the flat table index of every index of size n;
+    # per-level sums never carry, so key_i + key_j indexes the table levelwise
     sizes, f = _in_band(f, n)
     _guard_capacity(math.prod(sizes), "dense Toeplitz assembly")
     table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
     for k, t in f.pairs():
         table[tuple(nl - 1 - kl for kl, nl in zip(k, sizes))] = t
-    return sizes, table, _lookup_keys(table, sizes)
+    return sizes, table, flat_map([np.arange(nl) for nl in sizes], table.shape)
 
 
 def flipped_dense(f: Symbol, n) -> np.ndarray:
@@ -437,10 +428,12 @@ def interleaved_block_g(f: Symbol, n) -> np.ndarray:
     # the parity class of each slot, level 1 its leading bit; class p pairs with full - p
     parity = flat_map([np.arange(m) % 2 for m in sizes], (2,) * len(sizes))
     full = 2 ** len(sizes) - 1
-    out = np.zeros((d_n, d_n))
+    flat, out = table.ravel(), np.zeros((d_n, d_n))
     for p in range(full + 1):
         rows, cols = np.flatnonzero(parity == p), np.flatnonzero(parity == full - p)
-        out[np.ix_(rows, cols)] = _dense_lookup(table, key[rows], key[cols])
+        colkey = key[cols]
+        for r in _panels(rows.size):  # gathered and stored by row panels, keys in range
+            out[rows[r, None], cols] = np.take(flat, key[rows[r], None] + colkey, mode="clip")
     return out
 
 
@@ -449,23 +442,21 @@ def assemble_hankel(f: Symbol, n) -> np.ndarray:
 
     Indices are 0-based per level, so the top-left entry is t_0 and the
     anti-diagonals are constant in i + j.  The t_{-(i+j)} Hankel is this
-    one of the reflected table t'_k = t_{-k}.
+    one of the reflected table t'_k = t_{-k}.  Built as ``flipped_dense`` of
+    t'_m = t_{n-1-m} levelwise, whose band |m_l| < n_l is 0 <= k_l <= 2(n_l - 1).
     """
     if not isinstance(f, Symbol):
         raise ParameterError(f"a Hankel matrix takes a Symbol f, got {type(f).__name__}")
     sizes = f.check_sizes(n)
-    _guard_capacity(total_dim(sizes), "dense Hankel assembly")
-    table = np.zeros(tuple(2 * nl - 1 for nl in sizes))
-    for k, t in f.pairs():
-        if all(0 <= kl <= 2 * (nl - 1) for kl, nl in zip(k, sizes)):
-            table[k] = t
-    key = _lookup_keys(table, sizes)
-    return _dense_lookup(table, key, key)
+    shifted = {tuple(nl - 1 - kl for kl, nl in zip(k, sizes)): t for k, t in f.pairs()}
+    return flipped_dense(Symbol(f.dims, None, shifted), sizes)
 
 
-def _singular_split(svals, rel: float):
+def _singular_split(eigs, rel: float):
     # (largest, how many lie above rel * largest, largest at or under that
-    # cut) for singular values in descending order
+    # cut) of the singular values |lambda| of a symmetric matrix, from its
+    # eigenvalues in any order
+    svals = np.sort(np.abs(eigs))[::-1]
     top = float(svals[0]) if svals.size else 0.0
     count = int(np.count_nonzero(svals > rel * top))
     tail = float(svals[count]) if count < svals.size else 0.0
@@ -483,13 +474,15 @@ def structure_residual(f: Symbol, n):
 
     Returns ``(D, rank_fraction, spectral_norm_tail)`` where rank_fraction
     counts the singular values of D above 1e-8 * ||D||_2, normalized by
-    2 d_n, and the tail is the largest singular value under that cut.  The
-    count isolates the low-rank part of the residual, the tail the
-    small-norm part; both shrink as the sizes grow.  Even sizes only.
+    2 d_n, and the tail is the largest singular value under that cut: D is
+    exactly symmetric (two same-key Hankel lookups under one permutation), so
+    they are its |eigvalsh|.  The count isolates the low-rank part of the
+    residual, the tail the small-norm part; both shrink as the sizes grow.
+    Even sizes only.
     """
     if any(m % 2 for m in as_sizes(n)):
         raise EvenSizeError(f"structure residual needs even level sizes, got {n}")
     d = _shuffle_conjugate(flipped_dense(f, n), n)
     d -= interleaved_block_g(f, n)
-    _, count, tail = _singular_split(np.linalg.svd(d, compute_uv=False), 1e-8)
+    _, count, tail = _singular_split(np.linalg.eigvalsh(d), 1e-8)
     return d, count / (2.0 * len(d)), tail

@@ -1,10 +1,11 @@
 """Spectra, sampling grids, eigenvalue matching and distribution checks.
 
-The flipped matrices Y_n T_n(f) are real symmetric, so everything here goes
-through a dense symmetric eigensolver.  Their eigenvalues are compared
-against samples of the two branches -|f|/h and +|f|/h of the block symbol,
-taken on the equispaced grids Gamma (on [0, pi]^d) and Delta (on
-[-pi, pi]^2), and against the limiting integral through compactly
+The flipped matrices Y_n T_n(f) are real symmetric, and so is every matrix
+whose singular values are read here, so everything goes through a dense
+symmetric eigensolver: singular values are |eigenvalues|.  The eigenvalues
+are compared against samples of the two branches -|f|/h and +|f|/h of the
+block symbol, taken on the equispaced grids Gamma (on [0, pi]^d) and Delta
+(on [-pi, pi]^2), and against the limiting integral through compactly
 supported test functions.
 
 Contents
@@ -56,12 +57,11 @@ def sym_eigenvalues(a) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values, descending."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {a.shape}")
-    _guard_capacity(max(a.shape), "singular values")
-    return np.linalg.svd(a, compute_uv=False)
+    """Singular values of a dense symmetric real matrix, its |eigenvalues|, descending.
+
+    Gated as ``sym_eigenvalues``: ShapeError unless square, SymmetryError unless symmetric.
+    """
+    return np.sort(np.abs(sym_eigenvalues(a)))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,8 @@ def distribution_discrepancy(eigs, f: Symbol, h, testfns) -> list:
     else ``F{i}``.  A lattice point where |f| and h both vanish drops out of
     the rule, as it drops out of the sample set.
     """
+    if not isinstance(f, Symbol):
+        raise ParameterError(f"the limit integral takes a Symbol f, got {type(f).__name__}")
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
         raise ParameterError("empty spectrum")
@@ -281,9 +283,10 @@ def distribution_discrepancy(eigs, f: Symbol, h, testfns) -> list:
 def zero_distribution_verdict(matrices):
     """Trend report for a family expected to be singular-value distributed as 0.
 
-    For each matrix: fraction of singular values above 1e-6 * sigma_max and
-    the value at the cut.  PASS means the fractions never increase and the
-    last one improved on the first (or hit zero outright).
+    For each matrix, real symmetric and not empty (ParameterError): fraction
+    of singular values above 1e-6 * sigma_max and the value at the cut.
+    PASS means the fractions never increase and the last one improved on
+    the first (or hit zero outright).
     """
     mats = list(matrices)
     if len(mats) < 2:
@@ -291,6 +294,8 @@ def zero_distribution_verdict(matrices):
     rows = []
     for a in mats:
         a = np.asarray(a)
+        if a.size == 0:
+            raise ParameterError(f"empty matrix of shape {a.shape}")
         _, count, at_cut = _singular_split(singular_values(a), 1e-6)
         rows.append((count / a.shape[0], at_cut))
     fracs = [r[0] for r in rows]
@@ -337,9 +342,9 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     the report carries their singular-value split (a handful of
     anti-diagonal hits and a zero tail for banded symbols).
     """
-    if f.dims != 1:
-        raise ParameterError("odd embedding check is one-level only")
-    n = int(n)
+    if not isinstance(f, Symbol) or f.dims != 1:
+        raise ParameterError("odd embedding check takes a one-level Symbol")
+    (n,) = f.check_sizes(n)
     if n % 2 == 0:
         raise ParameterError(f"odd embedding check needs an odd size, got {n}")
     if next(f.pairs(), None) is None:

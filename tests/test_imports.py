@@ -5,8 +5,9 @@ function or lambda is read in its body, no top-level function is defined in
 two modules, every private top-level function is referenced somewhere in
 the package, every public top-level function or class, and every public
 method or property of such a class, is referenced in the package or a demo,
-no module keeps an ``__all__`` list, and the one CSV writer is the only code
-that opens a file.  No linter ships
+no module keeps an ``__all__`` list, the one CSV writer is the only code
+that opens a file, and no code calls an SVD: the one dense solver is the
+symmetric eigensolver.  No linter ships
 with the package, so this scans the source with ``ast``.  ``__init__.py`` is
 skipped: its imports are the package's re-exports.  An ex2 solve and the dense
 ``spectrum``/``match`` path load no scipy module, nor does ``verify`` without
@@ -220,6 +221,26 @@ def test_scanner_flags_open_calls():
 
 def test_only_the_csv_writer_opens_files():
     assert open_calls(package_sources()) == [("experiments.py", "_write_csv")]
+
+
+def svd_calls(sources: dict) -> list:
+    """Modules that call an ``svd``, as an attribute (``np.linalg.svd``) or a bare name."""
+    return sorted({module for module, source in sources.items()
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and "svd" in (getattr(node.func, "id", None),
+                                                               getattr(node.func, "attr", None))})
+
+
+def test_scanner_flags_svd_calls():
+    sources = {"a": "import numpy as np\nnp.linalg.svd(x, compute_uv=False)\n",
+               "b": "from scipy.linalg import svd\ndef f(x):\n    return svd(x)\n",
+               "c": "import numpy as np\nsvd = np.linalg.eigvalsh\nnp.linalg.eigvalsh(x)\n"}
+    assert svd_calls(sources) == ["a", "b"]
+
+
+def test_one_dense_solver():
+    # every matrix the package splits is symmetric, so its singular values are |eigvalsh|
+    assert svd_calls(package_sources()) == []
 
 
 SOLVE_SCRIPT = """\

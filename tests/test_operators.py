@@ -488,7 +488,7 @@ class TestIndexMaps:
         np.testing.assert_array_equal(ops.pi_map((2,)), [0, 1])
 
     def test_pi_transpose_gathers_parities(self):
-        y = np.array([1.0, 2.0, 3.0, 4.0])[ops.pi_map((4,), transposed=True)]
+        y = np.array([1.0, 2.0, 3.0, 4.0])[np.argsort(ops.pi_map((4,)))]
         np.testing.assert_array_equal(y, [1.0, 3.0, 2.0, 4.0])
 
     def test_pi_matrix_against_column_rule(self):
@@ -504,7 +504,7 @@ class TestIndexMaps:
     def test_pi_orthogonality(self):
         sizes = (4, 6)
         p = perm_matrix(ops.pi_map(sizes))
-        pt = perm_matrix(ops.pi_map(sizes, transposed=True))
+        pt = perm_matrix(np.argsort(ops.pi_map(sizes)))
         np.testing.assert_array_equal(p @ pt, np.eye(24))
         np.testing.assert_array_equal(pt, p.T)
 
@@ -577,13 +577,14 @@ def test_structure_assemblers_check_their_input(assemble, f, sizes, error):
         assemble(f, sizes)
 
 
-@pytest.mark.parametrize("assemble,arrays", [(ops.interleaved_block_g, 2),
-                                             (ops.structure_residual, 3)],
+@pytest.mark.parametrize("assemble,arrays", [(ops.interleaved_block_g, 1.25),
+                                             (ops.structure_residual, 2.5)],
                          ids=["interleaved", "residual"])
 @pytest.mark.parametrize("exp,sizes", [("ex2", (32, 32)), ("custom", (256,))])
 def test_structure_layer_peak(assemble, arrays, exp, sizes):
-    # traced peak in d_n x d_n arrays: the form is its output plus at most one more array,
-    # the residual the shuffled Y T with the form subtracted in place
+    # traced peak in d_n x d_n arrays: the form is its output, stored panel by panel, plus
+    # at most a quarter array; the residual the shuffled Y T with the form subtracted in
+    # place, plus at most half an array
     f = experiment_symbol(ExperimentConfig(exp=exp), sizes)
     assert traced_peak(assemble, f, sizes) < arrays * 8 * int(np.prod(sizes)) ** 2
 
@@ -651,6 +652,23 @@ class TestStructureResidual:
         assert frac == count / (2.0 * d.shape[0])
         want_tail = float(svals[count]) if count < svals.size else 0.0
         assert tail == pytest.approx(want_tail, abs=1e-14)
+
+    @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "custom", (8,), (4, 6), (2, 4, 6)])
+    def test_residual_is_exactly_symmetric(self, case):
+        # the split reads the singular values of D as its |eigenvalues| through eigvalsh,
+        # which holds for an exactly symmetric D; the random tables couple the levels and
+        # reach past the half sizes the block form reads
+        if isinstance(case, str):
+            sizes = {"ex1": (8, 6), "ex2": (8, 6), "ex3": (4, 2, 6), "custom": (16,)}[case]
+            f = experiment_symbol(ExperimentConfig(exp=case), sizes)
+        else:
+            sizes, rng = case, np.random.default_rng(sum(case))
+            band = tuple(int(rng.integers(nl // 2, nl)) for nl in sizes)
+            f = sym.Symbol(len(sizes), None, {
+                tuple(int(ki) - qi for ki, qi in zip(k, band)): float(rng.standard_normal())
+                for k in np.ndindex(*(2 * q + 1 for q in band))})
+        d, _, _ = ops.structure_residual(f, sizes)
+        assert np.any(d != 0.0) and np.array_equal(d, d.T)
 
     def test_two_level_fraction_is_small(self):
         _, frac, _ = ops.structure_residual(sym.ex1_symbol(), (8, 8))

@@ -109,29 +109,32 @@ class TestSingularValues:
 
 
     def test_ill_conditioned_matrix(self):
-        # condition number 1e10: a Gram-matrix route squares it past 1/eps
+        # condition number 1e10, eigenvalues of both signs: a Gram-matrix route squares
+        # it past 1/eps
         rng = np.random.default_rng(53)
         u, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-        v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         want = np.logspace(0, -10, 20)
-        got = sp.singular_values(u @ np.diag(want) @ v.T)
+        got = sp.singular_values(u @ np.diag(want * (-1.0) ** np.arange(20)) @ u.T)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("solve,shape", [(sp.sym_eigenvalues, (20001, 20001)),
-                                         (sp.singular_values, (20001, 20001)),
-                                         (sp.singular_values, (20001, 3))],
-                         ids=["eigenvalues", "singular_values", "singular_values_tall"])
-def test_dense_cap_is_checked_before_the_solve(monkeypatch, solve, shape):
+@pytest.mark.parametrize("solve,a,error", [
+    (sp.sym_eigenvalues, np.broadcast_to(0.0, (20001, 20001)), CapacityError),
+    (sp.singular_values, np.broadcast_to(0.0, (20001, 20001)), CapacityError),
+    (sp.singular_values, np.broadcast_to(0.0, (20001, 3)), ShapeError),
+    (sp.singular_values, np.triu(np.ones((4, 4))), SymmetryError),
+], ids=["eigenvalues", "singular_values", "singular_values_tall", "singular_values_nonsymmetric"])
+def test_dense_cap_is_checked_before_the_solve(monkeypatch, solve, a, error):
     # a zero-stride view allocates nothing; the solvers are stubbed so that a missing
-    # guard fails here instead of allocating a 3.2 GB copy
+    # guard fails here instead of allocating a 3.2 GB copy.  The singular values take
+    # the eigensolver's gate: a tall or non-symmetric matrix is refused before any solve
     def reached(*args, **kwargs):
         raise AssertionError("the dense solver was reached past the cap")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", reached)
     monkeypatch.setattr(np.linalg, "svd", reached)
-    with pytest.raises(CapacityError, match="20001 > 20000"):
-        solve(np.broadcast_to(0.0, shape))
+    with pytest.raises(error, match="20001 > 20000" if error is CapacityError else None):
+        solve(a)
 
 
 class TestGrids:
@@ -360,6 +363,18 @@ class TestZeroDistributionVerdict:
     def test_needs_two_sizes(self):
         with pytest.raises(ParameterError):
             sp.zero_distribution_verdict([np.eye(4)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sp.odd_embedding_check({(0,): 1.0}, 3),
+    lambda: sp.odd_embedding_check(sym.laplace1d_symbol(), 3.5),
+    lambda: sp.zero_distribution_verdict([np.zeros((0, 0))] * 2),
+    lambda: sp.distribution_discrepancy(np.array([0.5]), {(0,): 1.0}, None, [sp.tent(0, 1)]),
+], ids=["odd_embedding_not_a_symbol", "odd_embedding_fractional_size", "verdict_empty_matrix",
+        "discrepancy_not_a_symbol"])
+def test_structure_and_distribution_checks_refuse_bad_input(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 class TestOddEmbedding:

@@ -1,20 +1,17 @@
 """Preconditioned MINRES for the flip-symmetrized systems.
 
-The solver runs the plain Lanczos three-term recurrence with Givens
-rotations, no reorthogonalization, starting from x_0 = 0.  Stopping is
-gated on the true unpreconditioned relative residual ||b - A x_k|| / ||b||,
-recomputed from the iterate every step; the recurred preconditioned
-residual estimate phibar only scales the update of x and never decides
-termination.  That rule is what makes iteration counts comparable across
-preconditioners.  A complex right-hand side raises ShapeError.  Every solve
-counts its operator products and preconditioner applies and times both
-into SolveResult.meta.  The iteration works in fixed buffers allocated once
-per solve and never writes into b or into an array the operator or the
-preconditioner returned.
+``_lanczos`` runs the plain preconditioned Lanczos three-term recurrence,
+no reorthogonalization, one step per ``next``; ``minres`` turns each step
+into a Givens rotation and an update of x from x_0 = 0.  It stops when the
+true relative residual ||b - A x_k|| / ||b||, recomputed from the iterate
+every step, falls below REL_TOLERANCE = 1e-8; the recurred estimate phibar
+never decides termination, which keeps iteration counts comparable across
+preconditioners.  After CAP_PER_UNKNOWN * d_n = 10 d_n iterations the solve
+returns unconverged.
 
 Contents
 --------
-SolveConfig      tolerance, iteration cap, history switch
+SolveConfig      the residual-history switch
 SolveResult      solution, counts, residual history, wall time, provenance
 minres           operator-level solver
 flipped_solve    Y T(f) x = Y b from a symbol, matrix-free matvec
@@ -33,23 +30,13 @@ from .symbols import Symbol, as_sizes
 from .operators import ToeplitzOperator, flip_apply
 
 _BREAKDOWN = 1e-14
+REL_TOLERANCE = 1e-8
+CAP_PER_UNKNOWN = 10
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping rule: relative residual below rel_tolerance.
-
-    max_iterations defaults to 10 * d_n when left at None.
-    """
-    rel_tolerance: float = 1e-8
-    max_iterations: int | None = None
     record_residuals: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tolerance < 1.0):
-            raise ParameterError(f"rel_tolerance must lie in (0, 1), got {self.rel_tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -59,7 +46,6 @@ class SolveResult:
     residual_history: list
     converged: bool
     wall_time: float
-    config: SolveConfig = None
     meta: dict = field(default_factory=dict)
 
 
@@ -89,26 +75,64 @@ def _probe_symmetry(apply_a, dim: int, seed: int) -> None:
                                 f"{gap:.3e}, ||Ax|| + ||Ay|| = {scale:.3e}")
 
 
+def _lanczos(apply_a, apply_pinv, b):
+    """The preconditioned Lanczos recurrence from b != 0, one step per ``next``.
+
+    Yields beta_1 = sqrt(<b, P^-1 b>), then (v_k, alpha_k, beta_{k+1}, broken)
+    per step, v_k overwritten by the next step.  ``broken`` is beta_{k+1} below
+    1e-14 times the largest |alpha| or beta so far, a rule unchanged by a
+    constant factor on P^-1; a NaN or negative <r, P^-1 r>, or zero for r = b,
+    raises NotSPDError.
+    """
+    # r1 starts at zero, so the first step subtracts nothing from A v
+    v, r1, tmp = (np.zeros(b.size) for _ in range(3))
+    r2 = b.copy()
+    y = apply_pinv(r2)
+    betasq = float(r2.dot(y))
+    if not betasq > 0.0:
+        raise NotSPDError(f"preconditioner produced <b, P^-1 b> = {betasq:.3e} for b != 0")
+    oldb = beta = math.sqrt(betasq)
+    tnorm = 0.0
+    yield beta
+    while True:
+        np.multiply(y, 1.0 / beta, out=v)
+        y = apply_a(v)
+        np.multiply(r1, beta / oldb, out=r1)
+        np.subtract(y, r1, out=r1)
+        alfa = float(v.dot(r1))
+        np.multiply(r2, alfa / beta, out=tmp)
+        np.subtract(r1, tmp, out=r1)
+        r1, r2 = r2, r1
+        y = apply_pinv(r2)
+        oldb = beta
+        betasq = float(r2.dot(y))
+        if not betasq >= 0.0:
+            raise NotSPDError(f"preconditioner produced <r, P^-1 r> = {betasq:.3e}")
+        beta = math.sqrt(betasq)
+        tnorm = max(tnorm, abs(alfa), beta)
+        yield v, alfa, beta, beta < _BREAKDOWN * tnorm
+
+
 def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> SolveResult:
-    """Preconditioned MINRES on a symmetric operator.
+    """Preconditioned MINRES on a symmetric operator (Paige & Saunders, 1975).
 
     ``apply_a`` is a callable on vectors; ``apply_pinv`` is the callable
     r -> P^{-1} r, or None for the identity; b must be a real vector, and a
     complex one raises ShapeError.  The operator is probed for symmetry on
     three seeded random unit pairs x, y before the iteration starts:
     |<Ax, y> - <x, Ay>| must stay within 1e-8 (||Ax|| + ||Ay||), a gap
-    relative to the operator's scale.  A Lanczos breakdown, beta below 1e-14
-    times the largest |alpha| or beta so far (a rule unchanged by a constant
-    factor on P^{-1}), raises OperatorError unless the recomputed residual
-    passes the rule.  A NaN symmetry gap or a non-finite residual raises
-    OperatorError, and a NaN or negative <r, P^-1 r> (or zero for r = b)
-    raises NotSPDError, rather than iterating to the cap.
+    relative to the operator's scale.  Each ``_lanczos`` step adds one Givens
+    rotation to the QR factorization of its tridiagonal and one update to x;
+    the solve stops at a true relative residual below 1e-8 and returns
+    unconverged after 10 d_n steps, drawing none past the cap.  A breakdown
+    short of 1e-8, a NaN symmetry gap or a non-finite residual raises OperatorError.
 
     ``meta`` records ``matvecs`` (the six symmetry-probe products included,
     so 2 its + 6 for a nonzero b), ``preconditioner_applies`` (its + 1),
     and ``matvec_s``/``apply_s``, the wall time spent in each callable.
-    The iterate, the Lanczos pair, three directions and a scratch vector
-    are fixed buffers; b and what the callables return are only read.
+    The solve writes only into eight length-d_n buffers of its own: x and
+    three directions here, the Lanczos pair, v and a scratch vector in
+    ``_lanczos``; b and what the callables return are only read.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b)
@@ -123,7 +147,6 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
     apply_a = _Counted(apply_a)
     pinv = _Counted(apply_pinv)
     _probe_symmetry(apply_a, dim, seed)
-    maxit = cfg.max_iterations if cfg.max_iterations is not None else 10 * dim
 
     start = time.perf_counter()
     bnorm = math.sqrt(b.dot(b))  # np.linalg.norm of a vector, bit for bit
@@ -136,44 +159,18 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
 
     if bnorm == 0.0:
         return SolveResult(x, 0, history, True, time.perf_counter() - start,
-                           cfg, {"note": "zero right-hand side", **counters()})
+                           {"note": "zero right-hand side", **counters()})
 
-    # fixed buffers; the pair r1/r2 and the triple w1/w2/w rotate by name.
-    # r1 starts at zero, so the first Lanczos step subtracts nothing from A v.
-    v, r1, w, w1, w2, tmp = (np.zeros(dim) for _ in range(6))
-    r2 = b.copy()
-    y = pinv(r2)
-    beta1sq = float(r2.dot(y))
-    if not beta1sq > 0.0:
-        raise NotSPDError(f"preconditioner produced <b, P^-1 b> = {beta1sq:.3e} for b != 0")
-    beta1 = math.sqrt(beta1sq)
-
-    oldb = beta = beta1
-    dbar = epsln = tnorm = 0.0
-    phibar = beta1
+    steps = _lanczos(apply_a, pinv, b)
+    phibar = next(steps)
+    w, w1, w2 = (np.zeros(dim) for _ in range(3))  # the directions, rotated by name
+    dbar = epsln = 0.0
     cs, sn = -1.0, 0.0
 
-    converged = False
-    itn = 0
-    relres = 1.0
-    while itn < maxit:
+    converged, itn, relres = False, 0, 1.0
+    while itn < CAP_PER_UNKNOWN * dim:
         itn += 1
-        np.multiply(y, 1.0 / beta, out=v)
-        y = apply_a(v)
-        np.multiply(r1, beta / oldb, out=r1)
-        np.subtract(y, r1, out=r1)
-        alfa = float(v.dot(r1))
-        np.multiply(r2, alfa / beta, out=tmp)
-        np.subtract(r1, tmp, out=r1)
-        r1, r2 = r2, r1
-        y = pinv(r2)
-        oldb = beta
-        betasq = float(r2.dot(y))
-        if not betasq >= 0.0:
-            raise NotSPDError(f"preconditioner produced <r, P^-1 r> = {betasq:.3e}")
-        beta = math.sqrt(betasq)
-        tnorm = max(tnorm, abs(alfa), beta)
-
+        v, alfa, beta, broken = next(steps)
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
@@ -185,32 +182,32 @@ def minres(apply_a, apply_pinv, b, cfg: SolveConfig = None, seed: int = 0) -> So
         phi = cs * phibar
         phibar = sn * phibar
 
-        # w = (v - oldeps w1 - delta w2) / gamma, x += phi w
+        # w = (v - oldeps w1 - delta w2) / gamma, x += phi w; w1 is w_{k-2},
+        # dead once read, so it is the scratch vector for the rest of the step
         w1, w2, w = w2, w, w1
         np.multiply(w1, oldeps, out=w)
         np.subtract(v, w, out=w)
-        np.multiply(w2, delta, out=tmp)
-        np.subtract(w, tmp, out=w)
+        np.multiply(w2, delta, out=w1)
+        np.subtract(w, w1, out=w)
         np.divide(w, gamma, out=w)
-        np.multiply(w, phi, out=tmp)
-        np.add(x, tmp, out=x)
+        np.multiply(w, phi, out=w1)
+        np.add(x, w1, out=x)
 
-        np.subtract(b, apply_a(x), out=tmp)
-        relres = math.sqrt(tmp.dot(tmp)) / bnorm
+        np.subtract(b, apply_a(x), out=w1)
+        relres = math.sqrt(w1.dot(w1)) / bnorm
         if not math.isfinite(relres):
             raise OperatorError(f"relative residual is {relres} at iteration {itn}")
         if cfg.record_residuals:
             history.append(relres)
-        if relres < cfg.rel_tolerance:
+        if relres < REL_TOLERANCE:
             converged = True
             break
-        if beta < _BREAKDOWN * tnorm:
+        if broken:
             # the Krylov space is exhausted short of the tolerance
             raise OperatorError(f"Lanczos breakdown at iteration {itn} with relative "
                                 f"residual {relres:.3e} still above tolerance")
 
-    elapsed = time.perf_counter() - start
-    return SolveResult(x, itn, history, converged, elapsed, cfg,
+    return SolveResult(x, itn, history, converged, time.perf_counter() - start,
                        {"final_relres": relres, **counters()})
 
 
@@ -222,7 +219,10 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     is ``ToeplitzOperator.matvec``, whose kernel the table fixes; the flip
     is a reversed view of its output, and the right-hand side is flipped to
     keep the solution of the original system T_n(f) x = b.  The
-    preconditioner is an object with ``apply_inverse``, or None.
+    preconditioner is an object with ``apply_inverse``, or None.  At ex3
+    24^3 ``toepfr`` the solve's tracemalloc peak is 19.1 length-d_n vectors:
+    7.0 held by the DIA operator (whose build peaks at 14.1) and 12.0 in
+    ``minres``, its buffers and what the callables return.
     """
     sizes = as_sizes(n)
     if next(f.pairs(), None) is None:

@@ -60,9 +60,10 @@ def _guard_capacity(dim: int, what: str) -> None:
         raise CapacityError(f"{what} needs size {dim} > {DENSE_CAPACITY}")
 
 
-def _panels(n: int):
-    # consecutive slices of at most _PANEL_ROWS indices covering range(n)
-    return (slice(i, min(i + _PANEL_ROWS, n)) for i in range(0, n, _PANEL_ROWS))
+def _panels(n: int, width: int = 1):
+    # slices covering range(n) of <= _PANEL_ROWS rows (one index at least), ``width`` rows per index
+    step = max(1, _PANEL_ROWS // width)
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def _check_length(x, d_n: int):
@@ -425,15 +426,14 @@ def interleaved_block_g(f: Symbol, n) -> np.ndarray:
         raise EvenSizeError(f"interleaved block form needs even level sizes, got {sizes}")
     halves, table, key = _flipped_lookup(f, [m // 2 for m in sizes])
     key = key[flat_map([np.c_[np.arange(h)[::-1], np.arange(h)].ravel() for h in halves], halves)]
-    # the parity class of each slot, level 1 its leading bit; class p pairs with full - p
-    parity = flat_map([np.arange(m) % 2 for m in sizes], (2,) * len(sizes))
-    full = 2 ** len(sizes) - 1
-    flat, out = table.ravel(), np.zeros((d_n, d_n))
-    for p in range(full + 1):
-        rows, cols = np.flatnonzero(parity == p), np.flatnonzero(parity == full - p)
-        colkey = key[cols]
-        for r in _panels(rows.size):  # gathered and stored by row panels, keys in range
-            out[rows[r, None], cols] = np.take(flat, key[rows[r], None] + colkey, mode="clip")
+    key, flat, out = key.reshape(sizes), table.ravel(), np.zeros((d_n, d_n))
+    # row slots of parity p_l on every level l pair with column slots of parity 1 - p_l:
+    # one strided block of the (n_1, ..., n_d, n_1, ..., n_d) view of out per class p
+    for p in np.ndindex(*(2,) * len(sizes)):
+        rows, cols = (tuple(slice(q, None, 2) for q in c) for c in (p, np.subtract(1, p)))
+        block, rowkey, colkey = out.reshape(sizes + sizes)[rows + cols], key[rows], key[cols]
+        for r in _panels(halves[0], rowkey[0].size):  # by row panels, keys in range
+            np.take(flat, np.add.outer(rowkey[r], colkey), out=block[r], mode="clip")
     return out
 
 

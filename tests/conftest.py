@@ -184,3 +184,121 @@ def eigenbasis_w(bases, eigenvalues, s):
     scale = 1.0 / np.sqrt(functools.reduce(np.add.outer, eigenvalues).ravel())
     w = scale[:, None] * w.reshape(len(scale), -1) * scale
     return (w + w.T) / 2.0
+
+
+def convection_diffusion_stencil(sizes):
+    """ex3's t_k from the closed forms in the convection_diffusion_symbol docstring.
+
+    With h_l = 1/(n_l + 1): t_0 = 6 + 2 h_1 + h_2 + 1.5 h_3; level l has the
+    unit upper neighbor t_{-e_l} = -1 and the weighted lower neighbor
+    t_{e_l} = -1 - w_l h_l, w = (2, 1, 1.5).
+    """
+    h = [1.0 / (n + 1) for n in sizes]
+    w = (2.0, 1.0, 1.5)
+    out = {(0, 0, 0): 6.0 + 2.0 * h[0] + h[1] + 1.5 * h[2]}
+    for l in range(3):
+        e = tuple(int(i == l) for i in range(3))
+        out[e] = -1.0 - w[l] * h[l]
+        out[tuple(-v for v in e)] = -1.0
+    return out
+
+
+def _along(x, l, m):
+    """The matrix m applied to axis l of the array x."""
+    return np.moveaxis(np.tensordot(m, x, axes=(1, l)), 0, l)
+
+
+def convection_diffusion_oracle(sizes):
+    """(solve, kappa) for ex3's T_n(f), numpy only: solve(b) = T^{-1} b, kappa >= kappa_2(T).
+
+    Level l is tridiagonal Toeplitz with c_l = t_{e_l} below and u_l = t_{-e_l}
+    above the diagonal, c_l u_l > 0, so T_l = D_l S_l D_l^{-1} with
+    D_l = diag(r_l^i), r_l = sqrt(c_l/u_l), and S_l symmetric tridiagonal with
+    s_l = c_l/r_l off the diagonal: T = 𝒟 (sum_l I⊗S_l⊗I) 𝒟^{-1}.  The
+    orthogonal sine matrix U_l[i, j] = sqrt(2/(n_l+1)) sin((i+1)(j+1) pi/(n_l+1))
+    diagonalizes S_l, eigenvalues 2 s_l cos(j pi/(n_l+1)), j = 1..n_l
+    (Noschese, Pasquini & Reichel, NLAA 2013), so the eigenvalues of the sum
+    are t_0 plus their sum on the lattice, and solve is one sweep of
+    U_l D_l^{-1} per level in, a division, and one of D_l U_l out.
+    kappa = kappa(S) kappa(𝒟)^2, kappa(S) the ratio of the extreme
+    |eigenvalues| and kappa(𝒟) = prod_l max(r_l, 1/r_l)^(n_l - 1).
+    """
+    sizes = tuple(sizes)
+    t = convection_diffusion_stencil(sizes)
+    ins, outs, eigs, kappa_d = [], [], [], 1.0
+    for l, n in enumerate(sizes):
+        e = tuple(int(i == l) for i in range(3))
+        c, u = t[e], t[tuple(-v for v in e)]
+        r, j = np.sqrt(c / u), np.arange(1, n + 1)
+        sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+        d = r ** np.arange(n)
+        ins.append(sine / d)
+        outs.append(d[:, None] * sine)
+        eigs.append(2.0 * (c / r) * np.cos(j * np.pi / (n + 1)))
+        kappa_d *= max(r, 1.0 / r) ** (n - 1)
+    lam = functools.reduce(np.add.outer, eigs) + t[(0, 0, 0)]
+
+    def solve(b):
+        x = np.reshape(b, sizes)
+        for l, m in enumerate(ins):
+            x = _along(x, l, m)
+        x = x / lam
+        for l, m in enumerate(outs):
+            x = _along(x, l, m)
+        return x.ravel()
+
+    return solve, np.abs(lam).max() / np.abs(lam).min() * kappa_d**2
+
+
+def hager_higham_norm1(apply, apply_t, dim):
+    """Estimate of ||A||_1 from x -> A x and x -> A^T x (Higham, Accuracy and Stability, Alg. 15.1).
+
+    It is attained by a column of A, so it never exceeds ||A||_1.
+    """
+    x = np.full(dim, 1.0 / dim)
+    for _ in range(5):
+        y = apply(x)
+        z = apply_t(np.where(y >= 0.0, 1.0, -1.0))
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(dim)
+        x[j] = 1.0
+    return np.abs(y).sum()
+
+
+def fractional_stencil(gamma, n):
+    """T_n(f_gamma) as a dense matrix, entry (i, j) = grunwald_closed_form(gamma, i - j)."""
+    t = np.array([grunwald_closed_form(gamma, k) for k in range(1 - n, n)])
+    return t[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
+
+
+def fractional_oracle(alpha, beta, sizes, M):
+    """(solve, kappa) for ex2's T_n(f) by Bartels-Stewart; kappa estimates kappa_2(T).
+
+    T = A⊗I + I⊗B with A = T_{n_1}(f_alpha) + 2 h_1^alpha M I and
+    B = (h_1^alpha / h_2^beta) T_{n_2}(f_beta), h_l = 1/(n_l + 1), the mesh
+    weights of the fractional problem.  On the row-major (n_1, n_2) view,
+    T x = b is the Sylvester equation A X + X B^T = b, solved by
+    scipy.linalg.solve_sylvester (Bartels & Stewart, CACM 1972), and T^T x = b
+    is A^T X + X B = b.  kappa = sqrt(||T||_1 ||T||_inf ||T^-1||_1 ||T^-1||_inf)
+    bounds kappa_2(T) with ||T||_p <= ||A||_p + ||B||_p and the two inverse
+    norms taken from Hager-Higham estimates made with oracle solves.
+    """
+    from scipy.linalg import solve_sylvester
+
+    n1, n2 = sizes
+    hx, hy = 1.0 / (n1 + 1), 1.0 / (n2 + 1)
+    a = fractional_stencil(alpha, n1) + 2.0 * hx**alpha * M * np.eye(n1)
+    b = hx**alpha / hy**beta * fractional_stencil(beta, n2)
+
+    def solve(rhs, transposed=False):
+        lhs = (a.T, b) if transposed else (a, b.T)
+        return solve_sylvester(*lhs, np.reshape(rhs, sizes)).ravel()
+
+    solve_t = functools.partial(solve, transposed=True)
+    inv1 = hager_higham_norm1(solve, solve_t, n1 * n2)
+    inv_inf = hager_higham_norm1(solve_t, solve, n1 * n2)
+    norm1 = np.linalg.norm(a, 1) + np.linalg.norm(b, 1)
+    norm_inf = np.linalg.norm(a, np.inf) + np.linalg.norm(b, np.inf)
+    return solve, np.sqrt(norm1 * norm_inf * inv1 * inv_inf)

@@ -6,8 +6,9 @@ two modules, every private top-level function is referenced somewhere in
 the package, every public top-level function or class, and every public
 method or property of such a class, is referenced in the package or a demo,
 no module keeps an ``__all__`` list, the one CSV writer is the only code
-that opens a file, and no code calls an SVD: the one dense solver is the
-symmetric eigensolver.  No linter ships
+that opens a file, no code calls an SVD: the one dense solver is the
+symmetric eigensolver, and the Lanczos breakdown rule and the solver's
+NotSPDError raises sit only in ``krylov._lanczos``.  No linter ships
 with the package, so this scans the source with ``ast``.  ``__init__.py`` is
 skipped: its imports are the package's re-exports.  An ex2 solve and the dense
 ``spectrum``/``match`` path load no scipy module, nor does ``verify`` without
@@ -241,6 +242,38 @@ def test_scanner_flags_svd_calls():
 def test_one_dense_solver():
     # every matrix the package splits is symmetric, so its singular values are |eigvalsh|
     assert svd_calls(package_sources()) == []
+
+
+def lanczos_owners(source: str) -> list:
+    """(top-level name, what) of each read of ``_BREAKDOWN`` and each ``raise NotSPDError``."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "_BREAKDOWN"
+                    and isinstance(node.ctx, ast.Load)):
+                found.append((owner, "_BREAKDOWN"))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) == "NotSPDError":
+                    found.append((owner, "NotSPDError"))
+    return sorted(found, key=str)
+
+
+def test_scanner_finds_the_breakdown_rule_and_spd_raises():
+    source = ("_BREAKDOWN = 1e-14\n\ndef f(b):\n    if b < _BREAKDOWN:\n"
+              "        raise NotSPDError('x')\n\ndef g():\n    raise NotSPDError\n\n"
+              "def h():\n    raise OperatorError('y')\n\nTOL = 2 * _BREAKDOWN\n")
+    assert lanczos_owners(source) == [("f", "NotSPDError"), ("f", "_BREAKDOWN"),
+                                      ("g", "NotSPDError"), (None, "_BREAKDOWN")]
+
+
+def test_the_lanczos_recurrence_lives_in_one_place():
+    # minres and any later Lanczos user (quadrature, Ritz values) draw on _lanczos
+    # for the breakdown rule and both <r, P^-1 r> checks instead of copying them
+    source = (ROOT / "src" / "flipspec" / "krylov.py").read_text(encoding="utf-8")
+    assert lanczos_owners(source) == [("_lanczos", "NotSPDError"), ("_lanczos", "NotSPDError"),
+                                      ("_lanczos", "_BREAKDOWN")]
 
 
 SOLVE_SCRIPT = """\

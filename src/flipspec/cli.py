@@ -47,16 +47,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment id")
     common.add_argument("--n", type=_sizes_arg, default=None, metavar="n1,n2[,n3]",
                         help="level sizes")
-    common.add_argument("--alpha", type=float, default=1.8)
-    common.add_argument("--beta", type=float, default=1.6)
+    common.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
+    common.add_argument("--beta", type=float, default=ExperimentConfig.beta)
     common.add_argument("--M", type=int, default=None,
                         help="time steps (default: n1)")
     common.add_argument("--precond", default=None,
                         choices=list(dict.fromkeys(p for ps in VALID_PRECONDITIONERS.values()
                                                    for p in ps)),
                         help="preconditioner id")
-    common.add_argument("--out", default="flipspec_out", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="seed for random probes")
+    common.add_argument("--out", default=ExperimentConfig.out, help="output directory")
+    common.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                        help="seed for random probes")
     common.add_argument("--shift", choices=["on", "off"], default="on",
                         help="include the 2 h_x^alpha / dt identity shift")
 

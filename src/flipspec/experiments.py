@@ -413,14 +413,12 @@ def _suite_distribution():
 
 
 def _brute_frobenius_circulant(v, n: int) -> np.ndarray:
-    # least-squares argmin over first columns for v = t_{1-n}..t_{n-1}; design
-    # matrix is 0/1 since each matrix entry reads exactly one c_j
+    # least-squares argmin over first columns for v = t_{1-n}..t_{n-1}: each entry of
+    # the dense T reads exactly one c_j of the 0/1 design D, so D^T D = n I and the
+    # answer is the mean of each wrapped diagonal (i - j) mod n
     t = toeplitz_level(v)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    design = np.zeros((n * n, n))
-    design[np.arange(n * n), idx.ravel()] = 1.0
-    sol, *_ = np.linalg.lstsq(design, t.ravel(), rcond=None)
-    return sol
+    return np.bincount(idx.ravel(), t.ravel(), n) / n
 
 
 def _suite_oracles(cfg: ExperimentConfig):

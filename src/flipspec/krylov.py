@@ -220,8 +220,8 @@ def flipped_solve(f: Symbol, n, b, preconditioner=None, cfg: SolveConfig = None,
     is a reversed view of its output, and the right-hand side is flipped to
     keep the solution of the original system T_n(f) x = b.  The
     preconditioner is an object with ``apply_inverse``, or None.  At ex3
-    24^3 ``toepfr`` the solve's tracemalloc peak is 19.1 length-d_n vectors:
-    7.0 held by the DIA operator (whose build peaks at 14.1) and 12.0 in
+    24^3 ``toepfr`` the solve's tracemalloc peak is 19.2 length-d_n vectors:
+    7.0 held by the DIA operator (whose build peaks at 7.1) and 12.2 in
     ``minres``, its buffers and what the callables return.
     """
     sizes = as_sizes(n)

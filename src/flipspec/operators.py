@@ -9,7 +9,7 @@ from the stored table at construction:
 
 - the flat diagonals, through scipy's DIA matvec, whenever the table stores
   at most log2 M coefficients, M the size of the circulant embedding below;
-  kept as one length-d_n vector per stored coefficient, added in
+  kept as the length-d_n rows of one array, one per offset, added in
   ``Symbol.pairs`` order, O(nnz d_n);
 - the level product, for a dense table on two or more levels that is
   separable (every index has at most one nonzero component) while
@@ -19,9 +19,10 @@ from the stored table at construction:
   length >= n_l + q_l, through a real FFT pair, O(d_n log d_n).
 
 The operator builds its one kernel with it.  Spectra build no operator:
-``flipped_dense`` and ``flipped_blocks`` gather Y T from the symbol.  The
-flip, shuffle and half-flip operators are never materialized: they act as
-per-level index permutations composed through the row-major flat layout
+every dense form (Y T, its exchange blocks, T, T(g) plain or interleaved)
+is copied from the table by the one lookup ``_gather`` into its own array.
+The flip, shuffle and half-flip operators are never materialized: they act
+as per-level index permutations composed through the row-major flat layout
 (level 1 slowest).
 
 Contents
@@ -175,31 +176,13 @@ def _kernel(f: Symbol, sizes):
     return "fft", _fft_kernel
 
 
-def _dense_lookup(table, rowkey, colkey) -> np.ndarray:
-    # entry (i, j) = table[rowkey_i + colkey_j] on the flat table, gathered one row
-    # panel at a time; the keys of ``_flipped_lookup`` make it a levelwise Hankel lookup
-    flat = table.ravel()
-    out = np.empty((rowkey.size, colkey.size), dtype=table.dtype)
-    for rows in _panels(rowkey.size):  # keys are in range; "clip" lets take write out unbuffered
-        np.take(flat, rowkey[rows, None] + colkey, out=out[rows], mode="clip")
-    return out
-
-
-def _exchange_block(flat, key, partner, combine, weight) -> np.ndarray:
-    # D combine(A[R, R], A[R, S R]) D for the Hankel lookup A[i, j] =
-    # flat[key_i + key_j] and combine np.add or np.subtract, given key over
-    # R, partner = the keys of S R and D = diag(weight); both gathers and
-    # the combination run one row panel at a time
-    size = key.size
-    out = np.empty((size, size), dtype=flat.dtype)
-    buf = np.empty((min(_PANEL_ROWS, size), size), dtype=flat.dtype)
-    for rows in _panels(size):
-        panel, part = out[rows], buf[:rows.stop - rows.start]
-        np.take(flat, key[rows, None] + key, out=panel, mode="clip")
-        np.take(flat, key[rows, None] + partner, out=part, mode="clip")
-        combine(panel, part, out=panel)
-        panel *= weight[rows, None]
-        panel *= weight
+def _gather(out, table, rowkey, colkey):
+    # out[i..., j...] = table[rowkey_i + colkey_j] on the flat table (np.take reads it
+    # flattened) for keys of any shape, one row panel of the leading key axis at a time,
+    # into any array or strided view of shape rowkey.shape + colkey.shape; returns out
+    for rows in _panels(len(rowkey), math.prod(rowkey.shape[1:])):
+        # keys are in range; "clip" lets take write out unbuffered
+        np.take(table, np.add.outer(rowkey[rows], colkey), out=out[rows], mode="clip")
     return out
 
 
@@ -281,7 +264,7 @@ def flipped_dense(f: Symbol, n) -> np.ndarray:
     f and n as for ``ToeplitzOperator``.  Guarded at d_n <= 20000.
     """
     _, table, key = _flipped_lookup(f, n)
-    return _dense_lookup(table, key, key)
+    return _gather(np.empty((key.size, key.size)), table, key, key)
 
 
 def flipped_blocks(f: Symbol, n):
@@ -305,15 +288,25 @@ def flipped_blocks(f: Symbol, n):
     pair = next(((l, m) for l in range(table.ndim) for m in range(l + 1, table.ndim)
                  if sizes[l] == sizes[m] and np.array_equal(table, table.swapaxes(l, m))), None)
     if pair is None:
-        yield _dense_lookup(table, key, key)
+        yield _gather(np.empty((key.size, key.size)), table, key, key)
         return
     l, m = pair
     partner = key.reshape(sizes).swapaxes(l, m).ravel()
     il, im = np.indices(sizes).reshape(len(sizes), -1)[[l, m]]
     for combine, rows in ((np.add, np.flatnonzero(il <= im)),
                           (np.subtract, np.flatnonzero(il < im))):
+        # A[R, R], then A[R, S R] gathered into buf, combined in and D applied by row panels
+        keys, partners = key[rows], partner[rows]
         weight = np.where(il[rows] == im[rows], np.sqrt(0.5), 1.0)
-        yield _exchange_block(table.ravel(), key[rows], partner[rows], combine, weight)
+        block = _gather(np.empty((rows.size, rows.size)), table, keys, keys)
+        buf = np.empty((min(_PANEL_ROWS, rows.size), rows.size))
+        for r in _panels(rows.size):
+            panel = block[r]
+            combine(panel, _gather(buf[:len(panel)], table, keys[r], partners), out=panel)
+            panel *= weight[r, None]
+            panel *= weight
+        yield block
+        block = panel = None  # let go before the next block is gathered
 
 
 def _diagonal_kernel(f: Symbol, sizes):
@@ -327,14 +320,12 @@ def _diagonal_kernel(f: Symbol, sizes):
 
     dim = math.prod(sizes)
     strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
-    rows = {}
-    for k, t in f.pairs():
-        offset = -int(np.dot(k, strides))
-        row = rows.setdefault(offset, np.zeros(sizes))
-        src = tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, sizes))
-        row[src] = t
-    data = np.array([row.ravel() for row in rows.values()]).reshape(len(rows), dim)
-    return dia_matrix((data, list(rows)), shape=(dim, dim)).dot
+    offsets = [-int(np.dot(k, strides)) for k, _ in f.pairs()]
+    rows = {o: r for r, o in enumerate(dict.fromkeys(offsets))}  # in first-reached order
+    data = np.zeros((len(rows), *sizes))
+    for (k, t), o in zip(f.pairs(), offsets):
+        data[rows[o]][tuple(slice(max(-kl, 0), nl - max(kl, 0)) for kl, nl in zip(k, sizes))] = t
+    return dia_matrix((data.reshape(len(rows), dim), list(rows)), shape=(dim, dim)).dot
 
 
 def _level_kernel(f: Symbol, sizes):
@@ -377,7 +368,7 @@ class ToeplitzOperator:
         keys reversed, gathered by row panels into the one array built.
         """
         _, table, key = _flipped_lookup(self.symbol, self.sizes)
-        return _dense_lookup(table, key[::-1], key)
+        return _gather(np.empty((self.dim, self.dim)), table, key[::-1], key)
 
     def matvec(self, x) -> np.ndarray:
         """y = T_n(f) x for a real x by the one kernel built; a complex x raises ShapeError."""
@@ -401,10 +392,10 @@ def assemble_block_g(f: Symbol, n) -> np.ndarray:
     """
     d_n = total_dim(n)
     _guard_capacity(2 * d_n, "2x2-block Toeplitz assembly")
-    t1 = flipped_dense(f, n)[::-1]  # T = Y (Y T)
+    _, table, key = _flipped_lookup(f, n)
     out = np.zeros((2 * d_n, 2 * d_n))
-    out[0::2, 1::2] = t1
-    out[1::2, 0::2] = t1.T
+    _gather(out[0::2, 1::2], table, key[::-1], key)  # T = Y (Y T)
+    _gather(out[1::2, 0::2], table, key, key[::-1])  # and T^T
     return out
 
 
@@ -426,14 +417,12 @@ def interleaved_block_g(f: Symbol, n) -> np.ndarray:
         raise EvenSizeError(f"interleaved block form needs even level sizes, got {sizes}")
     halves, table, key = _flipped_lookup(f, [m // 2 for m in sizes])
     key = key[flat_map([np.c_[np.arange(h)[::-1], np.arange(h)].ravel() for h in halves], halves)]
-    key, flat, out = key.reshape(sizes), table.ravel(), np.zeros((d_n, d_n))
+    key, out = key.reshape(sizes), np.zeros((d_n, d_n))
     # row slots of parity p_l on every level l pair with column slots of parity 1 - p_l:
     # one strided block of the (n_1, ..., n_d, n_1, ..., n_d) view of out per class p
     for p in np.ndindex(*(2,) * len(sizes)):
         rows, cols = (tuple(slice(q, None, 2) for q in c) for c in (p, np.subtract(1, p)))
-        block, rowkey, colkey = out.reshape(sizes + sizes)[rows + cols], key[rows], key[cols]
-        for r in _panels(halves[0], rowkey[0].size):  # by row panels, keys in range
-            np.take(flat, np.add.outer(rowkey[r], colkey), out=block[r], mode="clip")
+        _gather(out.reshape(sizes + sizes)[rows + cols], table, key[rows], key[cols])
     return out
 
 

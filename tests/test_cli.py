@@ -12,7 +12,7 @@ import pytest
 
 from conftest import traced_peak
 from flipspec import experiments, operators, precond
-from flipspec.cli import main
+from flipspec.cli import _config, build_parser, main
 from flipspec.errors import CapacityError, ParameterError
 from flipspec.experiments import ExperimentConfig
 from flipspec.krylov import flipped_solve
@@ -395,6 +395,11 @@ class TestParser:
         listed = re.search(r"--precond \{([^}]*)\}", capsys.readouterr().out).group(1)
         union = {p for ps in experiments.VALID_PRECONDITIONERS.values() for p in ps}
         assert sorted(listed.split(",")) == sorted(union)
+
+    def test_bare_command_takes_the_config_defaults(self):
+        # alpha, beta, out and seed default to ExperimentConfig's own values
+        args = build_parser().parse_args(["table", "--exp", "ex2"])
+        assert _config(args) == ExperimentConfig(exp="ex2")
 
     def test_malformed_sizes_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,8 @@ two modules, every private top-level function is referenced somewhere in
 the package, every public top-level function or class, and every public
 method or property of such a class, is referenced in the package or a demo,
 no module keeps an ``__all__`` list, the one CSV writer is the only code
-that opens a file, no code calls an SVD: the one dense solver is the
+that opens a file, no code calls an SVD (nor ``lstsq``, ``pinv`` or
+``matrix_rank``, which run one inside): the one dense solver is the
 symmetric eigensolver, and the Lanczos breakdown rule and the solver's
 NotSPDError raises sit only in ``krylov._lanczos``.  No linter ships
 with the package, so this scans the source with ``ast``.  ``__init__.py`` is
@@ -224,19 +225,26 @@ def test_only_the_csv_writer_opens_files():
     assert open_calls(package_sources()) == [("experiments.py", "_write_csv")]
 
 
+# numpy's lstsq is LAPACK gelsd, and pinv and matrix_rank call svd themselves
+SVD_CALLS = {"svd", "lstsq", "pinv", "matrix_rank"}
+
+
 def svd_calls(sources: dict) -> list:
-    """Modules that call an ``svd``, as an attribute (``np.linalg.svd``) or a bare name."""
+    """Modules that call a name in ``SVD_CALLS``, as an attribute (``np.linalg.svd``) or bare."""
     return sorted({module for module, source in sources.items()
-                   for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Call) and "svd" in (getattr(node.func, "id", None),
-                                                               getattr(node.func, "attr", None))})
+                   for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                   and SVD_CALLS & {getattr(node.func, k, None) for k in ("id", "attr")}})
 
 
 def test_scanner_flags_svd_calls():
     sources = {"a": "import numpy as np\nnp.linalg.svd(x, compute_uv=False)\n",
                "b": "from scipy.linalg import svd\ndef f(x):\n    return svd(x)\n",
-               "c": "import numpy as np\nsvd = np.linalg.eigvalsh\nnp.linalg.eigvalsh(x)\n"}
-    assert svd_calls(sources) == ["a", "b"]
+               "c": "import numpy as np\nsvd = np.linalg.eigvalsh\nnp.linalg.eigvalsh(x)\n",
+               "d": "import numpy as np\nsol, *_ = np.linalg.lstsq(a, b, rcond=None)\n",
+               "e": "from numpy.linalg import pinv\ndef f(x):\n    return pinv(x)\n",
+               "f": "import numpy as np\nr = np.linalg.matrix_rank(a)\n",
+               "g": "def f(apply_pinv, r):\n    return apply_pinv(r)\n"}
+    assert svd_calls(sources) == ["a", "b", "d", "e", "f"]
 
 
 def test_one_dense_solver():

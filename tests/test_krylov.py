@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from flipspec import krylov as kv
 from flipspec import operators as ops
 from flipspec import precond as pc
 from flipspec import symbols as sym
 from flipspec.errors import (NotSPDError, OperatorError, ParameterError,
                              ShapeError, SymmetryError)
+from flipspec.experiments import (ExperimentConfig, build_preconditioner, experiment_symbol,
+                                  rhs_vector)
 
 
 def flip_dense(n):
@@ -198,6 +201,28 @@ class TestBuffers:
         np.testing.assert_array_equal(b, np.linspace(1.0, 2.0, 125))
         assert frozen.iterations == writable.iterations
         np.testing.assert_array_equal(frozen.solution, writable.solution)
+
+    @pytest.mark.parametrize("exp,precond,sizes,kernel,stored", [
+        ("ex3", "toepfr", (24, 24, 24), "diagonals", 7),  # one diagonal per stencil coefficient
+        ("ex2", "p22", (64, 64), "levels", 2),  # two 64 x 64 level matrices
+    ])
+    def test_solve_peak_is_the_operator_and_the_minres_vectors(self, exp, precond, sizes,
+                                                               kernel, stored):
+        # tracemalloc peak in length-d_n vectors: what the operator stores, plus the 12
+        # minres holds at once, plus 0.5 for index arrays.  The 12 are its eight buffers
+        # (x, w, w1, w2 in minres; v, r1, r2, tmp in _lanczos), b's flipped copy and three
+        # callable outputs: the one _lanczos still binds to y while the other callable
+        # builds its result through at most two vectors (the sweep's two rotating
+        # intermediates, or the level product's sum and one level's term).  The symmetry
+        # probe, freed before the eight are made, holds at most ten: b's copy, its six
+        # draws, one product and the other's two vectors.
+        import scipy.sparse  # noqa: F401  loaded first: an import's allocations are traced too
+        cfg = ExperimentConfig(exp=exp, precond=precond, sizes=sizes)
+        f = experiment_symbol(cfg, sizes)
+        p, _ = build_preconditioner(cfg, f, sizes)
+        b = rhs_vector(cfg, sizes)
+        assert ops.ToeplitzOperator(f, sizes).kernel == kernel
+        assert traced_peak(kv.flipped_solve, f, sizes, b, p) < (stored + 12 + 0.5) * 8 * b.size
 
 
 class TestStoppingRule:

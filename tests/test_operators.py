@@ -589,6 +589,24 @@ def test_structure_layer_peak(assemble, arrays, exp, sizes):
     assert traced_peak(assemble, f, sizes) < arrays * 8 * int(np.prod(sizes)) ** 2
 
 
+def test_block_g_peak():
+    # traced peak in 2 d_n x 2 d_n arrays: the output, T and T^T gathered by row panels
+    # straight into its two strided quadrants, plus under 5 % for a panel's keys and values
+    sizes = (32, 32)
+    f = experiment_symbol(ExperimentConfig(exp="ex2"), sizes)
+    assert traced_peak(ops.assemble_block_g, f, sizes) < 1.05 * 8 * (2 * 32 * 32) ** 2
+
+
+def test_diagonal_operator_build_peak():
+    # traced peak in length-d_n vectors: the seven diagonals of the ex3 stencil, written
+    # into the one array scipy keeps, plus under half a vector
+    import scipy.sparse  # noqa: F401  loaded first: an import's allocations are traced too
+    sizes = (24, 24, 24)
+    f = experiment_symbol(ExperimentConfig(exp="ex3"), sizes)
+    assert traced_peak(ops.ToeplitzOperator, f, sizes) < 7.5 * 8 * 24 ** 3
+    assert ops.ToeplitzOperator(f, sizes).kernel == "diagonals"
+
+
 class TestHankel:
     def test_monomial_plus(self):
         f = sym.Symbol(1, None, {(1,): 1.0})

@@ -19,8 +19,9 @@ from the stored table at construction:
   length >= n_l + q_l, through a real FFT pair, O(d_n log d_n).
 
 The operator builds its one kernel with it.  Spectra build no operator:
-every dense form (Y T, its exchange blocks, T, T(g) plain or interleaved)
-is copied from the table by the one lookup ``_gather`` into its own array.
+every dense form (Y T, its exchange blocks, T, T(g) plain or interleaved,
+the shuffled Pi U Y T U Pi^T) is copied from the table by the one lookup
+``_gather`` into its own array.
 The flip, shuffle and half-flip operators are never materialized: they act
 as per-level index permutations composed through the row-major flat layout
 (level 1 slowest).
@@ -37,7 +38,7 @@ flip_map / u_map / pi_map flat index maps of Y_n, U_n and the shuffle Pi_n (x[ma
 assemble_block_g          2x2-block Toeplitz of g = [[0, f], [f*, 0]]
 interleaved_block_g       the same symbol per level interleaved: Y T at half size, folded
 assemble_hankel           dense multilevel Hankel t_{i+j}: Y T of the table shifted by n - 1
-structure_residual        D = Pi U Y T(f) U Pi^T - T(g) with rank/norm split of |eigvalsh(D)|
+structure_residual        D = Pi U Y T(f) U Pi^T - T(g), one gather under Pi U, |eigvalsh(D)| split
 """
 
 from __future__ import annotations
@@ -452,26 +453,23 @@ def _singular_split(eigs, rel: float):
     return top, count, tail
 
 
-def _shuffle_conjugate(ya, sizes) -> np.ndarray:
-    # Pi U (Y a) U Pi^T for a dense d_n x d_n matrix Y a, by one gather of the composed map
-    perm = u_map(sizes)[pi_map(sizes)]
-    return ya[np.ix_(perm, perm)]
-
-
 def structure_residual(f: Symbol, n):
     """Residual D = Pi_n U_n Y_n T_n(f) U_n Pi_n^T - T_n(g) and its split.
 
     Returns ``(D, rank_fraction, spectral_norm_tail)`` where rank_fraction
     counts the singular values of D above 1e-8 * ||D||_2, normalized by
-    2 d_n, and the tail is the largest singular value under that cut: D is
-    exactly symmetric (two same-key Hankel lookups under one permutation), so
-    they are its |eigvalsh|.  The count isolates the low-rank part of the
-    residual, the tail the small-norm part; both shrink as the sizes grow.
-    Even sizes only.
+    2 d_n, and the tail is the largest singular value under that cut.  The
+    shuffled Y T is the lookup of ``flipped_dense`` with both keys permuted
+    by Pi U, gathered into the one array D is formed in, so D is exactly
+    symmetric (two same-key Hankel lookups) and they are its |eigvalsh|.
+    The count isolates the low-rank part of the residual, the tail the
+    small-norm part; both shrink as the sizes grow.  Even sizes only.
     """
     if any(m % 2 for m in as_sizes(n)):
         raise EvenSizeError(f"structure residual needs even level sizes, got {n}")
-    d = _shuffle_conjugate(flipped_dense(f, n), n)
+    _, table, key = _flipped_lookup(f, n)
+    key = key[u_map(n)[pi_map(n)]]  # Pi U x = x[u_map][pi_map]
+    d = _gather(np.empty((key.size, key.size)), table, key, key)
     d -= interleaved_block_g(f, n)
     _, count, tail = _singular_split(np.linalg.eigvalsh(d), 1e-8)
     return d, count / (2.0 * len(d)), tail

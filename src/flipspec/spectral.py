@@ -19,7 +19,7 @@ MatchReport                   assignment arrays + summary statistics
 tent                          compactly supported hat test function
 distribution_discrepancy      sample mean vs. quadrature of the limit integral
 zero_distribution_verdict     trend of the fraction above 1e-6 sigma_max over sizes
-odd_embedding_check           odd-size embedding identity, one level
+odd_embedding_check           odd-size embedding identity, one level, on the table gathers
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PoleError, ShapeError, SymmetryError
+from .errors import EvenSizeError, ParameterError, PoleError, ShapeError, SymmetryError
 from .symbols import Symbol, as_sizes
-from .operators import _guard_capacity, _panels, _singular_split, assemble_hankel, u_map
+from .operators import (_guard_capacity, _panels, _singular_split, assemble_hankel,
+                        flipped_dense, u_map)
 
 
 def sym_eigenvalues(a) -> np.ndarray:
@@ -296,7 +297,7 @@ def zero_distribution_verdict(matrices):
         a = np.asarray(a)
         if a.size == 0:
             raise ParameterError(f"empty matrix of shape {a.shape}")
-        _, count, at_cut = _singular_split(singular_values(a), 1e-6)
+        _, count, at_cut = _singular_split(sym_eigenvalues(a), 1e-6)
         rows.append((count / a.shape[0], at_cut))
     fracs = [r[0] for r in rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(fracs, fracs[1:]))
@@ -321,15 +322,6 @@ class OddEmbeddingReport:
         return all(v == 0.0 for v in self.term_deviation.values())
 
 
-def _monomial_blocks(k: int, m: int):
-    # the four (m+1) x (m+1) blocks of the even-size embedding of e^{ik theta}:
-    # the Hankel (entry 1 where i + j = +-k) and Toeplitz (i - j = +-k)
-    # matrices of e^{+-ik theta}
-    n = m + 1
-    return (np.eye(n, k=k - n + 1)[::-1], np.eye(n, k=-k), np.eye(n, k=k),
-            np.eye(n, k=-k - n + 1)[::-1])
-
-
 def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     """Check the even-size embedding of U Y T U at one odd size.
 
@@ -340,13 +332,15 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     coefficient table (``assemble_hankel`` of f and of its reflected table
     t'_k = t_{-k}) are the correction the identity leaves behind;
     the report carries their singular-value split (a handful of
-    anti-diagonal hits and a zero tail for banded symbols).
+    anti-diagonal hits and a zero tail for banded symbols).  Every matrix
+    is a table gather (``flipped_dense``, ``assemble_hankel``) of one
+    monomial or of f.  An even n raises EvenSizeError.
     """
     if not isinstance(f, Symbol) or f.dims != 1:
         raise ParameterError("odd embedding check takes a one-level Symbol")
     (n,) = f.check_sizes(n)
     if n % 2 == 0:
-        raise ParameterError(f"odd embedding check needs an odd size, got {n}")
+        raise EvenSizeError(f"odd embedding check needs an odd size, got {n}")
     if next(f.pairs(), None) is None:
         raise ParameterError("needs a coefficient table")
     m = n // 2
@@ -355,10 +349,11 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
 
     deviations = {}
     for k in sorted(kk[0] for kk, _ in f.pairs()):
-        # U Y T U, T = np.eye(n, k=-k) the Toeplitz matrix of e^{ik theta}
-        lhs = np.eye(n, k=-k)[::-1][fu][:, fu]
-        hp, tp, tm, hm = _monomial_blocks(k, m)
-        big = np.block([[hp, tp], [tm, hm]])
+        plus, minus = Symbol(1, None, {(k,): 1.0}), Symbol(1, None, {(-k,): 1.0})
+        lhs = flipped_dense(plus, (n,))[fu][:, fu]  # U Y T U of e^{ik theta}
+        # the Hankel and Toeplitz (T = Y (Y T)) matrices of e^{+-ik theta} at size m + 1
+        big = np.block([[assemble_hankel(plus, (m + 1,)), flipped_dense(plus, (m + 1,))[::-1]],
+                        [flipped_dense(minus, (m + 1,))[::-1], assemble_hankel(minus, (m + 1,))]])
         rhs = big[np.ix_(keep, keep)]
         deviations[k] = float(np.max(np.abs(lhs - rhs)))
 
@@ -366,5 +361,5 @@ def odd_embedding_check(f: Symbol, n: int) -> OddEmbeddingReport:
     hank = np.zeros((2 * m + 2, 2 * m + 2))
     hank[: m + 1, : m + 1] = assemble_hankel(f, (m + 1,))
     hank[m + 1 :, m + 1 :] = assemble_hankel(reflected, (m + 1,))
-    top, count, tail = _singular_split(singular_values(hank), 1e-8)
+    top, count, tail = _singular_split(sym_eigenvalues(hank), 1e-8)
     return OddEmbeddingReport(n, deviations, top, count / (2.0 * m + 2.0), tail)

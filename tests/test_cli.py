@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,14 @@ class TestTable:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "p22" in capsys.readouterr().err
+
+    def test_config_refuses_an_invalid_preconditioner(self):
+        # build_preconditioner has no branch for an unknown name: the config refuses it,
+        # also when it is set through dataclasses.replace
+        with pytest.raises(ParameterError, match="p22"):
+            ExperimentConfig(exp="ex3", precond="p22")
+        with pytest.raises(ParameterError, match="bogus"):
+            replace(ExperimentConfig(exp="ex2"), precond="bogus")
 
 
 class TestVerify:

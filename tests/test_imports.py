@@ -8,14 +8,15 @@ method or property of such a class, is referenced in the package or a demo,
 no module keeps an ``__all__`` list, the one CSV writer is the only code
 that opens a file, no code calls an SVD (nor ``lstsq``, ``pinv`` or
 ``matrix_rank``, which run one inside): the one dense solver is the
-symmetric eigensolver, and the Lanczos breakdown rule and the solver's
-NotSPDError raises sit only in ``krylov._lanczos``.  No linter ships
-with the package, so this scans the source with ``ast``.  ``__init__.py`` is
-skipped: its imports are the package's re-exports.  An ex2 solve and the dense
-``spectrum``/``match`` path load no scipy module, nor does ``verify`` without
-its oracles suite, and an ex3 solve no scipy subpackage but ``scipy.sparse``:
-each scipy import adds its load time to every cold ``flipspec table``,
-``spectrum`` or ``verify`` run.
+symmetric eigensolver, ``np.take`` is called only in the one table gather
+``operators._gather`` and ``np.eye`` nowhere, and the Lanczos breakdown
+rule and the solver's NotSPDError raises sit only in ``krylov._lanczos``.
+No linter ships with the package, so this scans the source with ``ast``.
+``__init__.py`` is skipped: its imports are the package's re-exports.  An
+ex2 solve and the dense ``spectrum``/``match`` path load no scipy module,
+nor does ``verify`` without its oracles suite, and an ex3 solve no scipy
+subpackage but ``scipy.sparse``: each scipy import adds its load time to
+every cold ``flipspec table``, ``spectrum`` or ``verify`` run.
 """
 
 import ast
@@ -250,6 +251,38 @@ def test_scanner_flags_svd_calls():
 def test_one_dense_solver():
     # every matrix the package splits is symmetric, so its singular values are |eigvalsh|
     assert svd_calls(package_sources()) == []
+
+
+# every dense form is a copy of table entries through operators._gather, the one np.take,
+# and every 0/1 matrix an index map: no closed-form copy built from np.eye beside them
+GATHER_CALLS = {"take", "eye"}
+
+
+def gather_calls(sources: dict) -> list:
+    """(module, enclosing top-level name or None, name) of each call to a name in
+    ``GATHER_CALLS``, as an attribute (``np.take``, ``a.take``) or bare."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    found += [(module, owner, name) for name in sorted(
+                        GATHER_CALLS & {getattr(node.func, k, None) for k in ("id", "attr")})]
+    return found
+
+
+def test_scanner_flags_gather_calls():
+    sources = {"a": "import numpy as np\ndef _gather(t, k):\n    return np.take(t, k)\n\n"
+                    "class C:\n    def dense(self):\n        return np.eye(3)[::-1]\n",
+               "b": "from numpy import eye\nY = eye(4)[::-1]\n",
+               "c": "def f(a, take, eye_map):\n    return a.take([0]), take, a[eye_map]\n"}
+    assert gather_calls(sources) == [("a", "_gather", "take"), ("a", "C", "eye"),
+                                     ("b", None, "eye"), ("c", "f", "take")]
+
+
+def test_one_table_gather():
+    assert gather_calls(package_sources()) == [("operators.py", "_gather", "take")]
 
 
 def lanczos_owners(source: str) -> list:

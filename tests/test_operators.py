@@ -696,20 +696,15 @@ class TestStructureResidual:
         with pytest.raises(EvenSizeError):
             ops.structure_residual(sym.ex1_symbol(), (8, 7))
 
-    def test_shuffle_conjugate_is_the_permutation_product(self):
-        # Pi U (Y a) U^T Pi^T with 0/1 permutation matrices, which are exact
-        sizes = (6, 8)
-        ya = ops.flipped_dense(sym.ex1_symbol(), sizes)
+    @pytest.mark.parametrize("f,sizes", [(sym.ex1_symbol(), (6, 8)),
+                                         (sym.grunwald_symbol(1.8, 9), (10,))],
+                             ids=["ex1", "one_level"])
+    def test_residual_is_the_permutation_product_minus_the_form(self, f, sizes):
+        # D is Pi U (Y T) U^T Pi^T - T(g) with 0/1 permutation matrices, which are exact
+        d, _, _ = ops.structure_residual(f, sizes)
         pu = perm_matrix(ops.pi_map(sizes)) @ perm_matrix(ops.u_map(sizes))
-        assert np.array_equal(ops._shuffle_conjugate(ya, sizes), pu @ ya @ pu.T)
-
-    def test_shuffle_conjugate_gathers_once(self):
-        # one gather of the composed map: the result is the one d_n x d_n array allocated
-        # (1.006 x 8 d_n^2 bytes measured at 40^2)
-        sizes = (40, 40)
-        ya = ops.flipped_dense(sym.ex1_symbol(), sizes)
-        peak = traced_peak(ops._shuffle_conjugate, ya, sizes)
-        assert peak < 1.1 * 8 * len(ya) ** 2
+        ya = ops.flipped_dense(f, sizes)
+        assert np.array_equal(d, pu @ ya @ pu.T - ops.interleaved_block_g(f, sizes))
 
 
 def test_flipped_toeplitz_is_exactly_symmetric():

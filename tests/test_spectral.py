@@ -9,7 +9,8 @@ from conftest import kron_toeplitz_dense, tridiag_laplacian_eigs
 from flipspec import operators as ops
 from flipspec import spectral as sp
 from flipspec import symbols as sym
-from flipspec.errors import CapacityError, ParameterError, PoleError, ShapeError, SymmetryError
+from flipspec.errors import (CapacityError, EvenSizeError, ParameterError, PoleError, ShapeError,
+                             SymmetryError)
 from flipspec.experiments import (ExperimentConfig, _flipped_spectrum, build_preconditioner,
                                   experiment_symbol)
 from flipspec.precond import preconditioned_spectrum
@@ -397,20 +398,23 @@ class TestOddEmbedding:
 
     @pytest.mark.parametrize("m", range(6))
     def test_monomial_blocks_are_the_assembled_matrices(self, m):
-        # the closed forms bit for bit against the assembled Hankel and
-        # Toeplitz matrices of e^{+-ik theta}, every |k| <= 2m + 2, so out
-        # of both bands too: an offset error the closed forms share with
-        # the left side of the check shows here
-        size = (m + 1,)
+        # the check's gathers of e^{+-ik theta} bit for bit against their closed forms: the
+        # Hankel matrices (entry 1 where i + j = +-k) and Toeplitz matrices (i - j = +-k) at
+        # size m + 1, and Y T at the odd size n = 2m + 1, every |k| <= 2m + 2, so out of
+        # every band too: an offset error shared by both sides of the check shows here
+        size, n = m + 1, 2 * m + 1
         for k in range(-2 * m - 2, 2 * m + 3):
             plus, minus = sym.Symbol(1, None, {(k,): 1.0}), sym.Symbol(1, None, {(-k,): 1.0})
-            want = (ops.assemble_hankel(plus, size), ops.ToeplitzOperator(plus, size).dense(),
-                    ops.ToeplitzOperator(minus, size).dense(), ops.assemble_hankel(minus, size))
-            for got, ref in zip(sp._monomial_blocks(k, m), want):
+            pairs = [(ops.assemble_hankel(plus, (size,)), np.eye(size, k=k - size + 1)[::-1]),
+                     (ops.flipped_dense(plus, (size,))[::-1], np.eye(size, k=-k)),
+                     (ops.flipped_dense(minus, (size,))[::-1], np.eye(size, k=k)),
+                     (ops.assemble_hankel(minus, (size,)), np.eye(size, k=-k - size + 1)[::-1]),
+                     (ops.flipped_dense(plus, (n,)), np.eye(n, k=-k)[::-1])]
+            for got, ref in pairs:
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_rejects_even_size(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(EvenSizeError):
             sp.odd_embedding_check(sym.laplace1d_symbol(), 8)
 
     def test_one_level_only(self):
